@@ -145,11 +145,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise InvalidArgument(f"config file {path} not found or unreadable")
 
     def get(section, key, default=None, cast=str):
-        if parser.has_option(section, key):
-            return cast(parser.get(section, key))
-        if default is None:
-            raise InvalidArgument(f"missing [{section}] {key}")
-        return default
+        if not parser.has_option(section, key):
+            if default is None:
+                raise InvalidArgument(f"missing [{section}] {key}")
+            return default
+        raw = parser.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise InvalidArgument(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
     driver_kind = get("driver", "kind")
     driver_params = {}
@@ -196,7 +200,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         n_x=get("numerics", "n_x", default=401, cast=int),
         x_min=get("numerics", "x_min", default=-3.0, cast=float),
         x_max=get("numerics", "x_max", default=3.0, cast=float),
-        y_grid=_parse_grid(get("numerics", "y_grid", default="-2.0:2.0:81")),
+        y_grid=get("numerics", "y_grid", default=_parse_grid("-2.0:2.0:81"), cast=_parse_grid),
         z_lo=get("numerics", "z_lo", default=-1.0, cast=float),
         z_hi=get("numerics", "z_hi", default=1.0, cast=float),
         tol=get("numerics", "tol", default=1e-6, cast=float),
@@ -204,8 +208,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         damping=get("numerics", "damping", default=0.5, cast=float),
         mode=get("numerics", "mode", default="theta"),
         seed=get("numerics", "seed", default=0, cast=int),
-        price_z=_parse_grid(get("price", "z_values", default="0.0")),
-        price_y=_parse_grid(get("price", "y_values", default="0.5,1.0")),
+        price_z=get("price", "z_values", default=_parse_grid("0.0"), cast=_parse_grid),
+        price_y=get("price", "y_values", default=_parse_grid("0.5,1.0"), cast=_parse_grid),
         formats=tuple(
             f.strip()
             for f in get("outputs", "formats", default="csv,json").split(",")
@@ -585,6 +589,9 @@ def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport
     report = RunReport(command=command, scenario=cfg.echo(), threads=_threads())
     try:
         _COMMANDS[command](cfg, out, report)
+    except InvalidArgument:
+        report.exit_code = EXIT_CONFIG
+        raise
     except ImpactHedgerError:
         report.exit_code = EXIT_NUMERIC
         raise

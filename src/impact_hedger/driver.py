@@ -32,7 +32,13 @@ def _as_time_fn(value: float | TimeFn) -> TimeFn:
 
 @dataclass(frozen=True)
 class Driver:
-    """A convex driver g(t, z) with optional gradient and structure flags."""
+    """A convex driver g(t, z) with optional gradient and structure flags.
+
+    Contract: ``g`` and ``g_z`` act elementwise on arrays of any shape, so
+    ``g(t, z)[i]`` depends on ``z[i]`` alone.  The backward sweep relies on
+    it to solve a whole stack of terminal payoffs at once, one row each,
+    and :func:`validate` calls ``g`` on 2-D arrays.
+    """
 
     kind: str
     g: Callable[[float, np.ndarray], np.ndarray]

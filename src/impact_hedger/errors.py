@@ -25,7 +25,14 @@ class NumericOverflow(ImpactHedgerError):
 
 
 class StepSizeViolation(ImpactHedgerError):
-    """The monotone-scheme guard |g_z| * sqrt(dt) < 1 failed."""
+    """The monotone-scheme guard |g_z| * sqrt(dt) < 1 failed.
+
+    Carries the lattice level at which the guard tripped.
+    """
+
+    def __init__(self, message: str, level: int | None = None):
+        super().__init__(message)
+        self.level = level
 
 
 class UnsupportedOperation(ImpactHedgerError):

@@ -61,7 +61,17 @@ def _backward_sweep(
     g_of_level: Callable[[int, np.ndarray], np.ndarray],
     slope_of_level: Callable[[int, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Shared backward recursion; ``g_of_level(k, z)`` may depend on the level."""
+    """Shared backward recursion; ``g_of_level(k, z)`` may depend on the level.
+
+    ``terminal`` is one buffer of shape ``(level_size(n),)`` or a batch of
+    them, shape ``(rows, level_size(n))``; each returned level keeps the
+    leading row axis.  Every row is swept on its own along the last axis,
+    so a row gets bit for bit the numbers of its one-row sweep, provided
+    the driver keeps its contract: ``g`` and ``g_z`` act elementwise on
+    arrays of any shape.  The finiteness check and the step-size guard
+    cover every row; the guard raises at the highest level where any row
+    breaks it.
+    """
     n = lattice.n_steps
     dt = lattice.grid.dt
     sq = lattice.grid.sqrt_dt
@@ -82,24 +92,51 @@ def _backward_sweep(
             worst = float(np.max(slope_of_level(k, z))) * sq if z.size else 0.0
             if worst >= 1.0:
                 raise StepSizeViolation(
-                    f"|g_z| * sqrt(dt) = {worst:.3g} >= 1 at level {k}; "
-                    "refine the time grid to keep the scheme monotone"
+                    f"|g_z| * sqrt(dt) = {worst!r} >= 1 at level {k}; "
+                    "refine the time grid to keep the scheme monotone",
+                    level=k,
                 )
         z_levels[k] = z
         pi_levels[k] = pi
     return pi_levels, z_levels
 
 
-def solve_bsde(lattice: Lattice, driver: Driver, terminal) -> BsdeSolution:
-    """Solve the backward equation with the given driver and terminal payoff."""
-    term = _terminal_array(lattice, terminal)
+def _driver_sweep(
+    lattice: Lattice, driver: Driver, terminal: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Guarded backward sweep of ``driver`` over one terminal or a batch."""
     grid = lattice.grid
-    pi_levels, z_levels = _backward_sweep(
+    return _backward_sweep(
         lattice,
-        term,
+        terminal,
         lambda k, z: driver.g(grid.t(k), z),
         lambda k, z: driver.lipschitz_slope(grid.t(k), z),
     )
+
+
+def _position_terminals(lattice: Lattice, s_terminal, ys, h_m=None) -> np.ndarray:
+    """Books H_M - y S stacked one row per position y."""
+    s = _terminal_array(lattice, s_terminal)
+    h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
+    return h[None, :] - np.asarray(ys, dtype=float)[:, None] * s[None, :]
+
+
+def _unit_integrands(
+    lattice: Lattice, driver: Driver, s_terminal
+) -> tuple[NodeProcess, NodeProcess]:
+    """Integrands of the unit short and unit long payoffs, -S and S, in one sweep."""
+    s = _terminal_array(lattice, s_terminal)
+    _, z_levels = _driver_sweep(lattice, driver, np.stack([-s, s]))
+    return (
+        NodeProcess(lattice, [z[0] for z in z_levels]),
+        NodeProcess(lattice, [z[1] for z in z_levels]),
+    )
+
+
+def solve_bsde(lattice: Lattice, driver: Driver, terminal) -> BsdeSolution:
+    """Solve the backward equation with the given driver and terminal payoff."""
+    term = _terminal_array(lattice, terminal)
+    pi_levels, z_levels = _driver_sweep(lattice, driver, term)
     return BsdeSolution(
         pi=NodeProcess(lattice, pi_levels),
         z=NodeProcess(lattice, z_levels),
@@ -139,9 +176,8 @@ def z_of_position(
     h_m=None,
 ) -> BsdeSolution:
     """Backward solution for the book H_M - y S held against a position y."""
-    s = _terminal_array(lattice, s_terminal)
-    h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
-    return solve_bsde(lattice, driver, h - y * s)
+    book = _position_terminals(lattice, s_terminal, [y], h_m)[0]
+    return solve_bsde(lattice, driver, book)
 
 
 def z_homogeneous(
@@ -191,12 +227,11 @@ def dz_dy(
     """Central finite difference of y -> Z^y, node by node."""
     if not eps > 0:
         raise InvalidArgument("eps must be positive")
-    z_lo = z_of_position(lattice, driver, s_terminal, y - eps, h_m).z
-    z_mid = z_of_position(lattice, driver, s_terminal, y, h_m).z
-    z_hi = z_of_position(lattice, driver, s_terminal, y + eps, h_m).z
+    books = _position_terminals(lattice, s_terminal, [y - eps, y, y + eps], h_m)
+    _, z_levels = _driver_sweep(lattice, driver, books)
 
-    fwd_levels = [(hi - mid) / eps for hi, mid in zip(z_hi.levels, z_mid.levels)]
-    bwd_levels = [(mid - lo) / eps for mid, lo in zip(z_mid.levels, z_lo.levels)]
+    fwd_levels = [(z[2] - z[1]) / eps for z in z_levels]
+    bwd_levels = [(z[1] - z[0]) / eps for z in z_levels]
     forward = NodeProcess(lattice, fwd_levels)
     backward = NodeProcess(lattice, bwd_levels)
 
@@ -322,11 +357,9 @@ class PositionCurve:
     ):
         self.lattice = lattice
         self.driver = driver
-        self._s = _terminal_array(lattice, s_terminal)
         self._homogeneous = driver.is_homogeneous and h_m is None
         if self._homogeneous:
-            self.z_minus = solve_bsde(lattice, driver, -self._s).z
-            self.z_plus = solve_bsde(lattice, driver, self._s).z
+            self.z_minus, self.z_plus = _unit_integrands(lattice, driver, s_terminal)
             self.y_grid = None
         else:
             if y_grid is None:
@@ -337,14 +370,9 @@ class PositionCurve:
             if yg.ndim != 1 or yg.size < 2 or np.any(np.diff(yg) <= 0):
                 raise InvalidArgument("y_grid must be sorted with at least 2 points")
             self.y_grid = yg
-            self._z_by_y = [
-                z_of_position(lattice, driver, self._s, y, h_m).z.levels for y in yg
-            ]
-            # stacked per level: shape (n_y, level_size)
-            self._stacks = [
-                np.stack([zs[k] for zs in self._z_by_y])
-                for k in range(lattice.n_steps)
-            ]
+            # one batched sweep, one row per grid position: shape (n_y, level_size)
+            books = _position_terminals(lattice, s_terminal, yg, h_m)
+            _, self._stacks = _driver_sweep(lattice, driver, books)
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -423,9 +451,23 @@ class PositionCurve:
         hi = np.max(stack, axis=0)
         if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
             raise ImageViolation("integrand target outside the attainable image")
-        out = np.empty_like(t)
         s = stack if direction > 0 else -stack
         tt = t if direction > 0 else -t
-        for j in range(stack.shape[1]):
-            out[j] = np.interp(tt[j], s[:, j], self.y_grid)
-        return out
+        return _interp_columns(tt, s, self.y_grid)
+
+
+def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[j], xp[:, j], fp)`` for every column ``j`` at once.
+
+    Uses ``np.interp``'s arithmetic, so the results agree bit for bit: the
+    bracket ``xp[i] <= x < xp[i+1]``, the value ``fp[i]`` on a node,
+    ``slope * (x - xp[i]) + fp[i]`` between nodes and the end values of
+    ``fp`` outside the hull.  Each column of ``xp`` must increase strictly.
+    """
+    cols = np.arange(xp.shape[1])
+    i = np.clip(np.count_nonzero(xp <= x, axis=0) - 1, 0, xp.shape[0] - 2)
+    x0 = xp[i, cols]
+    slope = (fp[i + 1] - fp[i]) / (xp[i + 1, cols] - x0)
+    out = np.where(x == x0, fp[i], slope * (x - x0) + fp[i])
+    out = np.where(x < xp[0], fp[0], out)
+    return np.where(x >= xp[-1], fp[-1], out)

@@ -116,15 +116,20 @@ class Lattice:
     # -- sweep primitives --------------------------------------------------
 
     def split_children(self, values_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a level-(k+1) buffer into (down-child, up-child) views per parent."""
+        """Split a level-(k+1) buffer into (down-child, up-child) views per parent.
+
+        The split runs along the last axis, so a ``(rows, nodes)`` stack of
+        level buffers splits row by row.
+        """
         v = np.asarray(values_next, dtype=float)
+        nodes = v.shape[-1] if v.ndim else 1
         if self.topology == RECOMBINING:
-            if v.size < 2:
+            if nodes < 2:
                 raise InvalidArgument("child level must have at least 2 nodes")
-            return v[:-1], v[1:]
-        if v.size % 2 != 0:
+            return v[..., :-1], v[..., 1:]
+        if nodes % 2 != 0:
             raise InvalidArgument("full-binary child level must have even size")
-        return v[0::2], v[1::2]
+        return v[..., 0::2], v[..., 1::2]
 
     def conditional_expectation(self, values_next: np.ndarray) -> np.ndarray:
         """One-step discrete E[. | F_k] applied to a level-(k+1) buffer."""

@@ -26,7 +26,7 @@ from .errors import (
     NumericOverflow,
     RootNotFound,
 )
-from .gexpect import PositionCurve, _terminal_array, solve_bsde
+from .gexpect import PositionCurve, _unit_integrands, solve_bsde  # noqa: F401  (re-exported)
 from .lattice import FULL_BINARY, Lattice, NodeProcess
 
 
@@ -493,9 +493,7 @@ def solve_fbsde_picard(
             )
         if theta_plus is None:
             theta_plus = True
-        s = _terminal_array(lattice, s_terminal)
-        z_minus = solve_bsde(lattice, driver, -s).z
-        z_plus = solve_bsde(lattice, driver, s).z
+        z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
 
     x_iter = [np.full(lattice.level_size(k), float(x0)) for k in range(n + 1)]
     converged = False

@@ -172,3 +172,49 @@ def test_numeric_failure_exits_4(tmp_path):
     )
     code = main(["gexp", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+_SMALL_DESK = (
+    "[driver]\nkind = drifted_quadratic\ngamma = 1.0\neta = 0.3\n"
+    "[utility]\nkind = cara\ngamma_a = {gamma_a}\n"
+    "[market]\npayoff = brownian\neta = 0.3\n"
+    "[numerics]\nn_steps = {n_steps}\ny_grid = {y_grid}\n"
+    "[price]\nz_values = {z_values}\n"
+    "[outputs]\nformats = csv,json\n"
+)
+
+
+def _small_desk(tmp_path, **overrides) -> Path:
+    values = {"gamma_a": "2.0", "n_steps": "20", "y_grid": "-1.5:1.5:31", "z_values": "0.0"}
+    values.update(overrides)
+    cfg = tmp_path / "desk.ini"
+    cfg.write_text(_SMALL_DESK.format(**values))
+    return cfg
+
+
+def test_config_error_inside_command_reports_exit_2(tmp_path):
+    # a one-point y-grid passes load_config and is refused by the position curve
+    cfg = _small_desk(tmp_path, y_grid="1.0")
+    out = tmp_path / "o"
+    proc = _run_cli_subprocess("verify", cfg, out, 1)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["exit_code"] == proc.returncode
+
+
+@pytest.mark.parametrize(
+    "key, value, label",
+    [
+        ("gamma_a", "abc", "[utility] gamma_a"),
+        ("n_steps", "2.5", "[numerics] n_steps"),
+        ("y_grid", "-1:1", "[numerics] y_grid"),
+        ("z_values", "0.0,zero", "[price] z_values"),
+    ],
+)
+def test_non_numeric_config_value_exits_2(tmp_path, key, value, label):
+    cfg = _small_desk(tmp_path, **{key: value})
+    proc = _run_cli_subprocess("price", cfg, tmp_path / "o", 1)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert label in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ def test_step_size_guard_trips():
     lat = build_binomial(1.0, 4)
     with pytest.raises(StepSizeViolation):
         solve_bsde(lat, entropic_driver(1.0), 100.0 * brownian_terminal(lat))
+
+
+def test_step_size_message_prints_the_exact_slope():
+    # 10.0004 * sqrt(1/100) = 1.00004, which a 3-digit format printed as "1"
+    lat = build_binomial(1.0, 100)
+    with pytest.raises(StepSizeViolation) as err:
+        solve_bsde(lat, linear_driver(10.0004), brownian_terminal(lat))
+    printed = re.search(r"= (\S+) >= 1 at level (\d+)", str(err.value))
+    assert printed is not None
+    assert printed.group(1) != "1"
+    assert float(printed.group(1)) >= 1.0
+    assert int(printed.group(2)) == err.value.level == lat.n_steps - 1
 
 
 def test_entropic_exact_one_step():

@@ -93,6 +93,22 @@ def test_full_binary_child_ordering():
     np.testing.assert_allclose(w2, np.array([-2.0, 0.0, 0.0, 2.0]) * np.sqrt(0.5))
 
 
+def test_split_children_acts_row_by_row_on_a_stack():
+    stack = np.arange(12.0).reshape(3, 4)
+    for lat in (build_binomial(1.0, 3), build_full_binary(1.0, 2)):
+        down, up = lat.split_children(stack)
+        for row, d, u in zip(stack, down, up):
+            d1, u1 = lat.split_children(row)
+            np.testing.assert_array_equal(d, d1)
+            np.testing.assert_array_equal(u, u1)
+    with pytest.raises(InvalidArgument):
+        build_binomial(1.0, 3).split_children(np.zeros((3, 1)))
+    with pytest.raises(InvalidArgument):
+        build_full_binary(1.0, 2).split_children(np.zeros((2, 3)))
+    with pytest.raises(InvalidArgument):
+        build_binomial(1.0, 3).split_children(1.0)
+
+
 def test_simulate_state_driftless_is_brownian():
     lat = build_binomial(1.0, 8)
     sde = StateSde(drift=0.0, sigma=1.0, r0=0.0)
