@@ -140,7 +140,10 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"config file {path} is malformed: {exc}") from exc
     if not read:
         raise InvalidArgument(f"config file {path} not found or unreadable")
 
@@ -149,7 +152,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
             if default is None:
                 raise InvalidArgument(f"missing [{section}] {key}")
             return default
-        raw = parser.get(section, key)
+        try:
+            raw = parser.get(section, key)
+        except configparser.Error as exc:  # a broken %-interpolation
+            raise InvalidArgument(f"[{section}] {key}: {exc}") from exc
         try:
             return cast(raw)
         except ValueError as exc:
@@ -213,6 +219,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         formats=tuple(
             f.strip()
             for f in get("outputs", "formats", default="csv,json").split(",")
+            if f.strip()
         ),
     )
     if cfg.n_steps < 1:
@@ -221,6 +228,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise InvalidArgument("y_grid must be sorted strictly increasing")
     if cfg.mode not in ("theta", "theta_plus"):
         raise InvalidArgument("mode must be theta or theta_plus")
+    if cfg.max_iter < 1:
+        raise InvalidArgument(f"[numerics] max_iter = {cfg.max_iter}: must be at least 1")
+    if not cfg.formats or not set(cfg.formats) <= {"csv", "json"}:
+        raise InvalidArgument(
+            f"[outputs] formats = {','.join(cfg.formats)!r}: list csv, json or both"
+        )
     return cfg
 
 
@@ -268,33 +281,49 @@ def _threads() -> int:
     return n
 
 
-def _fmt(value: float) -> str:
-    if not np.isfinite(value):
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write a 2-D float table, each cell in round-trip ``%.17g`` form.
+
+    A non-finite cell is refused before the file is opened, so a failed
+    write leaves no partial table behind.
+    """
+    if not np.all(np.isfinite(table)):
         raise ImpactHedgerError("non-finite value about to be written to disk")
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in table.tolist())
 
 
-def _solution_rows(lattice, sol):
+def _level_table(k: int, *columns: np.ndarray) -> np.ndarray:
+    """Rows (level, node, *columns) of one lattice level."""
+    size = columns[0].size
+    return np.column_stack((np.full(size, k), np.arange(size), *columns))
+
+
+_SOLUTION_HEADER = ["level", "node", "x", "zeta", "m", "theta", "h"]
+
+
+def _solution_rows(lattice, sol) -> np.ndarray:
     n = lattice.n_steps
+    blocks = []
     for k in range(n + 1):
         x = sol.x.values(k)
-        zeta = sol.zeta.values(k)
-        m = sol.m.values(k) if k < n else np.zeros_like(x)
-        h = sol.h.values(k) if k < n else np.zeros_like(x)
-        theta = (
-            sol.theta.values(k)
-            if (sol.theta is not None and k < n)
-            else np.zeros_like(x)
-        )
-        for j in range(x.size):
-            yield (k, j, x[j], zeta[j], m[j], theta[j], h[j])
+        zero = np.zeros_like(x)
+        m = sol.m.values(k) if k < n else zero
+        h = sol.h.values(k) if k < n else zero
+        theta = sol.theta.values(k) if (sol.theta is not None and k < n) else zero
+        blocks.append(_level_table(k, x, sol.zeta.values(k), m, theta, h))
+    return np.concatenate(blocks)
+
+
+def _emit(
+    cfg, out_dir: Path, report: RunReport, name: str, header: list[str], table: np.ndarray
+) -> None:
+    """Write one CSV table, if ``csv`` is among the configured formats."""
+    if "csv" in cfg.formats:
+        _write_csv(out_dir / name, header, table)
+        report.files.append(name)
 
 
 @dataclass
@@ -343,16 +372,15 @@ def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
     s, book = _build_payoff(cfg, lattice)
     terminal = s if book is None else book - s
     sol = solve_bsde(lattice, driver, terminal)
-    rows = []
-    for k in range(lattice.n_steps + 1):
-        t = lattice.grid.t(k)
-        w = lattice.w_values(k)
+    n = lattice.n_steps
+    blocks = []
+    for k in range(n + 1):
         pi = sol.pi.values(k)
-        z = sol.z.values(k) if k < lattice.n_steps else np.zeros_like(pi)
-        rows.extend((k, j, t, w[j], pi[j], z[j]) for j in range(pi.size))
-    path = out_dir / "gexp.csv"
-    _write_csv(path, ["level", "node", "t", "W", "pi", "z"], rows)
-    report.files.append(path.name)
+        z = sol.z.values(k) if k < n else np.zeros_like(pi)
+        t = np.full(pi.size, lattice.grid.t(k))
+        blocks.append(_level_table(k, t, lattice.w_values(k), pi, z))
+    header = ["level", "node", "t", "W", "pi", "z"]
+    _emit(cfg, out_dir, report, "gexp.csv", header, np.concatenate(blocks))
     report.results["pi_root"] = sol.pi.root
     report.results["z_root"] = sol.z.root
 
@@ -366,9 +394,8 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
         for y in cfg.price_y:
             p = price_curve(lattice, driver, s, (0, 0), float(z), float(y), h_m=book)
             rows.append((0.0, float(z), float(y), p))
-    path = out_dir / "price.csv"
-    _write_csv(path, ["t", "z", "y", "P"], rows)
-    report.files.append(path.name)
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    _emit(cfg, out_dir, report, "price.csv", ["t", "z", "y", "P"], table)
     report.results["n_quotes"] = len(rows)
 
 
@@ -399,13 +426,7 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
     driver = _build_driver(cfg)
     cara, picard = _solve_routes(cfg, lattice, driver)
     sol = picard
-    path = out_dir / "solve.csv"
-    _write_csv(
-        path,
-        ["level", "node", "x", "zeta", "m", "theta", "h"],
-        _solution_rows(lattice, sol),
-    )
-    report.files.append(path.name)
+    _emit(cfg, out_dir, report, "solve.csv", _SOLUTION_HEADER, _solution_rows(lattice, sol))
     report.results.update(
         {
             "z_star": sol.h.root,
@@ -434,13 +455,8 @@ def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
     triple = exponential_triple(lattice, market)
     flat = no_trade_solution(lattice, driver, cfg.x0)
 
-    path = out_dir / "closedform.csv"
-    _write_csv(
-        path,
-        ["level", "node", "x", "zeta", "m", "theta", "h"],
-        _solution_rows(lattice, triple),
-    )
-    report.files.append(path.name)
+    table = _solution_rows(lattice, triple)
+    _emit(cfg, out_dir, report, "closedform.csv", _SOLUTION_HEADER, table)
     report.results.update(
         {
             "lambda": lam,
@@ -471,12 +487,11 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     lattice = build_binomial(cfg.horizon, cfg.n_steps)
     bridge = fbsde_from_surface(surface, policy, lattice, utility, cfg.x0, driver)
 
+    x = xgrid.x
     sl = xgrid.interior
-    rows = []
+    xs = x[sl]
+    blocks = []
     for k in range(tgrid.n_steps):
-        t = tgrid.t(k)
-        vx = surface.v_x(k)
-        vxx = surface.v_xx(k)
         if 1 <= k <= tgrid.n_steps - 1:
             resid_row, resid_mask = residual_slice(surface, driver, k)
             resid_row = np.where(resid_mask, 0.0, resid_row)
@@ -487,27 +502,23 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
             if surface.control.kind == "homogeneous"
             else policy.upsilon[k] / payoff_slope
         )
-        for i in range(sl.start, sl.stop):
-            rows.append(
+        blocks.append(
+            np.column_stack(
                 (
-                    t,
-                    xgrid.x[i],
-                    surface.v[k, i],
-                    vx[i],
-                    vxx[i],
-                    policy.upsilon[k, i],
-                    theta_row[i],
-                    resid_row[i],
+                    np.full(xs.size, tgrid.t(k)),
+                    xs,
+                    surface.v[k, sl],
+                    surface.v_x(k)[sl],
+                    surface.v_xx(k)[sl],
+                    policy.upsilon[k, sl],
+                    theta_row[sl],
+                    resid_row[sl],
                 )
             )
-    path = out_dir / "value.csv"
-    _write_csv(
-        path,
-        ["t", "x", "V", "Vx", "Vxx", "upsilon", "theta_hat", "residual"],
-        rows,
-    )
-    report.files.append(path.name)
-    i0 = int(np.argmin(np.abs(xgrid.x - cfg.x0)))
+        )
+    header = ["t", "x", "V", "Vx", "Vxx", "upsilon", "theta_hat", "residual"]
+    _emit(cfg, out_dir, report, "value.csv", header, np.concatenate(blocks))
+    i0 = int(np.argmin(np.abs(x - cfg.x0)))
     report.results.update(
         {
             "value_at_x0": surface.v[0, i0],
@@ -533,13 +544,8 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
     cara, picard = _solve_routes(cfg, lattice, driver)
 
     for name, sol in (("closedform", triple), ("cara", cara), ("picard", picard)):
-        path = out_dir / f"verify_{name}.csv"
-        _write_csv(
-            path,
-            ["level", "node", "x", "zeta", "m", "theta", "h"],
-            _solution_rows(lattice, sol),
-        )
-        report.files.append(path.name)
+        table = _solution_rows(lattice, sol)
+        _emit(cfg, out_dir, report, f"verify_{name}.csv", _SOLUTION_HEADER, table)
 
     gaps = {
         "closedform_vs_cara": max(

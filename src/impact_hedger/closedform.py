@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import roots_hermitenorm
 
 from .driver import drifted_quadratic_driver
 from .errors import ContractViolation, DomainError, InvalidArgument, RootNotFound
@@ -116,6 +114,8 @@ def inverse_marginal_f(utility: UtilitySpec, gamma: float) -> Callable[[np.ndarr
         return float(utility.u1(np.asarray(x))) * np.exp(-gamma * x) / gamma
 
     def f_generic(v):
+        from scipy.optimize import brentq
+
         arr = np.atleast_1d(np.asarray(v, dtype=float))
         if np.any(arr <= 0):
             raise DomainError("inverse marginal defined for positive arguments only")
@@ -149,6 +149,9 @@ def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
         ga = market.utility.gamma_a
         log_glg = -(gamma + ga) * x0 - ga * v / (2.0 * (gamma + ga))
         return float(ga / gamma * np.exp(log_glg))
+
+    from scipy.optimize import brentq
+    from scipy.special import roots_hermitenorm
 
     f = inverse_marginal_f(market.utility, gamma)
     nodes, weights = roots_hermitenorm(160)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .driver import Driver
 from .errors import (
@@ -108,6 +107,8 @@ def custom_utility(
 
 def _invert_scalar_decreasing(fn: Callable[[float], float], target: float) -> float:
     """Solve fn(x) = target for a strictly decreasing fn on an expanding bracket."""
+    from scipy.optimize import brentq
+
     lo, hi = -1.0, 1.0
     for _ in range(200):
         if fn(lo) >= target >= fn(hi):
@@ -178,6 +179,8 @@ def solve_h(
         h = (psi1 * b - m) / (1.0 - a * psi1)
         _assert_linear_growth(h, m, psi1, b)
         return float(h)
+
+    from scipy.optimize import brentq
 
     gz0 = float(driver.grad(t, 0.0))
     radius = abs(m) + abs(psi1 * gz0) + 1.0
@@ -481,6 +484,8 @@ def solve_fbsde_picard(
         raise InvalidArgument("tol must be positive")
     if not 0.0 < damping <= 1.0:
         raise InvalidArgument("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise InvalidArgument("max_iter must be at least 1")
     grid = lattice.grid
     n = lattice.n_steps
     dt = grid.dt

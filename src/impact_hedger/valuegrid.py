@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .driver import Driver
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
     ControlBracketExhausted,
     InvalidArgument,
     InverseDomainError,
+    NumericOverflow,
 )
 from .lattice import FULL_BINARY, Lattice, NodeProcess, TimeGrid
 from .optimizer import FbsdeSolution, UtilitySpec, verify_optimality
@@ -150,6 +150,53 @@ def _central_second(row: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Monotone cubic (Fritsch-Carlson) interpolant of ``y`` on ``x`` at ``xq``.
+
+    ``x`` is strictly increasing with at least three nodes; queries outside
+    it extend the end cubics.  The arithmetic is that of scipy's
+    ``PchipInterpolator(x, y, extrapolate=True)(xq)``, so the two agree bit
+    for bit: node slopes by the weighted harmonic mean (zero at a flat
+    segment or a change of sign), the same end-slope rule, the Hermite
+    coefficients in power form, and the interval search that closes the
+    last interval on the right.
+    """
+    if not np.all(np.isfinite(y)):
+        raise NumericOverflow("non-finite value surface row in the interpolation")
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d_inner = np.where(flat, 0.0, 1.0 / whmean)
+    d = np.concatenate((
+        [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+        d_inner,
+        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
+    ))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0 = t / h
+    c1 = (m - d[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = xq - x[i]
+    s2 = s * s
+    # scipy sums c3 + c2 s + c1 s^2 + c0 s^3 from a zero start, which
+    # turns a -0.0 node value into +0.0
+    return 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+
 @dataclass
 class PolicySlice:
     """Maximizing integrand and holdings per (t, x) grid point."""
@@ -272,13 +319,13 @@ def dp_value(
     for k in range(n_t - 1, -1, -1):
         t = tgrid.t(k)
         row_next = v[k + 1]
-        interp = PchipInterpolator(x, row_next, extrapolate=True)
         vx = _central_first(row_next, wide.dx)
         vxx = _central_second(row_next, wide.dx)
         ups, th = _maximizer_row(driver, control, t, vx, vxx, np.zeros_like(vx))
         g_vals = np.asarray(driver.g(t, ups), dtype=float)
         base = x - g_vals * dt
-        v[k] = 0.5 * (interp(base + ups * sq) + interp(base - ups * sq))
+        up, down = _pchip(x, row_next, np.stack((base + ups * sq, base - ups * sq)))
+        v[k] = 0.5 * (up + down)
         upsilon[k] = ups
         theta_hat[k] = th
 
@@ -436,13 +483,13 @@ def fbsde_from_surface(
         xk = x_levels[k]
         # smooth off-grid reads: linear interpolation of the stencil fields
         # leaves cell-scale noise that the marginal utility amplifies
-        vx = PchipInterpolator(x_axis, surface.v_x(k), extrapolate=True)(xk)
+        vx = _pchip(x_axis, surface.v_x(k), xk)
         if np.any(vx <= 0):
             raise InverseDomainError("V_x must be positive to invert the marginal utility")
         zeta = np.asarray(utility.inverse_marginal(vx), dtype=float) - xk
         zeta_levels.append(zeta)
         if k < n:
-            vxx = PchipInterpolator(x_axis, surface.v_xx(k), extrapolate=True)(xk)
+            vxx = _pchip(x_axis, surface.v_xx(k), xk)
             ups = h_levels[k]
             u2 = np.asarray(utility.u2(xk + zeta))
             m_levels.append((ups * vxx) / u2 - ups)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from impact_hedger.cli import EXIT_CONFIG, load_config, main, run
+from impact_hedger.errors import InvalidArgument
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -178,14 +179,21 @@ _SMALL_DESK = (
     "[driver]\nkind = drifted_quadratic\ngamma = 1.0\neta = 0.3\n"
     "[utility]\nkind = cara\ngamma_a = {gamma_a}\n"
     "[market]\npayoff = brownian\neta = 0.3\n"
-    "[numerics]\nn_steps = {n_steps}\ny_grid = {y_grid}\n"
+    "[numerics]\nn_steps = {n_steps}\ny_grid = {y_grid}\n{numerics_extra}"
     "[price]\nz_values = {z_values}\n"
-    "[outputs]\nformats = csv,json\n"
+    "[outputs]\nformats = {formats}\n"
 )
 
 
 def _small_desk(tmp_path, **overrides) -> Path:
-    values = {"gamma_a": "2.0", "n_steps": "20", "y_grid": "-1.5:1.5:31", "z_values": "0.0"}
+    values = {
+        "gamma_a": "2.0",
+        "n_steps": "20",
+        "y_grid": "-1.5:1.5:31",
+        "numerics_extra": "",
+        "z_values": "0.0",
+        "formats": "csv,json",
+    }
     values.update(overrides)
     cfg = tmp_path / "desk.ini"
     cfg.write_text(_SMALL_DESK.format(**values))
@@ -218,3 +226,54 @@ def test_non_numeric_config_value_exits_2(tmp_path, key, value, label):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert label in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: ("n_steps = 20\n" + text).encode(),
+        lambda text: (text + "[outputs]\nformats = csv\n").encode(),
+        lambda text: text.replace("n_steps = 20\n", "n_steps = 20\nn_steps = 30\n").encode(),
+        lambda text: text.replace("gamma_a = 2.0", "gamma_a = 2%").encode(),
+        lambda text: b"\xff\xfe" + text.encode(),
+    ],
+    ids=["no_section_header", "duplicate_section", "duplicate_key", "bad_interpolation", "undecodable"],
+)
+def test_malformed_ini_exits_2(tmp_path, capsys, edit):
+    cfg = _small_desk(tmp_path)
+    cfg.write_bytes(edit(cfg.read_text()))
+    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_max_iter_below_one_is_a_config_error(tmp_path, capsys):
+    cfg = _small_desk(tmp_path, numerics_extra="max_iter = 0\n")
+    with pytest.raises(InvalidArgument, match=r"\[numerics\] max_iter"):
+        load_config(cfg)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "[numerics] max_iter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "formats, csv_written, json_written",
+    [("csv,json", True, True), ("json", False, True), ("csv", True, False), (" json , csv ", True, True)],
+)
+def test_output_formats_select_the_files_written(tmp_path, formats, csv_written, json_written):
+    cfg = _small_desk(tmp_path, formats=formats)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert csvs == (["verify_cara.csv", "verify_closedform.csv", "verify_picard.csv"] if csv_written else [])
+    assert (out / "report.json").exists() == json_written
+    if json_written:
+        payload = json.loads((out / "report.json").read_text())
+        assert sorted(payload["files"]) == csvs
+
+
+@pytest.mark.parametrize("formats", ["cvs", "csv,xml", ""])
+def test_unknown_output_format_exits_2(tmp_path, capsys, formats):
+    cfg = _small_desk(tmp_path, formats=formats)
+    out = tmp_path / "o"
+    assert main(["gexp", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "[outputs] formats" in capsys.readouterr().err
+    assert not out.exists()

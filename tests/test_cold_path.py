@@ -1,0 +1,166 @@
+"""The CLI's cold path: in-house PCHIP, array-built CSV tables, no scipy on import.
+
+``_pchip`` must agree bit for bit with scipy's ``PchipInterpolator`` (the
+tests may import scipy; the package's import path may not), and
+``_write_csv`` must write the bytes the old per-cell ``format(v, ".17g")``
+join wrote.
+"""
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.interpolate import PchipInterpolator
+
+from impact_hedger import cli
+from impact_hedger.cli import EXIT_NUMERIC, _write_csv, main
+from impact_hedger.errors import ImpactHedgerError, NumericOverflow
+from impact_hedger.valuegrid import _pchip
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+# node values with ties (flat segments), zeros of both signs and sign changes
+node_values = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+)
+
+
+@st.composite
+def pchip_cases(draw):
+    n = draw(st.integers(3, 25))
+    start = draw(st.floats(-50.0, 50.0))
+    if draw(st.booleans()):
+        x = np.linspace(start, start + draw(st.floats(0.5, 20.0)), n)
+    else:
+        gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+        x = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    y = np.array(draw(st.lists(node_values, min_size=n, max_size=n)))
+    span = x[-1] - x[0]
+    inside = draw(st.lists(st.floats(x[0], x[-1]), max_size=20))
+    outside = draw(st.lists(st.floats(x[0] - span, x[-1] + span), max_size=20))
+    xq = np.concatenate((x, inside, outside, [x[0], x[-1]]))
+    return x, y, xq
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=pchip_cases())
+def test_pchip_is_bit_identical_to_scipy(case):
+    x, y, xq = case
+    ref = PchipInterpolator(x, y, extrapolate=True)(xq)
+    assert _pchip(x, y, xq).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pchip_cases())
+def test_pchip_keeps_the_query_shape(case):
+    # dp_value evaluates both continuation branches as one (2, n) query
+    x, y, xq = case
+    stacked = np.stack((xq, xq[::-1]))
+    ref = PchipInterpolator(x, y, extrapolate=True)(stacked)
+    out = _pchip(x, y, stacked)
+    assert out.shape == stacked.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_pchip_refuses_a_non_finite_row():
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(NumericOverflow):
+        _pchip(x, np.array([0.0, 1.0, np.inf, 2.0, 3.0]), x)
+
+
+def _old_csv(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+special = st.sampled_from(
+    [
+        0.0,
+        -0.0,
+        5e-324,
+        -2.2250738585072009e-308,
+        2.2250738585072014e-308,
+        1e-300,
+        1.7976931348623157e308,
+        -1e300,
+        1e22,
+        1e16,
+        2.0**53,
+        -(2.0**53) - 2.0,
+        3.0,
+        -12345.0,
+        0.1,
+    ]
+)
+cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False), special)
+
+
+def tables(min_side):
+    shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=min_side, max_side=12)
+    return hnp.arrays(np.float64, shapes, elements=cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(0))
+def test_write_csv_matches_the_per_cell_format(table):
+    header = [f"c{i}" for i in range(table.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _write_csv(path, header, table)
+        assert path.read_bytes() == _old_csv(header, table.tolist()).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=tables(1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_write_csv_refuses_a_non_finite_cell_before_opening_the_file(table, bad, where):
+    table.flat[int(where * table.size)] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with pytest.raises(ImpactHedgerError):
+            _write_csv(path, [f"c{i}" for i in range(table.shape[1])], table)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_quote_exits_4_without_a_csv(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(cli, "price_curve", lambda *args, **kwargs: bad)
+    out = tmp_path / "o"
+    assert main(["price", "--config", str(SCENARIOS / "no_trade.ini"), "--out", str(out)]) == EXIT_NUMERIC
+    assert not (out / "price.csv").exists()
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["exit_code"] == EXIT_NUMERIC
+    assert payload["files"] == []
+
+
+def test_value_run_loads_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from impact_hedger import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(code, len(loaded))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "value", "--config", str(SCENARIOS / "no_trade.ini"), "--out", str(tmp_path)],
+        capture_output=True,
+        env=env,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+    assert (tmp_path / "value.csv").exists()

@@ -22,7 +22,7 @@ from impact_hedger import (
     verify_optimality,
     zero_driver,
 )
-from impact_hedger.errors import ContractViolation, ImageViolation
+from impact_hedger.errors import ContractViolation, ImageViolation, InvalidArgument
 
 
 CARA2 = cara_utility(2.0)
@@ -239,6 +239,13 @@ def test_picard_nonconvergence_flag():
     sol = solve_fbsde_picard(lat, drv, CARA2, 0.0, tol=1e-14, max_iter=2, damping=0.5)
     assert not sol.converged
     assert sol.iterations == 2
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_picard_needs_at_least_one_iteration(max_iter):
+    lat, drv = cara_scenario(10)
+    with pytest.raises(InvalidArgument, match="max_iter"):
+        solve_fbsde_picard(lat, drv, CARA2, 0.0, max_iter=max_iter)
 
 
 def test_verify_optimality_perfect_solution():
