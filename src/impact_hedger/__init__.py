@@ -50,6 +50,7 @@ from .market import (
     piecewise_constant_strategy,
     pnl_process,
     price_curve,
+    quote_grid,
     simple_strategy_pnl,
 )
 from .optimizer import (

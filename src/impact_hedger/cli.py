@@ -28,6 +28,7 @@ import numpy as np
 from . import (
     ControlSpec,
     MarketSpec,
+    PositionCurve,
     TimeGrid,
     WealthGrid,
     bspde_residual,
@@ -45,8 +46,8 @@ from . import (
     linear_driver,
     no_trade_solution,
     optimal_terminal_wealth,
-    price_curve,
     quadratic_driver,
+    quote_grid,
     residual_slice,
     simulate_state,
     solve_bsde,
@@ -230,6 +231,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise InvalidArgument("mode must be theta or theta_plus")
     if cfg.max_iter < 1:
         raise InvalidArgument(f"[numerics] max_iter = {cfg.max_iter}: must be at least 1")
+    if not cfg.tol > 0:
+        raise InvalidArgument(f"[numerics] tol = {cfg.tol!r}: must be positive")
+    if not 0.0 < cfg.damping <= 1.0:
+        raise InvalidArgument(f"[numerics] damping = {cfg.damping!r}: must lie in (0, 1]")
     if not cfg.formats or not set(cfg.formats) <= {"csv", "json"}:
         raise InvalidArgument(
             f"[outputs] formats = {','.join(cfg.formats)!r}: list csv, json or both"
@@ -389,23 +394,21 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
     lattice = build_binomial(cfg.horizon, cfg.n_steps)
     driver = _build_driver(cfg)
     s, book = _build_payoff(cfg, lattice)
-    rows = []
-    for z in cfg.price_z:
-        for y in cfg.price_y:
-            p = price_curve(lattice, driver, s, (0, 0), float(z), float(y), h_m=book)
-            rows.append((0.0, float(z), float(y), p))
-    table = np.array(rows, dtype=float).reshape(-1, 4)
+    prices = quote_grid(lattice, driver, s, (0, 0), cfg.price_z, cfg.price_y, h_m=book)
+    z, y = np.meshgrid(cfg.price_z, cfg.price_y, indexing="ij")
+    table = np.column_stack((np.zeros(prices.size), z.ravel(), y.ravel(), prices.ravel()))
     _emit(cfg, out_dir, report, "price.csv", ["t", "z", "y", "P"], table)
-    report.results["n_quotes"] = len(rows)
+    report.results["n_quotes"] = int(prices.size)
 
 
 def _solve_routes(cfg, lattice, driver):
+    """The CARA and Picard routes, sharing one position curve."""
     s, _ = _build_payoff(cfg, lattice)
     utility = cara_utility(cfg.gamma_a)
-    y_grid = None if driver.is_homogeneous else cfg.y_grid
-    cara = solve_fbsde_cara(
-        lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s, y_grid=y_grid
+    curve = PositionCurve(
+        lattice, driver, s, y_grid=None if driver.is_homogeneous else cfg.y_grid
     )
+    cara = solve_fbsde_cara(lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s, curve=curve)
     picard = solve_fbsde_picard(
         lattice,
         driver,
@@ -415,8 +418,8 @@ def _solve_routes(cfg, lattice, driver):
         max_iter=cfg.max_iter,
         damping=cfg.damping,
         s_terminal=s,
-        y_grid=y_grid,
         theta_plus=(cfg.mode == "theta_plus") if driver.is_homogeneous else None,
+        curve=curve,
     )
     return cara, picard
 
@@ -433,6 +436,8 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
             "zeta0": sol.zeta.root,
             "theta0": None if sol.theta is None else sol.theta.root,
             "iterations": sol.iterations,
+            "picard_residuals": sol.residual_history,
+            "picard_steps": sol.step_history,
             "cara_route_gap": sol.x.sup_diff(cara.x),
         }
     )

@@ -12,7 +12,7 @@ runtime).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,31 +55,31 @@ class BsdeSolution:
     driver: Driver
 
 
-def _backward_sweep(
+def _sweep_levels(
     lattice: Lattice,
     terminal: np.ndarray,
     g_of_level: Callable[[int, np.ndarray], np.ndarray],
     slope_of_level: Callable[[int, np.ndarray], np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Shared backward recursion; ``g_of_level(k, z)`` may depend on the level.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The backward recursion, one level at a time: yields ``(k, Pi_k, Z_k)``
+    for k = n-1 down to 0; ``g_of_level(k, z)`` may depend on the level.
 
     ``terminal`` is one buffer of shape ``(level_size(n),)`` or a batch of
-    them, shape ``(rows, level_size(n))``; each returned level keeps the
-    leading row axis.  Every row is swept on its own along the last axis,
-    so a row gets bit for bit the numbers of its one-row sweep, provided
-    the driver keeps its contract: ``g`` and ``g_z`` act elementwise on
-    arrays of any shape.  The finiteness check and the step-size guard
-    cover every row; the guard raises at the highest level where any row
-    breaks it.
+    them, shape ``(rows, level_size(n))``; each level keeps the leading row
+    axis.  Every row is swept on its own along the last axis, so a row gets
+    bit for bit the numbers of its one-row sweep, provided the driver keeps
+    its contract: ``g`` and ``g_z`` act elementwise on arrays of any shape.
+    The finiteness check and the step-size guard cover every row; the guard
+    raises at the highest level where any row breaks it.  Only the level
+    being built and the one above it are held here, so a caller that keeps
+    just what it reads never holds the whole Pi stack.
     """
     n = lattice.n_steps
     dt = lattice.grid.dt
     sq = lattice.grid.sqrt_dt
-    pi_levels: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    z_levels: list[np.ndarray] = [np.empty(0)] * n
-    pi_levels[n] = terminal
+    pi = terminal
     for k in range(n - 1, -1, -1):
-        down, up = lattice.split_children(pi_levels[k + 1])
+        down, up = lattice.split_children(pi)
         z = -(up - down) / (2.0 * sq)
         cond = 0.5 * (down + up)
         g = np.asarray(g_of_level(k, z), dtype=float)
@@ -96,22 +96,49 @@ def _backward_sweep(
                     "refine the time grid to keep the scheme monotone",
                     level=k,
                 )
+        yield k, pi, z
+
+
+def _stack_levels(
+    lattice: Lattice, terminal: np.ndarray, levels: Iterator[tuple[int, np.ndarray, np.ndarray]]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every level of a sweep: Pi levels 0..n (the terminal last) and Z levels 0..n-1."""
+    n = lattice.n_steps
+    pi_levels: list[np.ndarray] = [np.empty(0)] * (n + 1)
+    z_levels: list[np.ndarray] = [np.empty(0)] * n
+    pi_levels[n] = terminal
+    for k, pi, z in levels:
         z_levels[k] = z
         pi_levels[k] = pi
     return pi_levels, z_levels
 
 
-def _driver_sweep(
+def _driver_levels(
     lattice: Lattice, driver: Driver, terminal: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Guarded backward sweep of ``driver`` over one terminal or a batch."""
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Guarded sweep of ``driver`` over one terminal or a batch, level by level."""
     grid = lattice.grid
-    return _backward_sweep(
+    return _sweep_levels(
         lattice,
         terminal,
         lambda k, z: driver.g(grid.t(k), z),
         lambda k, z: driver.lipschitz_slope(grid.t(k), z),
     )
+
+
+def _driver_sweep(
+    lattice: Lattice, driver: Driver, terminal: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Every Pi and Z level of the guarded sweep of ``driver``."""
+    return _stack_levels(lattice, terminal, _driver_levels(lattice, driver, terminal))
+
+
+def _driver_z(lattice: Lattice, driver: Driver, terminal: np.ndarray) -> list[np.ndarray]:
+    """Z levels of the guarded sweep of ``driver``; no Pi level is kept."""
+    z_levels: list[np.ndarray] = [np.empty(0)] * lattice.n_steps
+    for k, _, z in _driver_levels(lattice, driver, terminal):
+        z_levels[k] = z
+    return z_levels
 
 
 def _position_terminals(lattice: Lattice, s_terminal, ys, h_m=None) -> np.ndarray:
@@ -126,7 +153,7 @@ def _unit_integrands(
 ) -> tuple[NodeProcess, NodeProcess]:
     """Integrands of the unit short and unit long payoffs, -S and S, in one sweep."""
     s = _terminal_array(lattice, s_terminal)
-    _, z_levels = _driver_sweep(lattice, driver, np.stack([-s, s]))
+    z_levels = _driver_z(lattice, driver, np.stack([-s, s]))
     return (
         NodeProcess(lattice, [z[0] for z in z_levels]),
         NodeProcess(lattice, [z[1] for z in z_levels]),
@@ -228,7 +255,7 @@ def dz_dy(
     if not eps > 0:
         raise InvalidArgument("eps must be positive")
     books = _position_terminals(lattice, s_terminal, [y - eps, y, y + eps], h_m)
-    _, z_levels = _driver_sweep(lattice, driver, books)
+    z_levels = _driver_z(lattice, driver, books)
 
     fwd_levels = [(z[2] - z[1]) / eps for z in z_levels]
     bwd_levels = [(z[1] - z[0]) / eps for z in z_levels]
@@ -327,7 +354,9 @@ def dz_dy_variational(
             return gz * v
 
         f_terminal = (h_r - y_shift * s_r) * grad_levels[n]
-        f_levels, _ = _backward_sweep(lattice, f_terminal, g_of_level)
+        f_levels, _ = _stack_levels(
+            lattice, f_terminal, _sweep_levels(lattice, f_terminal, g_of_level)
+        )
         return f_levels
 
     f_hi = solve_f(y + eps)
@@ -372,7 +401,7 @@ class PositionCurve:
             self.y_grid = yg
             # one batched sweep, one row per grid position: shape (n_y, level_size)
             books = _position_terminals(lattice, s_terminal, yg, h_m)
-            _, self._stacks = _driver_sweep(lattice, driver, books)
+            self._stacks = _driver_z(lattice, driver, books)
 
     @property
     def hull(self) -> tuple[float, float]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .driver import Driver
 from .errors import ContractViolation, InvalidArgument
-from .gexpect import PositionCurve, _terminal_array, solve_bsde
+from .gexpect import PositionCurve, _driver_levels, _terminal_array, solve_bsde
 from .lattice import FULL_BINARY, Lattice, NodeProcess
 
 
@@ -99,6 +99,37 @@ def price_curve(
     pi_hold = solve_bsde(lattice, driver, h + z * s).pi.values(k)[j]
     pi_after = solve_bsde(lattice, driver, h + (z - y) * s).pi.values(k)[j]
     return float(pi_hold - pi_after)
+
+
+def quote_grid(
+    lattice: Lattice,
+    driver: Driver,
+    s_terminal,
+    node: tuple[int, int],
+    z_values,
+    y_values,
+    h_m=None,
+) -> np.ndarray:
+    """:func:`price_curve` for every (z, y) pair, shape ``(len(z), len(y))``.
+
+    The books H_M + z S (one per z) and H_M + (z - y) S (one per pair) are
+    stacked and swept once; only the quoted level of the evaluation is
+    kept.  Each quote is bit for bit the one :func:`price_curve` returns.
+    """
+    s = _terminal_array(lattice, s_terminal)
+    h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
+    z = np.asarray(z_values, dtype=float).reshape(-1)
+    y = np.asarray(y_values, dtype=float).reshape(-1)
+    shifts = np.concatenate([z, (z[:, None] - y[None, :]).reshape(-1)])
+    books = h[None, :] + shifts[:, None] * s[None, :]
+    k, j = node
+    if not (0 <= k <= lattice.n_steps and 0 <= j < lattice.level_size(k)):
+        raise InvalidArgument(f"node {node} is not on the lattice")
+    quoted = books[:, j]
+    for level, pi, _ in _driver_levels(lattice, driver, books):
+        if level == k:
+            quoted = pi[:, j]
+    return quoted[: z.size, None] - quoted[z.size :].reshape(z.size, y.size)
 
 
 def _binary_and_curve(lattice, driver, s_terminal, y_grid):

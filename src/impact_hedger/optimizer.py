@@ -7,13 +7,13 @@ marginal utility; the node-wise root H of
 
 is the optimal position integrand, and the forward wealth closes the loop.
 With CARA utility the backward pair decouples from wealth and the system
-solves in one backward sweep; otherwise a damped Picard iteration
-alternates backward and forward passes.
+solves in one backward sweep; otherwise an Anderson-accelerated Picard
+iteration alternates backward and forward passes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -144,6 +144,10 @@ class FbsdeSolution:
     iterations: int = 0
     forward_consistency: float = 0.0
     ambiguous: bool = False
+    # Picard only: the undamped residual of each pass, and how the iterate
+    # after each unconverged pass was made ("damped", "anderson", "fallback")
+    residual_history: list[float] = field(default_factory=list)
+    step_history: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +376,15 @@ def solve_fbsde_cara(
     x0: float,
     s_terminal=None,
     y_grid=None,
+    curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
     """Decoupled solve for CARA utility.
 
     The backward pair solves zeta_k = E_k[zeta_{k+1}] - f(t_k, M_k) dt with
     f(t, M) = (gamma_a / 2) |H + M|^2 + g(t, H) and zero terminal value;
     wealth then accumulates forward with integrand H(t, M).  The optimal
-    holdings are recovered from the position curve when the traded payoff
-    is supplied.
+    holdings are recovered from the position curve (``curve``, or one
+    built from ``y_grid``) when the traded payoff is supplied.
     """
     if not gamma_a > 0:
         raise InvalidArgument("gamma_a must be positive")
@@ -408,7 +413,9 @@ def solve_fbsde_cara(
     h_proc = NodeProcess(lattice, h_levels)
     theta = None
     if s_terminal is not None:
-        theta = recover_theta(lattice, driver, s_terminal, h_proc, y_grid=y_grid)
+        theta = recover_theta(
+            lattice, driver, s_terminal, h_proc, y_grid=y_grid, curve=curve
+        )
     sol = FbsdeSolution(
         x=NodeProcess(lattice, x_levels),
         zeta=NodeProcess(lattice, zeta_levels),
@@ -454,6 +461,34 @@ def _homogeneous_h_level(
     return h, theta, ambiguous
 
 
+ANDERSON_DEPTH = 3  # residual differences mixed into each Picard step
+
+
+def _anderson_step(
+    x: np.ndarray,
+    f: np.ndarray,
+    dx: list[np.ndarray],
+    df: list[np.ndarray],
+    beta: float,
+) -> np.ndarray | None:
+    """Anderson-mixed iterate x + beta f - sum_i gamma_i (dx_i + beta df_i).
+
+    gamma minimizes |f - sum_i gamma_i df_i|_2 (Walker & Ni, 2011), found
+    from the normal equations.  The Gram system and every sum run through
+    ``np.einsum``, which never calls BLAS, so the step does not depend on
+    the BLAS thread count.  Returns None when the system is singular.
+    """
+    dfs = np.stack(df)
+    gram = np.einsum("in,jn->ij", dfs, dfs)
+    try:
+        gamma = np.linalg.solve(gram, np.einsum("in,n->i", dfs, f))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(gamma)):
+        return None
+    return x + beta * f - np.einsum("i,in->n", gamma, np.stack(dx) + beta * dfs)
+
+
 def solve_fbsde_picard(
     lattice: Lattice,
     driver: Driver,
@@ -465,20 +500,28 @@ def solve_fbsde_picard(
     s_terminal=None,
     y_grid=None,
     theta_plus: bool | None = None,
+    curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
-    """Damped Picard iteration on the coupled forward-backward system.
+    """Anderson-accelerated Picard iteration on the coupled system.
 
     Each pass solves the backward pair against the frozen wealth iterate
     (driver (1/2) psi2(X + zeta) |H + M|^2 - g(t, H), H from the node-wise
     first-order condition) and then refreshes wealth from the new
-    integrand.  The iterate is updated with relaxation ``damping``; the
-    convergence test uses the undamped fixed-point residual, and the
-    returned wealth is the undamped image, so a decoupled system is
-    reproduced exactly.
+    integrand.  The wealth iterate is one flat vector over all levels; the
+    next one mixes the last ``ANDERSON_DEPTH`` residual differences into
+    the damped step (Anderson acceleration, with ``damping`` as the mixing
+    weight).  Without history, after a singular mixing system, or after a
+    pass whose undamped residual rose, the history is cleared and the plain
+    damped step is taken.  The convergence test uses the undamped
+    fixed-point residual, and the returned wealth is the undamped image, so
+    a decoupled system is reproduced exactly.  ``residual_history`` and
+    ``step_history`` of the solution record every pass.
 
     Kinked homogeneous drivers require the traded payoff (for the unit
     integrands) and default to the long-only mode, where the kinked
-    first-order condition always has a unique root.
+    first-order condition always has a unique root.  A homogeneous
+    ``curve`` supplies those integrands, and any ``curve`` is used for the
+    holdings recovery.
     """
     if not tol > 0:
         raise InvalidArgument("tol must be positive")
@@ -498,11 +541,20 @@ def solve_fbsde_picard(
             )
         if theta_plus is None:
             theta_plus = True
-        z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
+        if curve is not None and curve.y_grid is None:
+            z_minus, z_plus = curve.z_minus, curve.z_plus
+        else:
+            z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
 
-    x_iter = [np.full(lattice.level_size(k), float(x0)) for k in range(n + 1)]
+    bounds = np.cumsum([0] + [lattice.level_size(k) for k in range(n + 1)])
+    x_iter = np.full(bounds[-1], float(x0))
     converged = False
     iterations = 0
+    residual_history: list[float] = []
+    step_history: list[str] = []
+    dx: list[np.ndarray] = []
+    df: list[np.ndarray] = []
+    x_prev = f_prev = None
     zeta_levels: list[np.ndarray] = []
     m_levels: list[np.ndarray] = []
     h_levels: list[np.ndarray] = []
@@ -522,7 +574,7 @@ def solve_fbsde_picard(
             t = grid.t(k)
             zeta_bar = lattice.conditional_expectation(zeta_levels[k + 1])
             m = _project_m(lattice, zeta_levels[k + 1])
-            w = x_iter[k] + zeta_bar
+            w = x_iter[bounds[k] : bounds[k + 1]] + zeta_bar
             if kinked:
                 zm = z_minus.values(k)
                 zp = z_plus.values(k)
@@ -546,27 +598,49 @@ def solve_fbsde_picard(
             m_levels[k] = m
             h_levels[k] = h
 
-        x_new, consistency = _forward_wealth(lattice, driver, h_levels, x0)
-        residual = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(x_new, x_iter)
-        )
+        x_levels, consistency = _forward_wealth(lattice, driver, h_levels, x0)
+        image = np.concatenate(x_levels)
+        resid = image - x_iter
+        residual = float(np.max(np.abs(resid)))
+        residual_history.append(residual)
         if residual < tol:
             converged = True
-            x_iter = x_new
+            x_iter = image
             break
-        x_iter = [
-            damping * a + (1.0 - damping) * b for a, b in zip(x_new, x_iter)
-        ]
+
+        step = None
+        if f_prev is None or residual > residual_history[-2]:
+            # first pass, or the last step raised the residual: restart
+            kind = "damped" if f_prev is None else "fallback"
+            dx.clear()
+            df.clear()
+        else:
+            dx.append(x_iter - x_prev)
+            df.append(resid - f_prev)
+            del dx[:-ANDERSON_DEPTH], df[:-ANDERSON_DEPTH]
+            step = _anderson_step(x_iter, resid, dx, df, damping)
+            kind = "anderson"
+            if step is None:
+                kind = "fallback"
+                dx.clear()
+                df.clear()
+        if step is None:
+            step = damping * image + (1.0 - damping) * x_iter
+        step_history.append(kind)
+        x_prev, f_prev = x_iter, resid
+        x_iter = step
 
     h_proc = NodeProcess(lattice, h_levels)
     if kinked:
         theta = NodeProcess(lattice, theta_levels)
     elif s_terminal is not None:
-        theta = recover_theta(lattice, driver, s_terminal, h_proc, y_grid=y_grid)
+        theta = recover_theta(
+            lattice, driver, s_terminal, h_proc, y_grid=y_grid, curve=curve
+        )
     else:
         theta = None
     sol = FbsdeSolution(
-        x=NodeProcess(lattice, x_iter),
+        x=NodeProcess(lattice, [x_iter[bounds[k] : bounds[k + 1]] for k in range(n + 1)]),
         zeta=NodeProcess(lattice, zeta_levels),
         m=NodeProcess(lattice, m_levels),
         h=h_proc,
@@ -576,6 +650,8 @@ def solve_fbsde_picard(
         iterations=iterations,
         forward_consistency=consistency,
         ambiguous=ambiguous,
+        residual_history=residual_history,
+        step_history=step_history,
     )
     if kinked:
         sol.residuals = verify_optimality(

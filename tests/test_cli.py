@@ -277,3 +277,43 @@ def test_unknown_output_format_exits_2(tmp_path, capsys, formats):
     assert main(["gexp", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert "[outputs] formats" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ("tol = -1\n", "tol"),
+        ("tol = 0\n", "tol"),
+        ("tol = nan\n", "tol"),
+        ("damping = 7\n", "damping"),
+        ("damping = 0\n", "damping"),
+        ("damping = -0.5\n", "damping"),
+        ("damping = 7\ntol = -1\n", "tol"),
+    ],
+)
+def test_tol_and_damping_are_checked_at_load_time(tmp_path, capsys, extra, key):
+    cfg = _small_desk(tmp_path, numerics_extra=extra)
+    with pytest.raises(InvalidArgument, match=rf"\[numerics\] {key}"):
+        load_config(cfg)
+    # refused even by a command that never runs the Picard loop
+    assert main(["gexp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"[numerics] {key}" in capsys.readouterr().err
+
+
+def test_full_damping_is_accepted(tmp_path):
+    cfg = _small_desk(tmp_path, numerics_extra="damping = 1.0\n")
+    assert load_config(cfg).damping == 1.0
+
+
+def test_solve_report_explains_the_picard_run(tmp_path):
+    cfg = _small_desk(tmp_path, gamma_a="1.7316")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    residuals = results["picard_residuals"]
+    assert len(residuals) == results["iterations"] <= 5
+    assert residuals[-1] < 1e-6 <= min(residuals[:-1])
+    # one step after every pass but the converged last one
+    assert results["picard_steps"][0] == "damped"
+    assert len(results["picard_steps"]) == len(residuals) - 1
+    assert set(results["picard_steps"]) <= {"damped", "anderson", "fallback"}

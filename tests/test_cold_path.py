@@ -136,7 +136,9 @@ def test_write_csv_refuses_a_non_finite_cell_before_opening_the_file(table, bad,
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_quote_exits_4_without_a_csv(tmp_path, monkeypatch, bad):
-    monkeypatch.setattr(cli, "price_curve", lambda *args, **kwargs: bad)
+    monkeypatch.setattr(
+        cli, "quote_grid", lambda lattice, driver, s, node, z, y, h_m=None: np.full((z.size, y.size), bad)
+    )
     out = tmp_path / "o"
     assert main(["price", "--config", str(SCENARIOS / "no_trade.ini"), "--out", str(out)]) == EXIT_NUMERIC
     assert not (out / "price.csv").exists()
