@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import sys
@@ -48,7 +49,6 @@ from . import (
     optimal_terminal_wealth,
     quadratic_driver,
     quote_grid,
-    residual_slice,
     simulate_state,
     solve_bsde,
     solve_fbsde_cara,
@@ -92,7 +92,6 @@ class ScenarioConfig:
     max_iter: int
     damping: float
     mode: str
-    seed: int
     price_z: np.ndarray
     price_y: np.ndarray
     formats: tuple[str, ...]
@@ -124,7 +123,6 @@ class ScenarioConfig:
                 "max_iter": self.max_iter,
                 "damping": self.damping,
                 "mode": self.mode,
-                "seed": self.seed,
             },
         }
         return d
@@ -148,7 +146,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not read:
         raise InvalidArgument(f"config file {path} not found or unreadable")
 
+    asked = set()
+
     def get(section, key, default=None, cast=str):
+        asked.add((section, key))
         if not parser.has_option(section, key):
             if default is None:
                 raise InvalidArgument(f"missing [{section}] {key}")
@@ -214,7 +215,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         max_iter=get("numerics", "max_iter", default=50, cast=int),
         damping=get("numerics", "damping", default=0.5, cast=float),
         mode=get("numerics", "mode", default="theta"),
-        seed=get("numerics", "seed", default=0, cast=int),
         price_z=get("price", "z_values", default=_parse_grid("0.0"), cast=_parse_grid),
         price_y=get("price", "y_values", default=_parse_grid("0.5,1.0"), cast=_parse_grid),
         formats=tuple(
@@ -223,6 +223,19 @@ def load_config(path: str | Path) -> ScenarioConfig:
             if f.strip()
         ),
     )
+    # a key nothing reads is most likely misspelt: refuse it rather than
+    # run with the default it was meant to override
+    defaults = parser.defaults()
+    read_keys = {key for _, key in asked}
+    unread = [f"[DEFAULT] {k}" for k in defaults if k not in read_keys]
+    unread += [
+        f"[{section}] {k}"
+        for section in parser.sections()
+        for k in parser[section]
+        if k not in defaults and (section, k) not in asked
+    ]
+    if unread:
+        raise InvalidArgument(f"unknown config key(s): {', '.join(unread)}")
     if cfg.n_steps < 1:
         raise InvalidArgument("n_steps must be positive")
     if np.any(np.diff(cfg.y_grid) <= 0):
@@ -405,9 +418,7 @@ def _solve_routes(cfg, lattice, driver):
     """The CARA and Picard routes, sharing one position curve."""
     s, _ = _build_payoff(cfg, lattice)
     utility = cara_utility(cfg.gamma_a)
-    curve = PositionCurve(
-        lattice, driver, s, y_grid=None if driver.is_homogeneous else cfg.y_grid
-    )
+    curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
     cara = solve_fbsde_cara(lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s, curve=curve)
     picard = solve_fbsde_picard(
         lattice,
@@ -497,11 +508,6 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     xs = x[sl]
     blocks = []
     for k in range(tgrid.n_steps):
-        if 1 <= k <= tgrid.n_steps - 1:
-            resid_row, resid_mask = residual_slice(surface, driver, k)
-            resid_row = np.where(resid_mask, 0.0, resid_row)
-        else:
-            resid_row = np.zeros(xgrid.n_x)
         theta_row = (
             policy.theta_hat[k]
             if surface.control.kind == "homogeneous"
@@ -517,7 +523,7 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
                     surface.v_xx(k)[sl],
                     policy.upsilon[k, sl],
                     theta_row[sl],
-                    resid_row[sl],
+                    resid.rows[k, sl],
                 )
             )
         )
@@ -548,32 +554,22 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
     triple = exponential_triple(lattice, market, s_terminal=s, y_grid=cfg.y_grid)
     cara, picard = _solve_routes(cfg, lattice, driver)
 
-    for name, sol in (("closedform", triple), ("cara", cara), ("picard", picard)):
+    routes = {"closedform": triple, "cara": cara, "picard": picard}
+    for name, sol in routes.items():
         table = _solution_rows(lattice, sol)
         _emit(cfg, out_dir, report, f"verify_{name}.csv", _SOLUTION_HEADER, table)
 
     gaps = {
-        "closedform_vs_cara": max(
-            triple.x.sup_diff(cara.x),
-            triple.zeta.sup_diff(cara.zeta),
-            triple.h.sup_diff(cara.h),
-        ),
-        "closedform_vs_picard": max(
-            triple.x.sup_diff(picard.x),
-            triple.zeta.sup_diff(picard.zeta),
-            triple.h.sup_diff(picard.h),
-        ),
-        "cara_vs_picard": max(
-            cara.x.sup_diff(picard.x),
-            cara.zeta.sup_diff(picard.zeta),
-            cara.h.sup_diff(picard.h),
-        ),
+        f"{a}_vs_{b}": max(
+            routes[a].x.sup_diff(routes[b].x),
+            routes[a].zeta.sup_diff(routes[b].zeta),
+            routes[a].h.sup_diff(routes[b].h),
+        )
+        for a, b in itertools.combinations(routes, 2)
     }
     report.results.update(gaps)
     report.results["theta_roots"] = {
-        "closedform": None if triple.theta is None else triple.theta.root,
-        "cara": None if cara.theta is None else cara.theta.root,
-        "picard": None if picard.theta is None else picard.theta.root,
+        name: None if sol.theta is None else sol.theta.root for name, sol in routes.items()
     }
     report.residuals.update(_report_residuals(picard.residuals))
     report.flags["non_convergence"] = not picard.converged

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import drifted_quadratic_driver
+from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver
 from .errors import ContractViolation, DomainError, InvalidArgument, RootNotFound
 from .lattice import Lattice, NodeProcess
 from .optimizer import (
@@ -21,15 +21,6 @@ from .optimizer import (
     _forward_wealth,
     verify_optimality,
 )
-
-TimeFn = Callable[[float], float]
-
-
-def _as_time_fn(value) -> TimeFn:
-    if callable(value):
-        return value
-    v = float(value)
-    return lambda t: v
 
 
 @dataclass
@@ -73,18 +64,9 @@ def girsanov_density(lattice: Lattice, eta) -> NodeProcess:
     for k in range(lattice.n_steps):
         e = fn(grid.t(k))
         prev = log_levels[k]
-        up = prev - 0.5 * e * e * dt - e * sq
-        down = prev - 0.5 * e * e * dt + e * sq
-        if lattice.topology == "full-binary":
-            nxt = np.empty(2 * prev.size)
-            nxt[0::2] = down
-            nxt[1::2] = up
-        else:
-            nxt = np.empty(prev.size + 1)
-            nxt[0] = down[0]
-            nxt[-1] = up[-1]
-            if prev.size > 1:
-                nxt[1:-1] = 0.5 * (up[:-1] + down[1:])
+        nxt, _ = lattice.forward_level(
+            prev - 0.5 * e * e * dt + e * sq, prev - 0.5 * e * e * dt - e * sq
+        )
         log_levels.append(nxt)
     return NodeProcess(lattice, [np.exp(lv) for lv in log_levels])
 

@@ -321,18 +321,8 @@ def dz_dy_variational(
         r = r_proc.values(k)
         br = markov.drift_gradient(grid.t(k), r)
         nxt = grad_levels[k] * (1.0 + br * grid.dt)
-        if lattice.topology == "full-binary":
-            doubled = np.empty(2 * nxt.size)
-            doubled[0::2] = nxt
-            doubled[1::2] = nxt
-            grad_levels.append(doubled)
-        else:
-            ext = np.empty(nxt.size + 1)
-            ext[0] = nxt[0]
-            ext[-1] = nxt[-1]
-            if nxt.size > 1:
-                ext[1:-1] = 0.5 * (nxt[:-1] + nxt[1:])
-            grad_levels.append(ext)
+        # both children inherit the parent's gradient
+        grad_levels.append(lattice.forward_level(nxt, nxt)[0])
 
     s_r = s_grad(r_T) if s_grad is not None else _fd_gradient(s_fn, r_T)
     if h_fn is None:

@@ -136,16 +136,31 @@ class Lattice:
         down, up = self.split_children(values_next)
         return 0.5 * (down + up)
 
-    def martingale_projection(self, values_next: np.ndarray) -> np.ndarray:
-        """Integrand Z_k = -E_k[v_{k+1} dW] / dt for the backward convention.
+    def forward_level(self, down: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, float]:
+        """Next level from each node's (down-child, up-child) predictions.
 
-        Projection of the next-level buffer on the Brownian increment with
-        the sign fixed by the backward equation's ``- Z dW`` term.
+        A full-binary level interleaves the two.  On a recombining level the
+        end nodes take ``down[0]`` and ``up[-1]`` and an interior node the
+        mean of its two parents' predictions.  The gap is the largest
+        disagreement between two parents, 0.0 on full-binary and on a
+        one-node level.
         """
-        down, up = self.split_children(values_next)
-        return -(up - down) / (2.0 * self.grid.sqrt_dt)
+        if self.topology == FULL_BINARY:
+            nxt = np.empty(2 * down.size)
+            nxt[0::2] = down
+            nxt[1::2] = up
+            return nxt, 0.0
+        nxt = np.empty(down.size + 1)
+        nxt[0] = down[0]
+        nxt[-1] = up[-1]
+        if down.size == 1:
+            return nxt, 0.0
+        from_up = up[:-1]      # parent j feeds slot j+1
+        from_down = down[1:]   # parent j+1 feeds slot j+1
+        nxt[1:-1] = 0.5 * (from_up + from_down)
+        return nxt, float(np.max(np.abs(from_up - from_down)))
 
-    def root_expectation(self, values: np.ndarray, level: int | None = None) -> float:
+    def root_expectation(self, values: np.ndarray) -> float:
         """Expectation at the root of a buffer at the given level (tower property)."""
         v = np.asarray(values, dtype=float)
         while v.size > 1:
@@ -259,10 +274,6 @@ class NodeProcess:
         return cls(lattice, [np.full(lattice.level_size(k), float(value)) for k in range(n)])
 
     @classmethod
-    def from_levels(cls, lattice: Lattice, levels: Sequence[np.ndarray]) -> "NodeProcess":
-        return cls(lattice, levels)
-
-    @classmethod
     def brownian(cls, lattice: Lattice) -> "NodeProcess":
         return cls(lattice, [lattice.w_values(k) for k in range(lattice.n_steps + 1)])
 
@@ -295,9 +306,6 @@ class NodeProcess:
 
     def sup_abs(self) -> float:
         return max(float(np.max(np.abs(lv))) for lv in self.levels)
-
-    def __add__(self, c: float) -> "NodeProcess":
-        return self.map(lambda lv: lv + c)
 
     def __mul__(self, c: float) -> "NodeProcess":
         return self.map(lambda lv: lv * c)
@@ -356,27 +364,12 @@ def simulate_state(lattice: Lattice, sde: StateSde) -> NodeProcess:
         t = lattice.grid.t(k)
         b = sde.drift_at(t, r)
         s = sde.sigma_at(t, r)
-        up = r + b * dt + s * sq
-        down = r + b * dt - s * sq
-        if lattice.topology == FULL_BINARY:
-            nxt = np.empty(2 * r.size)
-            nxt[0::2] = down
-            nxt[1::2] = up
-        else:
-            nxt = np.empty(r.size + 1)
-            nxt[0] = down[0]
-            nxt[-1] = up[-1]
-            if r.size > 1:
-                from_up = up[:-1]      # parent j feeds slot j+1
-                from_down = down[1:]   # parent j+1 feeds slot j+1
-                gap = np.max(np.abs(from_up - from_down))
-                scale = 1.0 + float(np.max(np.abs(r)))
-                if gap > _RECOMBINE_TOL * scale:
-                    raise ModeConflict(
-                        "state-dependent drift does not recombine "
-                        f"(level {k + 1}, max parent disagreement {gap:.3e}); "
-                        "use a full-binary lattice"
-                    )
-                nxt[1:-1] = 0.5 * (from_up + from_down)
+        nxt, gap = lattice.forward_level(r + b * dt - s * sq, r + b * dt + s * sq)
+        if gap > _RECOMBINE_TOL * (1.0 + float(np.max(np.abs(r)))):
+            raise ModeConflict(
+                "state-dependent drift does not recombine "
+                f"(level {k + 1}, max parent disagreement {gap:.3e}); "
+                "use a full-binary lattice"
+            )
         levels.append(nxt)
     return NodeProcess(lattice, levels)

@@ -80,6 +80,14 @@ class WealthPath:
     x0: float
 
 
+def _check_node(lattice: Lattice, node: tuple[int, int]) -> tuple[int, int]:
+    """The node's (level, slot), refused unless it is on the lattice."""
+    k, j = node
+    if not (0 <= k <= lattice.n_steps and 0 <= j < lattice.level_size(k)):
+        raise InvalidArgument(f"node {node} is not on the lattice")
+    return k, j
+
+
 def price_curve(
     lattice: Lattice,
     driver: Driver,
@@ -93,9 +101,9 @@ def price_curve(
 
     P = Pi(H_M + z S) - Pi(H_M + (z - y) S), both evaluated at ``node``.
     """
+    k, j = _check_node(lattice, node)
     s = _terminal_array(lattice, s_terminal)
     h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
-    k, j = node
     pi_hold = solve_bsde(lattice, driver, h + z * s).pi.values(k)[j]
     pi_after = solve_bsde(lattice, driver, h + (z - y) * s).pi.values(k)[j]
     return float(pi_hold - pi_after)
@@ -116,33 +124,18 @@ def quote_grid(
     stacked and swept once; only the quoted level of the evaluation is
     kept.  Each quote is bit for bit the one :func:`price_curve` returns.
     """
+    k, j = _check_node(lattice, node)
     s = _terminal_array(lattice, s_terminal)
     h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
     z = np.asarray(z_values, dtype=float).reshape(-1)
     y = np.asarray(y_values, dtype=float).reshape(-1)
     shifts = np.concatenate([z, (z[:, None] - y[None, :]).reshape(-1)])
     books = h[None, :] + shifts[:, None] * s[None, :]
-    k, j = node
-    if not (0 <= k <= lattice.n_steps and 0 <= j < lattice.level_size(k)):
-        raise InvalidArgument(f"node {node} is not on the lattice")
     quoted = books[:, j]
     for level, pi, _ in _driver_levels(lattice, driver, books):
         if level == k:
             quoted = pi[:, j]
     return quoted[: z.size, None] - quoted[z.size :].reshape(z.size, y.size)
-
-
-def _binary_and_curve(lattice, driver, s_terminal, y_grid):
-    if lattice.topology == FULL_BINARY:
-        raise InvalidArgument("pass the recombining lattice; expansion is internal")
-    binary = lattice.expand_full_binary()
-    curve = PositionCurve(
-        lattice,
-        driver,
-        s_terminal,
-        y_grid=None if (driver.is_homogeneous and y_grid is None) else y_grid,
-    )
-    return binary, curve
 
 
 def pnl_process(
@@ -161,7 +154,10 @@ def pnl_process(
     the homogeneous scaling shortcut); positions outside the y-grid hull
     are refused rather than extrapolated.
     """
-    binary, curve = _binary_and_curve(lattice, driver, s_terminal, y_grid)
+    if lattice.topology == FULL_BINARY:
+        raise InvalidArgument("pass the recombining lattice; expansion is internal")
+    binary = lattice.expand_full_binary()
+    curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
     grid = lattice.grid
     dt, sq = grid.dt, grid.sqrt_dt
 
@@ -172,11 +168,8 @@ def pnl_process(
         z_rec = curve.z_level(k, theta_k)
         z_bin = lattice.lift_level(z_rec, k, binary)
         g_bin = np.asarray(driver.g(grid.t(k), z_bin), dtype=float)
-        prev = gains_levels[k]
-        nxt = np.empty(2 * prev.size)
-        nxt[0::2] = prev - g_bin * dt - z_bin * sq
-        nxt[1::2] = prev - g_bin * dt + z_bin * sq
-        gains_levels.append(nxt)
+        drift = gains_levels[k] - g_bin * dt
+        gains_levels.append(binary.forward_level(drift - z_bin * sq, drift + z_bin * sq)[0])
         z_levels.append(z_bin)
 
     gains = NodeProcess(binary, gains_levels)
@@ -217,12 +210,7 @@ def simple_strategy_pnl(
         price_nodes = pi_hold - pi_after
         # book the cost at the path's level-k ancestor and carry it to maturity
         carried = lattice.lift_level(price_nodes, k, binary)
-        for _ in range(k, n):
-            doubled = np.empty(2 * carried.size)
-            doubled[0::2] = carried
-            doubled[1::2] = carried
-            carried = doubled
-        total_cost += carried
+        total_cost += np.repeat(carried, 1 << (n - k))
 
     s_bin = lattice.lift_level(s, n, binary)
     theta_T = theta_levels[-1]
@@ -239,12 +227,7 @@ def check_admissible(
     """Lattice value of E int_0^T |Z^theta_t|^2 dt (finite at desk scale)."""
     if lattice.topology == FULL_BINARY:
         raise InvalidArgument("pass the recombining lattice")
-    curve = PositionCurve(
-        lattice,
-        driver,
-        s_terminal,
-        y_grid=None if (driver.is_homogeneous and y_grid is None) else y_grid,
-    )
+    curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
     total = 0.0
     for k in range(lattice.n_steps):
         z = curve.z_level(k, strategy.theta.values(k))
@@ -290,8 +273,6 @@ def expected_terminal_utility(
     for k in range(n):
         z_bin = lattice.lift_level(np.asarray(z_levels[k], dtype=float), k, binary)
         g_bin = np.asarray(driver.g(grid.t(k), z_bin), dtype=float)
-        nxt = np.empty(2 * gains.size)
-        nxt[0::2] = gains - g_bin * dt - z_bin * sq
-        nxt[1::2] = gains - g_bin * dt + z_bin * sq
-        gains = nxt
+        drift = gains - g_bin * dt
+        gains, _ = binary.forward_level(drift - z_bin * sq, drift + z_bin * sq)
     return float(np.mean(utility.u(x0 + gains)))

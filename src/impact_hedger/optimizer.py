@@ -26,7 +26,7 @@ from .errors import (
     RootNotFound,
 )
 from .gexpect import PositionCurve, _unit_integrands, solve_bsde  # noqa: F401  (re-exported)
-from .lattice import FULL_BINARY, Lattice, NodeProcess
+from .lattice import Lattice, NodeProcess
 
 
 @dataclass(frozen=True)
@@ -342,21 +342,8 @@ def _forward_wealth(
         x = x_levels[k]
         h = h_levels[k]
         g = np.asarray(driver.g(grid.t(k), h), dtype=float)
-        up = x - g * dt + h * sq
-        down = x - g * dt - h * sq
-        if lattice.topology == FULL_BINARY:
-            nxt = np.empty(2 * x.size)
-            nxt[0::2] = down
-            nxt[1::2] = up
-        else:
-            nxt = np.empty(x.size + 1)
-            nxt[0] = down[0]
-            nxt[-1] = up[-1]
-            if x.size > 1:
-                from_up = up[:-1]
-                from_down = down[1:]
-                worst = max(worst, float(np.max(np.abs(from_up - from_down))))
-                nxt[1:-1] = 0.5 * (from_up + from_down)
+        nxt, gap = lattice.forward_level(x - g * dt - h * sq, x - g * dt + h * sq)
+        worst = max(worst, gap)
         if not np.all(np.isfinite(nxt)):
             raise NumericOverflow(f"non-finite wealth at level {k + 1}", level=k + 1)
         x_levels.append(nxt)
@@ -513,7 +500,8 @@ def solve_fbsde_picard(
     weight).  Without history, after a singular mixing system, or after a
     pass whose undamped residual rose, the history is cleared and the plain
     damped step is taken.  The convergence test uses the undamped
-    fixed-point residual, and the returned wealth is the undamped image, so
+    fixed-point residual.  The returned wealth is the last pass's forward
+    wealth, the one the returned integrand generates, converged or not, so
     a decoupled system is reproduced exactly.  ``residual_history`` and
     ``step_history`` of the solution record every pass.
 
@@ -549,21 +537,13 @@ def solve_fbsde_picard(
     bounds = np.cumsum([0] + [lattice.level_size(k) for k in range(n + 1)])
     x_iter = np.full(bounds[-1], float(x0))
     converged = False
-    iterations = 0
     residual_history: list[float] = []
     step_history: list[str] = []
     dx: list[np.ndarray] = []
     df: list[np.ndarray] = []
     x_prev = f_prev = None
-    zeta_levels: list[np.ndarray] = []
-    m_levels: list[np.ndarray] = []
-    h_levels: list[np.ndarray] = []
-    theta_levels: list[np.ndarray] = []
-    consistency = 0.0
-    ambiguous = False
 
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for iterations in range(1, max_iter + 1):
         zeta_levels = [np.empty(0)] * (n + 1)
         m_levels = [np.empty(0)] * n
         h_levels = [np.empty(0)] * n
@@ -605,7 +585,6 @@ def solve_fbsde_picard(
         residual_history.append(residual)
         if residual < tol:
             converged = True
-            x_iter = image
             break
 
         step = None
@@ -640,7 +619,7 @@ def solve_fbsde_picard(
     else:
         theta = None
     sol = FbsdeSolution(
-        x=NodeProcess(lattice, [x_iter[bounds[k] : bounds[k + 1]] for k in range(n + 1)]),
+        x=NodeProcess(lattice, x_levels),
         zeta=NodeProcess(lattice, zeta_levels),
         m=NodeProcess(lattice, m_levels),
         h=h_proc,
@@ -680,23 +659,32 @@ def verify_optimality(
     lattice = sol.x.lattice
     grid = lattice.grid
     n = lattice.n_steps
+    homogeneous = (
+        driver.is_homogeneous
+        and not driver.is_differentiable
+        and z_minus is not None
+        and z_plus is not None
+        and sol.theta is not None
+    )
 
-    r_levels = [
-        np.asarray(utility.u1(sol.x.values(k) + sol.zeta.values(k)))
-        for k in range(n + 1)
-    ]
+    w_levels = [sol.x.values(k) + sol.zeta.values(k) for k in range(n + 1)]
+    u1_levels = [np.asarray(utility.u1(w)) for w in w_levels]
     mart = 0.0
-    for k in range(n):
-        pred = lattice.conditional_expectation(r_levels[k + 1])
-        mart = max(mart, float(np.max(np.abs(pred - r_levels[k]))))
-
-    beta_levels = []
-    foc = None
     psi2_gap = 0.0
+    foc = 0.0 if driver.is_differentiable else None
+    hom_eq = 0.0 if homogeneous else None
+    slack1 = slack2 = np.inf
+    beta_levels = []
     for k in range(n):
-        w = sol.x.values(k) + sol.zeta.values(k)
+        t = grid.t(k)
+        w, u1 = w_levels[k], u1_levels[k]
+        pred = lattice.conditional_expectation(u1_levels[k + 1])
+        mart = max(mart, float(np.max(np.abs(pred - u1))))
+
         u2 = np.asarray(utility.u2(w))
-        hm = sol.h.values(k) + sol.m.values(k)
+        h = sol.h.values(k)
+        m = sol.m.values(k)
+        hm = h + m
         beta = u2 * hm
         beta_levels.append(beta)
         u3 = np.asarray(utility.u3(w))
@@ -704,38 +692,12 @@ def verify_optimality(
         rhs = 0.5 * (u3 / u2) * hm**2
         psi2_gap = max(psi2_gap, float(np.max(np.abs(lhs - rhs))))
 
-    if driver.is_differentiable:
-        foc = 0.0
-        for k in range(n):
-            t = grid.t(k)
-            w = sol.x.values(k) + sol.zeta.values(k)
-            u1 = np.asarray(utility.u1(w))
-            u2 = np.asarray(utility.u2(w))
-            h = sol.h.values(k)
-            gz = np.asarray(driver.grad(t, h))
-            res = -u1 * gz + u2 * (h + sol.m.values(k))
+        if foc is not None:
+            res = -u1 * np.asarray(driver.grad(t, h)) + u2 * (h + m)
             foc = max(foc, float(np.max(np.abs(res))))
 
-    hom_eq = None
-    hom_slack = None
-    if (
-        driver.is_homogeneous
-        and not driver.is_differentiable
-        and z_minus is not None
-        and z_plus is not None
-        and sol.theta is not None
-    ):
-        hom_eq = 0.0
-        slack1 = np.inf
-        slack2 = np.inf
-        for k in range(n):
-            t = grid.t(k)
-            w = sol.x.values(k) + sol.zeta.values(k)
-            u1 = np.asarray(utility.u1(w))
-            u2 = np.asarray(utility.u2(w))
+        if homogeneous:
             theta = sol.theta.values(k)
-            m = sol.m.values(k)
-            h = sol.h.values(k)
             zm = z_minus.values(k)
             zp = z_plus.values(k)
             gm = np.asarray(driver.g(t, zm))
@@ -756,6 +718,9 @@ def verify_optimality(
                 s2 = u1[idle] * gp[idle] - u2[idle] * m[idle] * zp[idle]
                 slack1 = min(slack1, float(np.min(s1)))
                 slack2 = min(slack2, float(np.min(s2)))
+
+    hom_slack = None
+    if homogeneous:
         hom_slack = (
             slack1 if math.isfinite(slack1) else 0.0,
             slack2 if math.isfinite(slack2) else 0.0,
@@ -786,12 +751,7 @@ def recover_theta(
     requires it to be monotone in the position.
     """
     if curve is None:
-        curve = PositionCurve(
-            lattice,
-            driver,
-            s_terminal,
-            y_grid=None if (driver.is_homogeneous and y_grid is None) else y_grid,
-        )
+        curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
     theta_levels = [
         curve.invert_level(k, h.values(k)) for k in range(h.n_levels)
     ]

@@ -1,15 +1,13 @@
 """Dynamic programming for the value function V(t, x) on a time-wealth grid.
 
-Deterministic-coefficient Markov case: V is deterministic, the martingale
-coefficient field alpha is carried but identically zero, and the surface
-satisfies dV/dt + L V = 0 with
+Deterministic-coefficient Markov case: V is deterministic, its martingale
+coefficient field vanishes, and the surface satisfies dV/dt + L V = 0 with
 
-    L V = sup over attainable integrands of
-          -g(t, Z) V_x + (1/2) Z^2 V_xx + Z alpha_x.
+    L V = sup over attainable integrands of -g(t, Z) V_x + (1/2) Z^2 V_xx.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +20,7 @@ from .errors import (
     InverseDomainError,
     NumericOverflow,
 )
-from .lattice import FULL_BINARY, Lattice, NodeProcess, TimeGrid
+from .lattice import Lattice, NodeProcess, TimeGrid
 from .optimizer import FbsdeSolution, UtilitySpec, verify_optimality
 
 # stencil-safe interior margin, in grid cells per side
@@ -88,30 +86,22 @@ class AnalyticSurface:
     v_t: Callable[[float, np.ndarray], np.ndarray]
     v_x: Callable[[float, np.ndarray], np.ndarray]
     v_xx: Callable[[float, np.ndarray], np.ndarray]
-    v_xxx: Callable[[float, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
 class ValueSurface:
-    """V on the time-wealth grid, with stencils and the (zero) alpha field."""
+    """V on the time-wealth grid, with its wealth stencils."""
 
     tgrid: TimeGrid
     xgrid: WealthGrid
     v: np.ndarray  # shape (n_t + 1, n_x)
     control: ControlSpec
-    alpha: np.ndarray = field(default=None)  # martingale coefficient field
     analytic: AnalyticSurface | None = None
 
     def __post_init__(self) -> None:
         expected = (self.tgrid.n_steps + 1, self.xgrid.n_x)
         if self.v.shape != expected:
             raise InvalidArgument(f"surface shape {self.v.shape}, expected {expected}")
-        if self.alpha is None:
-            self.alpha = np.zeros_like(self.v)
-
-    def alpha_x(self, k: int) -> np.ndarray:
-        """Wealth derivative of the martingale coefficient (zero field)."""
-        return np.zeros(self.xgrid.n_x)
 
     def v_x(self, k: int) -> np.ndarray:
         if self.analytic is not None:
@@ -211,10 +201,9 @@ def _maximizer_row(
     t: float,
     vx: np.ndarray,
     vxx: np.ndarray,
-    alpha_x: np.ndarray,
     force_search: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise maximizer of -g(t,z) V_x + z^2 V_xx / 2 + z alpha_x per x.
+    """Pointwise maximizer of -g(t,z) V_x + z^2 V_xx / 2 per x.
 
     Returns (upsilon, theta_hat).  Closed forms cover the quadratic family
     and the homogeneous cone; anything else is bracketed by golden-section
@@ -226,16 +215,18 @@ def _maximizer_row(
     if control.kind == "homogeneous":
         zs = control.scale_at(t)
         g_zs = float(driver.eval(t, zs))
-        theta1 = (-zs * alpha_x + g_zs * vx) / (zs * zs * vxx)
+        theta1 = g_zs * vx / (zs * zs * vxx)
         theta_hat = np.maximum(theta1, 0.0)
         return theta_hat * zs, theta_hat
 
     quad = driver.as_quadratic_family(t)
     if quad is not None and not force_search:
         gamma_c, eta_c = quad
-        ups = -(eta_c * vx + alpha_x) / (vxx - gamma_c * vx)
+        # the zero start turns a -0.0 product (eta_c = -0.0 for a linear
+        # driver with zero slope) into +0.0, so a zero maximizer is +0.0
+        ups = -(0.0 + eta_c * vx) / (vxx - gamma_c * vx)
     else:
-        ups = _golden_max_rows(driver, t, vx, vxx, alpha_x, control.z_lo, control.z_hi)
+        ups = _golden_max_rows(driver, t, vx, vxx, control.z_lo, control.z_hi)
     edge = 1e-9 * (control.z_hi - control.z_lo)
     if np.any(ups <= control.z_lo + edge) or np.any(ups >= control.z_hi - edge):
         raise ControlBracketExhausted(
@@ -249,7 +240,6 @@ def _golden_max_rows(
     t: float,
     vx: np.ndarray,
     vxx: np.ndarray,
-    alpha_x: np.ndarray,
     lo: float,
     hi: float,
     iters: int = 80,
@@ -257,7 +247,7 @@ def _golden_max_rows(
     """Vectorized golden-section maximization of the operator integrand."""
 
     def phi(z: np.ndarray) -> np.ndarray:
-        return -np.asarray(driver.g(t, z)) * vx + 0.5 * z * z * vxx + z * alpha_x
+        return -np.asarray(driver.g(t, z)) * vx + 0.5 * z * z * vxx
 
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a = np.full_like(vx, lo)
@@ -321,7 +311,7 @@ def dp_value(
         row_next = v[k + 1]
         vx = _central_first(row_next, wide.dx)
         vxx = _central_second(row_next, wide.dx)
-        ups, th = _maximizer_row(driver, control, t, vx, vxx, np.zeros_like(vx))
+        ups, th = _maximizer_row(driver, control, t, vx, vxx)
         g_vals = np.asarray(driver.g(t, ups), dtype=float)
         base = x - g_vals * dt
         up, down = _pchip(x, row_next, np.stack((base + ups * sq, base - ups * sq)))
@@ -366,14 +356,9 @@ def lv_operator(
     k, i = _locate(surface.tgrid, surface.xgrid, t, x)
     vx = surface.v_x(k)
     vxx = surface.v_xx(k)
-    ax = surface.alpha_x(k)
-    ups_row, _ = _maximizer_row(
-        driver, surface.control, t, vx, vxx, ax, force_search=force_search
-    )
+    ups_row, _ = _maximizer_row(driver, surface.control, t, vx, vxx, force_search=force_search)
     u = float(ups_row[i])
-    lv = float(
-        -float(driver.eval(t, u)) * vx[i] + 0.5 * u * u * vxx[i] + u * ax[i]
-    )
+    lv = float(-float(driver.eval(t, u)) * vx[i] + 0.5 * u * u * vxx[i])
     return lv, u
 
 
@@ -383,6 +368,9 @@ class BspdeResidualReport:
 
     max_residual: float
     band_cells: int  # grid cells skipped around holdings sign changes
+    # |dV/dt + L V| per time slice and wealth point, shape (n_t + 1, n_x);
+    # zero on the first and last slice and on the masked cells
+    rows: np.ndarray
 
 
 def residual_slice(
@@ -403,9 +391,8 @@ def residual_slice(
         v_t = (surface.v[k + 1] - surface.v[k - 1]) / (2.0 * tgrid.dt)
     vx = surface.v_x(k)
     vxx = surface.v_xx(k)
-    ax = surface.alpha_x(k)
-    ups, th = _maximizer_row(driver, surface.control, t, vx, vxx, ax)
-    lv = -np.asarray(driver.g(t, ups)) * vx + 0.5 * ups**2 * vxx + ups * ax
+    ups, th = _maximizer_row(driver, surface.control, t, vx, vxx)
+    lv = -np.asarray(driver.g(t, ups)) * vx + 0.5 * ups**2 * vxx
     resid = np.abs(v_t + lv)
     mask = np.zeros_like(resid, dtype=bool)
     if surface.control.kind == "homogeneous":
@@ -421,13 +408,15 @@ def bspde_residual(surface: ValueSurface, driver: Driver) -> BspdeResidualReport
     sl = surface.xgrid.interior
     worst = 0.0
     band_cells = 0
+    rows = np.zeros_like(surface.v)
     for k in range(1, surface.tgrid.n_steps):
         resid, mask = residual_slice(surface, driver, k)
         band_cells += int(np.count_nonzero(mask[sl]))
         keep = ~mask[sl]
         if np.any(keep):
             worst = max(worst, float(np.max(resid[sl][keep])))
-    return BspdeResidualReport(max_residual=worst, band_cells=band_cells)
+        rows[k] = np.where(mask, 0.0, resid)
+    return BspdeResidualReport(max_residual=worst, band_cells=band_cells, rows=rows)
 
 
 def fbsde_from_surface(
@@ -442,7 +431,7 @@ def fbsde_from_surface(
 
     Wealth follows the policy integrand; the backward value is
     I(V_x(t, X)) - X and its martingale part is
-    (upsilon V_xx + alpha_x) / U''(X + zeta) - upsilon.
+    upsilon V_xx / U''(X + zeta) - upsilon.
     """
     tgrid, xgrid = surface.tgrid, surface.xgrid
     if lattice.n_steps != tgrid.n_steps or abs(lattice.grid.horizon - tgrid.horizon) > 1e-12:
@@ -459,21 +448,8 @@ def fbsde_from_surface(
         xk = x_levels[k]
         ups = np.interp(xk, x_axis, policy.upsilon[k])
         g = np.asarray(driver.g(grid.t(k), ups), dtype=float)
-        up = xk - g * dt + ups * sq
-        down = xk - g * dt - ups * sq
-        if lattice.topology == FULL_BINARY:
-            nxt = np.empty(2 * xk.size)
-            nxt[0::2] = down
-            nxt[1::2] = up
-        else:
-            nxt = np.empty(xk.size + 1)
-            nxt[0] = down[0]
-            nxt[-1] = up[-1]
-            if xk.size > 1:
-                consistency = max(
-                    consistency, float(np.max(np.abs(up[:-1] - down[1:])))
-                )
-                nxt[1:-1] = 0.5 * (up[:-1] + down[1:])
+        nxt, gap = lattice.forward_level(xk - g * dt - ups * sq, xk - g * dt + ups * sq)
+        consistency = max(consistency, gap)
         h_levels.append(ups)
         x_levels.append(nxt)
 
@@ -548,14 +524,11 @@ def cara_closed_form_surface(
     def v_xx(t, x):
         return gamma_a**2 * v(t, x)
 
-    def v_xxx(t, x):
-        return -(gamma_a**3) * v(t, x)
-
     grid_v = np.stack([v(tgrid.t(k), xgrid.x) for k in range(n_t + 1)])
     return ValueSurface(
         tgrid=tgrid,
         xgrid=xgrid,
         v=grid_v,
         control=control or ControlSpec(kind="interval", z_lo=-1.0, z_hi=1.0),
-        analytic=AnalyticSurface(v=v, v_t=v_t, v_x=v_x, v_xx=v_xx, v_xxx=v_xxx),
+        analytic=AnalyticSurface(v=v, v_t=v_t, v_x=v_x, v_xx=v_xx),
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -317,3 +318,42 @@ def test_solve_report_explains_the_picard_run(tmp_path):
     assert results["picard_steps"][0] == "damped"
     assert len(results["picard_steps"]) == len(residuals) - 1
     assert set(results["picard_steps"]) <= {"damped", "anderson", "fallback"}
+
+
+@pytest.mark.parametrize(
+    "edit, label",
+    [
+        (lambda text: text.replace("[price]\n", "dampng = 0.7\n[price]\n"), "[numerics] dampng"),
+        (lambda text: text.replace("[price]\n", "seed = 0\n[price]\n"), "[numerics] seed"),
+        # read only for kind = linear
+        (lambda text: text.replace("eta = 0.3\n", "eta = 0.3\nnu = 0.1\n", 1), "[driver] nu"),
+        (lambda text: text.replace("[price]", "[prices]"), "[prices] z_values"),
+        # [DEFAULT] keys reach every section; tol is read, n_stepz is not
+        (lambda text: "[DEFAULT]\ntol = 1e-6\nn_stepz = 5\n" + text, "[DEFAULT] n_stepz"),
+    ],
+    ids=["misspelt", "seed", "other_driver_kind", "misspelt_section", "default_section"],
+)
+def test_unread_config_key_exits_2(tmp_path, capsys, edit, label):
+    cfg = _small_desk(tmp_path)
+    cfg.write_text(edit(cfg.read_text()))
+    with pytest.raises(InvalidArgument, match=re.escape(label)):
+        load_config(cfg)
+    assert main(["gexp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert label in capsys.readouterr().err
+
+
+def test_zero_slope_linear_value_writes_no_negative_zero(tmp_path):
+    # the linear driver's quadratic-family drift is -nu, which is -0.0 here
+    cfg = tmp_path / "linear.ini"
+    cfg.write_text(
+        "[driver]\nkind = linear\nnu = 0.0\n"
+        "[utility]\nkind = cara\ngamma_a = 2.0\n"
+        "[market]\npayoff = brownian\n"
+        "[numerics]\nn_steps = 20\nn_x = 61\n"
+    )
+    out = tmp_path / "o"
+    assert main(["value", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "value.csv").read_text().splitlines()
+    column = lines[0].split(",").index("upsilon")
+    upsilon = {line.split(",")[column] for line in lines[1:]}
+    assert upsilon == {"0"}

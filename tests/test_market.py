@@ -13,10 +13,11 @@ from impact_hedger import (
     piecewise_constant_strategy,
     pnl_process,
     price_curve,
+    quote_grid,
     simple_strategy_pnl,
     zero_driver,
 )
-from impact_hedger.errors import ContractViolation, ExtrapolationRefused
+from impact_hedger.errors import ContractViolation, ExtrapolationRefused, InvalidArgument
 
 
 def test_price_zero_volume_is_zero():
@@ -219,3 +220,15 @@ def test_expected_utility_zero_strategy():
     z_levels = [np.zeros(k + 1) for k in range(12)]
     val = expected_terminal_utility(lat, zero_driver(), z_levels, 0.5, utility)
     assert val == pytest.approx(float(utility.u(np.asarray(0.5))), abs=1e-14)
+
+
+@pytest.mark.parametrize("node", [(-1, 0), (4, 5), (11, 0), (3, -1)])
+def test_quotes_refuse_a_node_off_the_lattice(node):
+    # a negative level would quote the terminal level through negative indexing
+    lat = build_binomial(1.0, 10)
+    s = lat.w_values(10)
+    drv = entropic_driver(1.0)
+    with pytest.raises(InvalidArgument, match="not on the lattice"):
+        price_curve(lat, drv, s, node, 0.0, 1.0)
+    with pytest.raises(InvalidArgument, match="not on the lattice"):
+        quote_grid(lat, drv, s, node, [0.0], [1.0])

@@ -23,6 +23,7 @@ from impact_hedger import (
     zero_driver,
 )
 from impact_hedger.errors import ContractViolation, ImageViolation, InvalidArgument
+from impact_hedger.optimizer import _forward_wealth
 
 
 CARA2 = cara_utility(2.0)
@@ -240,6 +241,16 @@ def test_picard_nonconvergence_flag():
     sol = solve_fbsde_picard(lat, drv, CARA2, 0.0, tol=1e-14, max_iter=2, damping=0.5)
     assert not sol.converged
     assert sol.iterations == 2
+
+
+def test_unconverged_picard_returns_the_wealth_of_its_integrand():
+    lat, drv = cara_scenario(10)
+    sol = solve_fbsde_picard(lat, drv, CARA2, 0.25, tol=1e-14, max_iter=1)
+    assert not sol.converged
+    x_levels, consistency = _forward_wealth(lat, drv, sol.h.levels, 0.25)
+    for got, want in zip(sol.x.levels, x_levels, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert sol.forward_consistency == consistency
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])
