@@ -238,8 +238,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise InvalidArgument(f"unknown config key(s): {', '.join(unread)}")
     if cfg.n_steps < 1:
         raise InvalidArgument("n_steps must be positive")
-    if np.any(np.diff(cfg.y_grid) <= 0):
-        raise InvalidArgument("y_grid must be sorted strictly increasing")
+    # every grid is checked here, so a bad one fails every command and not
+    # only the command that builds it
+    if cfg.y_grid.size < 2 or np.any(np.diff(cfg.y_grid) <= 0):
+        raise InvalidArgument("y_grid must be sorted with at least 2 points")
+    WealthGrid(cfg.x_min, cfg.x_max, cfg.n_x)
+    ControlSpec(kind="interval", z_lo=cfg.z_lo, z_hi=cfg.z_hi)
     if cfg.mode not in ("theta", "theta_plus"):
         raise InvalidArgument("mode must be theta or theta_plus")
     if cfg.max_iter < 1:
@@ -304,13 +308,34 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
 
     A non-finite cell is refused before the file is opened, so a failed
     write leaves no partial table behind.
+
+    Work goes column by column.  A column with fewer distinct bit patterns
+    than half its rows (level, node, ``t``, a zero or constant field) has
+    each distinct value formatted once and its cells gathered as strings;
+    any other column is formatted cell by cell.  Distinct means distinct
+    bits, so ``-0.0`` and ``0.0`` stay apart, and the bytes written do not
+    depend on which columns took which path.
     """
+    table = np.asarray(table, dtype=float)
     if not np.all(np.isfinite(table)):
         raise ImpactHedgerError("non-finite value about to be written to disk")
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    n_rows = table.shape[0]
+    cols, slots = [], []
+    for col in table.T:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * bits.size < n_rows:
+            text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+            cols.append(np.array(text, dtype=object)[inverse])
+            slots.append("%s")
+        else:
+            cols.append(col.tolist())
+            slots.append("%.17g")
+    line = ",".join(slots) + "\n"
+    # zip of no columns yields no rows, but a 0-column table still has its lines
+    rows = zip(*cols) if cols else itertools.repeat((), n_rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in table.tolist())
+        fh.writelines(map(line.__mod__, rows))
 
 
 def _level_table(k: int, *columns: np.ndarray) -> np.ndarray:
@@ -414,11 +439,15 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
     report.results["n_quotes"] = int(prices.size)
 
 
-def _solve_routes(cfg, lattice, driver):
-    """The CARA and Picard routes, sharing one position curve."""
+def _solve_routes(cfg, lattice, driver, curve=None):
+    """The CARA and Picard routes, sharing one position curve.
+
+    ``curve`` is the scenario's position curve, built here if not given.
+    """
     s, _ = _build_payoff(cfg, lattice)
     utility = cara_utility(cfg.gamma_a)
-    curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
+    if curve is None:
+        curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
     cara = solve_fbsde_cara(lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s, curve=curve)
     picard = solve_fbsde_picard(
         lattice,
@@ -550,9 +579,17 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
 
     s, _ = _build_payoff(cfg, lattice)
     # the explicit triple always lives in the quadratic family, so holdings
-    # recovery needs the y-grid even when the scenario driver is kinked
-    triple = exponential_triple(lattice, market, s_terminal=s, y_grid=cfg.y_grid)
-    cara, picard = _solve_routes(cfg, lattice, driver)
+    # recovery needs the y-grid even when the scenario driver is kinked.  When
+    # [market] gamma/eta are the scenario driver bit for bit (-0.0 and 0.0
+    # give different g_z at z = -0.0), one position curve serves all routes.
+    p = cfg.driver_params
+    curve = None
+    if cfg.driver_kind == "drifted_quadratic" and (
+        np.array([p["gamma"], p["eta"]]).tobytes() == np.array([cfg.gamma, cfg.eta]).tobytes()
+    ):
+        curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
+    triple = exponential_triple(lattice, market, s_terminal=s, y_grid=cfg.y_grid, curve=curve)
+    cara, picard = _solve_routes(cfg, lattice, driver, curve=curve)
 
     routes = {"closedform": triple, "cara": cara, "picard": picard}
     for name, sol in routes.items():

@@ -14,6 +14,7 @@ import numpy as np
 
 from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver
 from .errors import ContractViolation, DomainError, InvalidArgument, RootNotFound
+from .gexpect import PositionCurve
 from .lattice import Lattice, NodeProcess
 from .optimizer import (
     FbsdeSolution,
@@ -167,13 +168,20 @@ def optimal_terminal_wealth(
 
 
 def exponential_triple(
-    lattice: Lattice, market: MarketSpec, s_terminal=None, y_grid=None
+    lattice: Lattice,
+    market: MarketSpec,
+    s_terminal=None,
+    y_grid=None,
+    curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
     """Explicit optimal triple for a CARA investor.
 
     The optimal integrand is eta_t / (gamma + gamma_a); the backward value
     is the deterministic remaining-variance integral and its martingale
     part vanishes.  Wealth accumulates forward with the standard drift.
+    Holdings are recovered when ``s_terminal`` is given, from ``curve`` if
+    supplied (it must be the position curve of ``market.driver()``), else
+    from one built on ``y_grid``.
     """
     if market.utility.kind != "cara":
         raise ContractViolation("the explicit triple requires CARA utility")
@@ -204,7 +212,7 @@ def exponential_triple(
     if s_terminal is not None:
         from .optimizer import recover_theta
 
-        theta = recover_theta(lattice, driver, s_terminal, h_proc, y_grid=y_grid)
+        theta = recover_theta(lattice, driver, s_terminal, h_proc, y_grid=y_grid, curve=curve)
     sol = FbsdeSolution(
         x=NodeProcess(lattice, x_levels),
         zeta=NodeProcess(lattice, zeta_levels),

@@ -202,14 +202,39 @@ def _small_desk(tmp_path, **overrides) -> Path:
 
 
 def test_config_error_inside_command_reports_exit_2(tmp_path):
-    # a one-point y-grid passes load_config and is refused by the position curve
-    cfg = _small_desk(tmp_path, y_grid="1.0")
+    # a non-positive [market] gamma passes load_config and is refused by
+    # the closed-form route's market description
+    cfg = _small_desk(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[market]\n", "[market]\ngamma = -1.0\n"))
     out = tmp_path / "o"
     proc = _run_cli_subprocess("verify", cfg, out, 1)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     payload = json.loads((out / "report.json").read_text())
     assert payload["exit_code"] == proc.returncode
+
+
+@pytest.mark.parametrize("command", ["gexp", "solve", "verify", "value"])
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"numerics_extra": "n_x = 5\n"}, "wealth grid too coarse for interior stencils"),
+        ({"numerics_extra": "x_min = 3.0\n"}, "x_max must exceed x_min"),
+        ({"numerics_extra": "z_lo = 2.0\n"}, "z_hi must exceed z_lo"),
+        ({"y_grid": "0.5"}, "y_grid must be sorted with at least 2 points"),
+    ],
+    ids=["n_x", "x_min", "z_lo", "y_grid"],
+)
+def test_bad_grid_exits_2_under_every_command(tmp_path, capsys, command, override, message):
+    cfg = _small_desk(tmp_path, **override)
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        load_config(cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -109,14 +109,71 @@ def tables(min_side):
     return hnp.arrays(np.float64, shapes, elements=cells)
 
 
-@settings(max_examples=300, deadline=None)
-@given(table=tables(0))
-def test_write_csv_matches_the_per_cell_format(table):
+def _assert_writes_old_bytes(table):
     header = [f"c{i}" for i in range(table.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         _write_csv(path, header, table)
         assert path.read_bytes() == _old_csv(header, table.tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(0))
+def test_write_csv_matches_the_per_cell_format(table):
+    _assert_writes_old_bytes(table)
+
+
+layouts = {
+    "C": lambda t: t,
+    "fortran": np.asfortranarray,
+    "column_slice": lambda t: np.column_stack((t, t))[:, ::2],
+    "transpose": lambda t: np.ascontiguousarray(t.T).T,
+}
+
+
+@st.composite
+def tall_tables(draw):
+    # each column is drawn from its own small pool, so that some columns
+    # repeat enough to be gathered and others do not
+    n_rows = draw(st.integers(0, 120))
+    n_cols = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_cols):
+        pool = draw(st.lists(cells, min_size=1, max_size=draw(st.sampled_from([1, 3, 40, 120]))))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)))
+    table = np.array(columns, dtype=float).T.reshape(n_rows, n_cols)
+    return layouts[draw(st.sampled_from(sorted(layouts)))](table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tall_tables())
+def test_write_csv_gathers_repeated_columns_to_the_per_cell_bytes(table):
+    _assert_writes_old_bytes(table)
+
+
+subnormal = 5e-324
+edge_tables = {
+    # a constant column (gathered) beside an all-distinct one (cell by cell)
+    "constant_beside_distinct": np.column_stack((np.full(40, -0.0), np.arange(40.0) / 7.0)),
+    "signed_zeros": np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.0, 1.0]]),
+    "subnormals": np.array([[subnormal], [-subnormal], [subnormal], [2.2250738585072009e-308], [subnormal]]),
+    "two_pow_53": np.array([[2.0**53, -(2.0**53)], [2.0**53 + 2.0, -(2.0**53)], [2.0**53, -(2.0**53)]] * 3),
+    "no_rows": np.zeros((0, 3)),
+    "one_row": np.array([[-0.0, 0.1, 2.0**53]]),
+    "one_column": np.array([[0.1], [0.1], [0.1], [-0.0]]),
+    "one_cell": np.array([[-0.0]]),
+    "no_columns_one_row": np.zeros((1, 0)),
+    "no_columns_many_rows": np.zeros((7, 0)),
+    "no_cells": np.zeros((0, 0)),
+    "fortran_order": np.asfortranarray(np.repeat([[0.0, -0.0, 3.0], [1.0, 2.0, 3.0]], 4, axis=0)),
+    "column_slice": np.tile([[0.5, -0.0, 7.0, 1e300]], (6, 1))[:, 1:3],
+    "transpose": np.tile([0.0, -0.0, subnormal], (2, 5)).T,
+}
+
+
+@pytest.mark.parametrize("name", sorted(edge_tables))
+def test_write_csv_edge_tables_match_the_per_cell_format(name):
+    _assert_writes_old_bytes(edge_tables[name])
 
 
 @settings(max_examples=100, deadline=None)

@@ -235,3 +235,37 @@ def test_solve_routes_build_one_position_curve(monkeypatch, tmp_path, driver):
     assert len(builds) == 1
     assert cara.theta is not None and picard.theta is not None
     assert picard.converged
+
+
+
+@pytest.mark.parametrize("market_eta, builds_expected", [("0.35", 1), ("0.2", 2)])
+def test_verify_shares_the_scenario_curve_with_the_closed_form_route(
+    monkeypatch, tmp_path, market_eta, builds_expected
+):
+    # [market] gamma/eta equal to the scenario driver: one curve serves all
+    # three routes; a different market drift needs its own curve
+    cfg = _desk(tmp_path, n_steps=40)
+    text = cfg.read_text().replace("eta = 0.35\nx0", f"eta = {market_eta}\nx0")
+    cfg.write_text(text)
+    builds = []
+    build = ih.PositionCurve.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ih.PositionCurve, "__init__", counting)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(builds) == builds_expected
+
+
+def test_closed_form_holdings_from_the_scenario_curve_are_bit_identical():
+    lat = ih.build_binomial(0.9, 40)
+    s = 1.2 * lat.w_values(40) + 0.1
+    y_grid = np.linspace(-1.5, 1.5, 121)
+    market = ih.MarketSpec(gamma=1.1, eta=0.35, utility=ih.cara_utility(1.7316), x0=0.2)
+    scenario_curve = ih.PositionCurve(lat, ih.drifted_quadratic_driver(1.1, 0.35), s, y_grid=y_grid)
+    own = ih.exponential_triple(lat, market, s_terminal=s, y_grid=y_grid)
+    shared = ih.exponential_triple(lat, market, s_terminal=s, y_grid=y_grid, curve=scenario_curve)
+    for k in range(40):
+        assert _bits(shared.theta.values(k)) == _bits(own.theta.values(k))
