@@ -237,7 +237,6 @@ def test_solve_routes_build_one_position_curve(monkeypatch, tmp_path, driver):
     assert picard.converged
 
 
-
 @pytest.mark.parametrize("market_eta, builds_expected", [("0.35", 1), ("0.2", 2)])
 def test_verify_shares_the_scenario_curve_with_the_closed_form_route(
     monkeypatch, tmp_path, market_eta, builds_expected
