@@ -18,11 +18,13 @@ import argparse
 import configparser
 import itertools
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,77 +66,101 @@ EXIT_FLAGS = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
-class ScenarioConfig:
-    """Validated scenario: driver, utility, market and numerics blocks."""
-
-    driver_kind: str
-    driver_params: dict
-    utility_kind: str
-    gamma_a: float
-    payoff: str
-    payoff_a: float
-    payoff_b: float
-    h_m: str
-    eta: float
-    gamma: float
-    x0: float
-    r0: float
-    horizon: float
-    n_steps: int
-    n_x: int
-    x_min: float
-    x_max: float
-    y_grid: np.ndarray
-    z_lo: float
-    z_hi: float
-    tol: float
-    max_iter: int
-    damping: float
-    mode: str
-    price_z: np.ndarray
-    price_y: np.ndarray
-    formats: tuple[str, ...]
-
-    def echo(self) -> dict:
-        d = {
-            "driver": {"kind": self.driver_kind, **self.driver_params},
-            "utility": {"kind": self.utility_kind, "gamma_a": self.gamma_a},
-            "market": {
-                "payoff": self.payoff,
-                "payoff_a": self.payoff_a,
-                "payoff_b": self.payoff_b,
-                "h_m": self.h_m,
-                "eta": self.eta,
-                "gamma": self.gamma,
-                "x0": self.x0,
-                "r0": self.r0,
-            },
-            "numerics": {
-                "horizon": self.horizon,
-                "n_steps": self.n_steps,
-                "n_x": self.n_x,
-                "x_min": self.x_min,
-                "x_max": self.x_max,
-                "y_grid": [float(v) for v in self.y_grid],
-                "z_lo": self.z_lo,
-                "z_hi": self.z_hi,
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "damping": self.damping,
-                "mode": self.mode,
-            },
-        }
-        return d
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'lo:hi:n' linspace form or a comma-separated list."""
+    """'lo:hi:n' linspace form or a comma-separated list, every entry finite."""
     text = text.strip()
     if ":" in text:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    return np.array([float(v) for v in text.split(",") if v.strip()])
+        grid = np.linspace(float(lo), float(hi), int(n))
+    else:
+        grid = np.array([float(v) for v in text.split(",") if v.strip()])
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid entries must be finite")
+    return grid
+
+
+def _formats(text: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in text.split(",") if f.strip())
+
+
+def _one_of(*choices: str) -> tuple:
+    return frozenset(choices).__contains__, "one of " + ", ".join(choices)
+
+
+# (check, rule) pairs of the table below; (None, None) checks nothing
+_ANY = (None, None)
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_COUNT = (lambda n: n >= 1, "must be at least 1")
+_SORTED = (
+    lambda g: g.size >= 2 and bool(np.all(np.diff(g) > 0)),
+    "y_grid must be sorted with at least 2 points",
+)
+_FORMATS = (lambda f: bool(f) and set(f) <= {"csv", "json"}, "list csv, json or both")
+
+# driver kind -> (constructor, its [driver] keys, each a finite float)
+_DRIVERS = {
+    "zero": (zero_driver, ()),
+    "linear": (linear_driver, ("nu",)),
+    "quadratic": (quadratic_driver, ("alpha",)),
+    "entropic": (entropic_driver, ("gamma",)),
+    "drifted_quadratic": (drifted_quadratic_driver, ("gamma", "eta")),
+    "homogeneous": (homogeneous_driver, ("kappa",)),
+}
+
+# one row per scenario key: (section, key, attribute, cast, default, check,
+# rule).  The default is INI text, cast like a written value; None means the
+# key is required.  A value the check refuses fails with the rule.
+_KEYS = (
+    ("driver", "kind", "driver_kind", str, None, *_one_of(*_DRIVERS)),
+    ("utility", "kind", "utility_kind", str, "cara", *_one_of("cara")),
+    ("utility", "gamma_a", "gamma_a", _finite, None, *_POSITIVE),
+    ("market", "payoff", "payoff", str, "brownian",
+     *_one_of("brownian", "affine", "markov_linear")),
+    ("market", "payoff_a", "payoff_a", _finite, "1.0", *_ANY),
+    ("market", "payoff_b", "payoff_b", _finite, "0.0", *_ANY),
+    ("market", "h_m", "h_m", str, "zero", *_one_of("zero", "markov_square")),
+    ("market", "eta", "eta", _finite, "0.0", *_ANY),
+    ("market", "gamma", "gamma", _finite, "1.0", *_POSITIVE),
+    ("market", "x0", "x0", _finite, "0.0", *_ANY),
+    ("market", "r0", "r0", _finite, "0.0", *_ANY),
+    ("numerics", "horizon", "horizon", _finite, "1.0", *_POSITIVE),
+    ("numerics", "n_steps", "n_steps", int, None, *_COUNT),
+    ("numerics", "n_x", "n_x", int, "401", *_ANY),
+    ("numerics", "x_min", "x_min", _finite, "-3.0", *_ANY),
+    ("numerics", "x_max", "x_max", _finite, "3.0", *_ANY),
+    ("numerics", "y_grid", "y_grid", _parse_grid, "-2.0:2.0:81", *_SORTED),
+    ("numerics", "z_lo", "z_lo", _finite, "-1.0", *_ANY),
+    ("numerics", "z_hi", "z_hi", _finite, "1.0", *_ANY),
+    ("numerics", "tol", "tol", _finite, "1e-6", *_POSITIVE),
+    ("numerics", "max_iter", "max_iter", int, "50", *_COUNT),
+    ("numerics", "damping", "damping", _finite, "0.5", lambda d: 0 < d <= 1, "must lie in (0, 1]"),
+    ("numerics", "mode", "mode", str, "theta", *_one_of("theta", "theta_plus")),
+    ("price", "z_values", "price_z", _parse_grid, "0.0", *_ANY),
+    ("price", "y_values", "price_y", _parse_grid, "0.5,1.0", *_ANY),
+    ("outputs", "formats", "formats", _formats, "csv,json", *_FORMATS),
+)
+
+
+class ScenarioConfig(SimpleNamespace):
+    """Validated scenario: one attribute per ``_KEYS`` row, plus ``driver_params``."""
+
+    def echo(self) -> dict:
+        """The scenario as ``report.json`` records it; [price] and [outputs] are left out."""
+        d = {"driver": {"kind": self.driver_kind, **self.driver_params}}
+        for section, key, attribute, *_ in _KEYS:
+            if section in ("utility", "market", "numerics"):
+                value = getattr(self, attribute)
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
+                d.setdefault(section, {})[key] = value
+        return d
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -148,81 +174,29 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     asked = set()
 
-    def get(section, key, default=None, cast=str):
+    def get(section, key, cast=_finite, default=None, check=None, rule=None):
         asked.add((section, key))
-        if not parser.has_option(section, key):
-            if default is None:
-                raise InvalidArgument(f"missing [{section}] {key}")
-            return default
+        if parser.has_option(section, key):
+            try:
+                raw = parser.get(section, key)
+            except configparser.Error as exc:  # a broken %-interpolation
+                raise InvalidArgument(f"[{section}] {key}: {exc}") from exc
+        elif default is None:
+            raise InvalidArgument(f"missing [{section}] {key}")
+        else:
+            raw = default
         try:
-            raw = parser.get(section, key)
-        except configparser.Error as exc:  # a broken %-interpolation
-            raise InvalidArgument(f"[{section}] {key}: {exc}") from exc
-        try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError as exc:
             raise InvalidArgument(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-    driver_kind = get("driver", "kind")
-    driver_params = {}
-    if driver_kind == "linear":
-        driver_params["nu"] = get("driver", "nu", cast=float)
-    elif driver_kind == "quadratic":
-        driver_params["alpha"] = get("driver", "alpha", cast=float)
-    elif driver_kind == "entropic":
-        driver_params["gamma"] = get("driver", "gamma", cast=float)
-    elif driver_kind == "drifted_quadratic":
-        driver_params["gamma"] = get("driver", "gamma", cast=float)
-        driver_params["eta"] = get("driver", "eta", cast=float)
-    elif driver_kind == "homogeneous":
-        driver_params["kappa"] = get("driver", "kappa", cast=float)
-    elif driver_kind != "zero":
-        raise InvalidArgument(f"unknown driver kind {driver_kind!r}")
-
-    utility_kind = get("utility", "kind", default="cara")
-    if utility_kind != "cara":
-        raise InvalidArgument("config utilities are limited to the cara preset")
-
-    payoff = get("market", "payoff", default="brownian")
-    if payoff not in ("brownian", "affine", "markov_linear"):
-        raise InvalidArgument(f"unknown payoff preset {payoff!r}")
-    h_m = get("market", "h_m", default="zero")
-    if h_m not in ("zero", "markov_square"):
-        raise InvalidArgument(f"unknown book preset {h_m!r}")
+        if check is not None and not check(value):
+            raise InvalidArgument(f"[{section}] {key} = {raw!r}: {rule}")
+        return value
 
     cfg = ScenarioConfig(
-        driver_kind=driver_kind,
-        driver_params=driver_params,
-        utility_kind=utility_kind,
-        gamma_a=get("utility", "gamma_a", cast=float),
-        payoff=payoff,
-        payoff_a=get("market", "payoff_a", default=1.0, cast=float),
-        payoff_b=get("market", "payoff_b", default=0.0, cast=float),
-        h_m=h_m,
-        eta=get("market", "eta", default=0.0, cast=float),
-        gamma=get("market", "gamma", default=1.0, cast=float),
-        x0=get("market", "x0", default=0.0, cast=float),
-        r0=get("market", "r0", default=0.0, cast=float),
-        horizon=get("numerics", "horizon", default=1.0, cast=float),
-        n_steps=get("numerics", "n_steps", cast=int),
-        n_x=get("numerics", "n_x", default=401, cast=int),
-        x_min=get("numerics", "x_min", default=-3.0, cast=float),
-        x_max=get("numerics", "x_max", default=3.0, cast=float),
-        y_grid=get("numerics", "y_grid", default=_parse_grid("-2.0:2.0:81"), cast=_parse_grid),
-        z_lo=get("numerics", "z_lo", default=-1.0, cast=float),
-        z_hi=get("numerics", "z_hi", default=1.0, cast=float),
-        tol=get("numerics", "tol", default=1e-6, cast=float),
-        max_iter=get("numerics", "max_iter", default=50, cast=int),
-        damping=get("numerics", "damping", default=0.5, cast=float),
-        mode=get("numerics", "mode", default="theta"),
-        price_z=get("price", "z_values", default=_parse_grid("0.0"), cast=_parse_grid),
-        price_y=get("price", "y_values", default=_parse_grid("0.5,1.0"), cast=_parse_grid),
-        formats=tuple(
-            f.strip()
-            for f in get("outputs", "formats", default="csv,json").split(",")
-            if f.strip()
-        ),
+        **{attribute: get(section, key, *row) for section, key, attribute, *row in _KEYS}
     )
+    cfg.driver_params = {key: get("driver", key) for key in _DRIVERS[cfg.driver_kind][1]}
     # a key nothing reads is most likely misspelt: refuse it rather than
     # run with the default it was meant to override
     defaults = parser.defaults()
@@ -236,57 +210,28 @@ def load_config(path: str | Path) -> ScenarioConfig:
     ]
     if unread:
         raise InvalidArgument(f"unknown config key(s): {', '.join(unread)}")
-    if cfg.n_steps < 1:
-        raise InvalidArgument("n_steps must be positive")
     # every grid is checked here, so a bad one fails every command and not
     # only the command that builds it
-    if cfg.y_grid.size < 2 or np.any(np.diff(cfg.y_grid) <= 0):
-        raise InvalidArgument("y_grid must be sorted with at least 2 points")
     WealthGrid(cfg.x_min, cfg.x_max, cfg.n_x)
     ControlSpec(kind="interval", z_lo=cfg.z_lo, z_hi=cfg.z_hi)
-    if cfg.mode not in ("theta", "theta_plus"):
-        raise InvalidArgument("mode must be theta or theta_plus")
-    if cfg.max_iter < 1:
-        raise InvalidArgument(f"[numerics] max_iter = {cfg.max_iter}: must be at least 1")
-    if not cfg.tol > 0:
-        raise InvalidArgument(f"[numerics] tol = {cfg.tol!r}: must be positive")
-    if not 0.0 < cfg.damping <= 1.0:
-        raise InvalidArgument(f"[numerics] damping = {cfg.damping!r}: must lie in (0, 1]")
-    if not cfg.formats or not set(cfg.formats) <= {"csv", "json"}:
-        raise InvalidArgument(
-            f"[outputs] formats = {','.join(cfg.formats)!r}: list csv, json or both"
-        )
     return cfg
 
 
 def _build_driver(cfg: ScenarioConfig):
-    kind, p = cfg.driver_kind, cfg.driver_params
-    if kind == "zero":
-        return zero_driver()
-    if kind == "linear":
-        return linear_driver(p["nu"])
-    if kind == "quadratic":
-        return quadratic_driver(p["alpha"])
-    if kind == "entropic":
-        return entropic_driver(p["gamma"])
-    if kind == "drifted_quadratic":
-        return drifted_quadratic_driver(p["gamma"], p["eta"])
-    return homogeneous_driver(p["kappa"])
+    return _DRIVERS[cfg.driver_kind][0](**cfg.driver_params)
 
 
 def _build_payoff(cfg: ScenarioConfig, lattice):
+    """Payoff S and book H_M (None if zero); the Markov presets share one state."""
+    if cfg.payoff == "markov_linear" or cfg.h_m == "markov_square":
+        state = simulate_state(lattice, StateSde(drift=0.0, sigma=1.0, r0=cfg.r0)).terminal
     if cfg.payoff == "brownian":
         s = lattice.w_values(lattice.n_steps)
     elif cfg.payoff == "affine":
         s = cfg.payoff_a * lattice.w_values(lattice.n_steps) + cfg.payoff_b
     else:  # markov_linear
-        sde = StateSde(drift=0.0, sigma=1.0, r0=cfg.r0)
-        s = simulate_state(lattice, sde).terminal
-    if cfg.h_m == "zero":
-        book = None
-    else:  # markov_square
-        sde = StateSde(drift=0.0, sigma=1.0, r0=cfg.r0)
-        book = simulate_state(lattice, sde).terminal ** 2
+        s = state
+    book = None if cfg.h_m == "zero" else state**2
     return s, book
 
 
@@ -384,18 +329,7 @@ class RunReport:
     exit_code: int = EXIT_OK
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "scenario": self.scenario,
-            "results": self.results,
-            "residuals": self.residuals,
-            "flags": self.flags,
-            "files": self.files,
-            "threads": self.threads,
-            "timing_seconds": self.timing_seconds,
-            "exit_code": self.exit_code,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _report_residuals(rep) -> dict:
@@ -439,12 +373,11 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
     report.results["n_quotes"] = int(prices.size)
 
 
-def _solve_routes(cfg, lattice, driver, curve=None):
-    """The CARA and Picard routes, sharing one position curve.
+def _solve_routes(cfg, lattice, driver, s, curve=None):
+    """The CARA and Picard routes for payoff ``s``, sharing one position curve.
 
     ``curve`` is the scenario's position curve, built here if not given.
     """
-    s, _ = _build_payoff(cfg, lattice)
     utility = cara_utility(cfg.gamma_a)
     if curve is None:
         curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
@@ -467,7 +400,8 @@ def _solve_routes(cfg, lattice, driver, curve=None):
 def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
     lattice = build_binomial(cfg.horizon, cfg.n_steps)
     driver = _build_driver(cfg)
-    cara, picard = _solve_routes(cfg, lattice, driver)
+    s, _ = _build_payoff(cfg, lattice)
+    cara, picard = _solve_routes(cfg, lattice, driver, s)
     sol = picard
     _emit(cfg, out_dir, report, "solve.csv", _SOLUTION_HEADER, _solution_rows(lattice, sol))
     report.results.update(
@@ -589,7 +523,7 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
     ):
         curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
     triple = exponential_triple(lattice, market, s_terminal=s, y_grid=cfg.y_grid, curve=curve)
-    cara, picard = _solve_routes(cfg, lattice, driver, curve=curve)
+    cara, picard = _solve_routes(cfg, lattice, driver, s, curve=curve)
 
     routes = {"closedform": triple, "cara": cara, "picard": picard}
     for name, sol in routes.items():
@@ -636,7 +570,7 @@ def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport
     except InvalidArgument:
         report.exit_code = EXIT_CONFIG
         raise
-    except ImpactHedgerError:
+    except (ImpactHedgerError, OverflowError):  # Python floats raise on overflow
         report.exit_code = EXIT_NUMERIC
         raise
     finally:
@@ -662,15 +596,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(args.command, args.config, args.out)
-    except InvalidArgument as exc:
+    except (InvalidArgument, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ImpactHedgerError as exc:
+    except (ImpactHedgerError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     if report.exit_code != EXIT_OK:
         print(f"completed with flags: {report.flags}", file=sys.stderr)
     return report.exit_code

@@ -179,7 +179,7 @@ def test_numeric_failure_exits_4(tmp_path):
 _SMALL_DESK = (
     "[driver]\nkind = drifted_quadratic\ngamma = 1.0\neta = 0.3\n"
     "[utility]\nkind = cara\ngamma_a = {gamma_a}\n"
-    "[market]\npayoff = brownian\neta = 0.3\n"
+    "[market]\npayoff = brownian\neta = 0.3\n{market_extra}"
     "[numerics]\nn_steps = {n_steps}\ny_grid = {y_grid}\n{numerics_extra}"
     "[price]\nz_values = {z_values}\n"
     "[outputs]\nformats = {formats}\n"
@@ -191,6 +191,7 @@ def _small_desk(tmp_path, **overrides) -> Path:
         "gamma_a": "2.0",
         "n_steps": "20",
         "y_grid": "-1.5:1.5:31",
+        "market_extra": "",
         "numerics_extra": "",
         "z_values": "0.0",
         "formats": "csv,json",
@@ -202,10 +203,11 @@ def _small_desk(tmp_path, **overrides) -> Path:
 
 
 def test_config_error_inside_command_reports_exit_2(tmp_path):
-    # a non-positive [market] gamma passes load_config and is refused by
-    # the closed-form route's market description
+    # a negative kappa passes load_config (driver parameters are checked by
+    # their constructor) and is refused when verify builds the driver
     cfg = _small_desk(tmp_path)
-    cfg.write_text(cfg.read_text().replace("[market]\n", "[market]\ngamma = -1.0\n"))
+    driver = "kind = drifted_quadratic\ngamma = 1.0\neta = 0.3\n"
+    cfg.write_text(cfg.read_text().replace(driver, "kind = homogeneous\nkappa = -0.1\n"))
     out = tmp_path / "o"
     proc = _run_cli_subprocess("verify", cfg, out, 1)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
@@ -214,7 +216,20 @@ def test_config_error_inside_command_reports_exit_2(tmp_path):
     assert payload["exit_code"] == proc.returncode
 
 
-@pytest.mark.parametrize("command", ["gexp", "solve", "verify", "value"])
+@pytest.mark.parametrize("command", ["closedform", "verify"])
+def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
+    # the closed forms square [market] eta as a Python float, which raises
+    # OverflowError rather than returning inf
+    cfg = _small_desk(tmp_path)
+    market = "payoff = brownian\neta = 0.3\n"
+    cfg.write_text(cfg.read_text().replace(market, "payoff = brownian\neta = 1e160\n"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert "numeric error" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+
+
+@pytest.mark.parametrize("command", ["gexp", "price", "solve", "closedform", "value", "verify"])
 @pytest.mark.parametrize(
     "override, message",
     [
@@ -222,10 +237,23 @@ def test_config_error_inside_command_reports_exit_2(tmp_path):
         ({"numerics_extra": "x_min = 3.0\n"}, "x_max must exceed x_min"),
         ({"numerics_extra": "z_lo = 2.0\n"}, "z_hi must exceed z_lo"),
         ({"y_grid": "0.5"}, "y_grid must be sorted with at least 2 points"),
+        ({"numerics_extra": "x_max = inf\n"}, "[numerics] x_max"),
+        ({"numerics_extra": "horizon = 0\n"}, "[numerics] horizon"),
+        ({"numerics_extra": "horizon = -1.0\n"}, "[numerics] horizon"),
+        ({"y_grid": "-1.5,nan,1.5"}, "[numerics] y_grid"),
+        ({"z_values": "0.0,inf"}, "[price] z_values"),
+        ({"gamma_a": "-2.0"}, "[utility] gamma_a"),
+        ({"gamma_a": "nan"}, "[utility] gamma_a"),
+        ({"market_extra": "x0 = nan\n"}, "[market] x0"),
+        ({"market_extra": "gamma = -1.0\n"}, "[market] gamma"),
     ],
-    ids=["n_x", "x_min", "z_lo", "y_grid"],
+    ids=[
+        "n_x", "x_min", "z_lo", "y_grid", "x_max_inf", "horizon_zero", "horizon_negative",
+        "y_grid_nan", "z_values_inf", "gamma_a_negative", "gamma_a_nan", "x0_nan", "market_gamma",
+    ],
 )
 def test_bad_grid_exits_2_under_every_command(tmp_path, capsys, command, override, message):
+    # grids and every other value a command may never read are refused at load
     cfg = _small_desk(tmp_path, **override)
     with pytest.raises(InvalidArgument, match=re.escape(message)):
         load_config(cfg)

@@ -231,7 +231,8 @@ def test_solve_routes_build_one_position_curve(monkeypatch, tmp_path, driver):
     if driver == "homogeneous":
         cfg.driver_kind, cfg.driver_params, cfg.mode = "homogeneous", {"kappa": 0.1}, "theta_plus"
     lattice = ih.build_binomial(cfg.horizon, cfg.n_steps)
-    cara, picard = cli._solve_routes(cfg, lattice, cli._build_driver(cfg))
+    s, _ = cli._build_payoff(cfg, lattice)
+    cara, picard = cli._solve_routes(cfg, lattice, cli._build_driver(cfg), s)
     assert len(builds) == 1
     assert cara.theta is not None and picard.theta is not None
     assert picard.converged
