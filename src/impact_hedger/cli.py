@@ -74,13 +74,15 @@ def _finite(text: str) -> float:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'lo:hi:n' linspace form or a comma-separated list, every entry finite."""
+    """'lo:hi:n' linspace form or a comma-separated list: one entry or more, all finite."""
     text = text.strip()
     if ":" in text:
         lo, hi, n = text.split(":")
         grid = np.linspace(float(lo), float(hi), int(n))
     else:
         grid = np.array([float(v) for v in text.split(",") if v.strip()])
+    if not grid.size:
+        raise ValueError("grid needs at least one entry")
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid entries must be finite")
     return grid
@@ -248,39 +250,66 @@ def _threads() -> int:
     return n
 
 
+# cells formatted per block of rows: bounds the scratch memory of a write
+_CSV_BLOCK_CELLS = 1 << 13
+
+
 def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Write a 2-D float table, each cell in round-trip ``%.17g`` form.
 
     A non-finite cell is refused before the file is opened, so a failed
     write leaves no partial table behind.
 
-    Work goes column by column.  A column with fewer distinct bit patterns
-    than half its rows (level, node, ``t``, a zero or constant field) has
-    each distinct value formatted once and its cells gathered as strings;
-    any other column is formatted cell by cell.  Distinct means distinct
-    bits, so ``-0.0`` and ``0.0`` stay apart, and the bytes written do not
-    depend on which columns took which path.
+    The text of a cell is a fixed-width slot from ``g17.g17_slots``.  A
+    column with fewer distinct bit patterns than half its rows (level,
+    node, ``t``, a zero or constant field) has each distinct value
+    formatted once, into a pool of slots; the other columns are formatted
+    a block of rows at a time, after the pool.  One take of the pool puts a
+    block in table order; it then gets its separators and is written
+    without its NUL padding.  Distinct means distinct bits, so ``-0.0`` and
+    ``0.0`` stay apart.
     """
     table = np.asarray(table, dtype=float)
     if not np.all(np.isfinite(table)):
         raise ImpactHedgerError("non-finite value about to be written to disk")
-    n_rows = table.shape[0]
-    cols, slots = [], []
-    for col in table.T:
+    from .g17 import SLOT, g17_slots
+
+    n_rows, n_cols = table.shape
+    slot = np.dtype((np.void, SLOT))
+    pooled, direct, in_pool = [], [], {}
+    size = 0
+    for j, col in enumerate(table.T):
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         if 2 * bits.size < n_rows:
-            text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-            cols.append(np.array(text, dtype=object)[inverse])
-            slots.append("%s")
+            pooled.append(g17_slots(bits.view(np.float64)).view(slot))
+            in_pool[j] = inverse + size
+            size += bits.size
         else:
-            cols.append(col.tolist())
-            slots.append("%.17g")
-    line = ",".join(slots) + "\n"
-    # zip of no columns yields no rows, but a 0-column table still has its lines
-    rows = zip(*cols) if cols else itertools.repeat((), n_rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(line.__mod__, rows))
+            direct.append(j)
+    block = max(1, _CSV_BLOCK_CELLS // max(n_cols, 1))
+    pool = np.empty(size + min(block, n_rows) * len(direct), slot)
+    if pooled:
+        pool[:size] = np.concatenate(pooled).ravel()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if not n_cols:  # no cells, but every row still ends its line
+            fh.write(b"\n" * n_rows)
+            return
+        ends = np.full(n_cols, ord(","), np.uint8)
+        ends[-1] = ord("\n")
+        for start in range(0, n_rows, block):
+            rows = slice(start, min(start + block, n_rows))
+            n = rows.stop - start
+            index = np.empty((n, n_cols), np.intp)
+            for j, at in in_pool.items():
+                index[:, j] = at[rows]
+            if direct:
+                cells = g17_slots(table[rows, direct]).view(slot).ravel()
+                pool[size : size + cells.size] = cells
+                index[:, direct] = size + np.arange(cells.size).reshape(n, len(direct))
+            out = pool.take(index).view(np.uint8).reshape(n, n_cols, SLOT)
+            out[:, :, -1] = ends
+            fh.write(out.tobytes().translate(None, b"\0"))
 
 
 def _level_table(k: int, *columns: np.ndarray) -> np.ndarray:

@@ -7,13 +7,20 @@ CARA investors everything is explicit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver
-from .errors import ContractViolation, DomainError, InvalidArgument, RootNotFound
+from .errors import (
+    ContractViolation,
+    DomainError,
+    InvalidArgument,
+    NumericOverflow,
+    RootNotFound,
+)
 from .gexpect import PositionCurve
 from .lattice import Lattice, NodeProcess
 from .optimizer import (
@@ -40,13 +47,15 @@ class MarketSpec:
     def eta_fn(self) -> TimeFn:
         return _as_time_fn(self.eta)
 
-    def eta_squared_integral(self, lattice: Lattice, from_level: int = 0) -> float:
-        """int_{t_k}^T eta(s)^2 ds for piecewise-constant eta on the grid."""
+    def eta_squared_terms(self, lattice: Lattice) -> list[float]:
+        """eta(t_i)^2 dt for each step i of the grid."""
         grid = lattice.grid
         fn = self.eta_fn()
-        return sum(
-            fn(grid.t(i)) ** 2 * grid.dt for i in range(from_level, lattice.n_steps)
-        )
+        return [fn(grid.t(i)) ** 2 * grid.dt for i in range(lattice.n_steps)]
+
+    def eta_squared_integral(self, lattice: Lattice, from_level: int = 0) -> float:
+        """int_{t_k}^T eta(s)^2 ds for piecewise-constant eta on the grid."""
+        return sum(self.eta_squared_terms(lattice)[from_level:])
 
     def driver(self):
         return drifted_quadratic_driver(self.gamma, self.eta)
@@ -131,7 +140,11 @@ def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
     if market.utility.kind == "cara":
         ga = market.utility.gamma_a
         log_glg = -(gamma + ga) * x0 - ga * v / (2.0 * (gamma + ga))
-        return float(ga / gamma * np.exp(log_glg))
+        with np.errstate(over="ignore"):
+            lam = float(ga / gamma * np.exp(log_glg))
+        if not (math.isfinite(lam) and lam > 0):
+            raise NumericOverflow(f"budget multiplier lambda = {lam!r} is out of float range")
+        return lam
 
     from scipy.optimize import brentq
     from scipy.special import roots_hermitenorm
@@ -195,11 +208,10 @@ def exponential_triple(
         np.full(lattice.level_size(k), eta(grid.t(k)) / (gamma + ga))
         for k in range(n)
     ]
+    # each remaining integral summed left to right, as eta_squared_integral does
+    terms = market.eta_squared_terms(lattice)
     zeta_levels = [
-        np.full(
-            lattice.level_size(k),
-            market.eta_squared_integral(lattice, from_level=k) / (2.0 * (gamma + ga)),
-        )
+        np.full(lattice.level_size(k), sum(terms[k:]) / (2.0 * (gamma + ga)))
         for k in range(n + 1)
     ]
     m_levels = [np.zeros(lattice.level_size(k)) for k in range(n)]

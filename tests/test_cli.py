@@ -181,7 +181,7 @@ _SMALL_DESK = (
     "[utility]\nkind = cara\ngamma_a = {gamma_a}\n"
     "[market]\npayoff = brownian\neta = 0.3\n{market_extra}"
     "[numerics]\nn_steps = {n_steps}\ny_grid = {y_grid}\n{numerics_extra}"
-    "[price]\nz_values = {z_values}\n"
+    "[price]\nz_values = {z_values}\n{price_extra}"
     "[outputs]\nformats = {formats}\n"
 )
 
@@ -194,6 +194,7 @@ def _small_desk(tmp_path, **overrides) -> Path:
         "market_extra": "",
         "numerics_extra": "",
         "z_values": "0.0",
+        "price_extra": "",
         "formats": "csv,json",
     }
     values.update(overrides)
@@ -229,6 +230,24 @@ def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
     assert json.loads((out / "report.json").read_text())["exit_code"] == 4
 
 
+@pytest.mark.parametrize("eta", ["1e3", "1e10"])
+def test_budget_multiplier_out_of_float_range_exits_4(tmp_path, eta):
+    # exp(-gamma_a v / (2 (gamma + gamma_a))) underflows to a zero multiplier
+    cfg = tmp_path / "drift.ini"
+    cfg.write_text(
+        "[driver]\nkind = zero\n"
+        "[utility]\nkind = cara\ngamma_a = 2.0\n"
+        f"[market]\npayoff = brownian\neta = {eta}\n"
+        "[numerics]\nn_steps = 2\n"
+    )
+    out = tmp_path / "o"
+    proc = _run_cli_subprocess("closedform", cfg, out, 1)
+    assert proc.returncode == 4, proc.stderr
+    assert "numeric error" in proc.stderr and "lambda" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+
+
 @pytest.mark.parametrize("command", ["gexp", "price", "solve", "closedform", "value", "verify"])
 @pytest.mark.parametrize(
     "override, message",
@@ -242,6 +261,8 @@ def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
         ({"numerics_extra": "horizon = -1.0\n"}, "[numerics] horizon"),
         ({"y_grid": "-1.5,nan,1.5"}, "[numerics] y_grid"),
         ({"z_values": "0.0,inf"}, "[price] z_values"),
+        ({"z_values": ""}, "[price] z_values"),
+        ({"price_extra": "y_values =\n"}, "[price] y_values"),
         ({"gamma_a": "-2.0"}, "[utility] gamma_a"),
         ({"gamma_a": "nan"}, "[utility] gamma_a"),
         ({"market_extra": "x0 = nan\n"}, "[market] x0"),
@@ -249,7 +270,7 @@ def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
     ],
     ids=[
         "n_x", "x_min", "z_lo", "y_grid", "x_max_inf", "horizon_zero", "horizon_negative",
-        "y_grid_nan", "z_values_inf", "gamma_a_negative", "gamma_a_nan", "x0_nan", "market_gamma",
+        "y_grid_nan", "z_values_inf", "z_values_empty", "y_values_empty", "gamma_a_negative", "gamma_a_nan", "x0_nan", "market_gamma",
     ],
 )
 def test_bad_grid_exits_2_under_every_command(tmp_path, capsys, command, override, message):

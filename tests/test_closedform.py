@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impact_hedger import (
     MarketSpec,
@@ -19,7 +23,7 @@ from impact_hedger import (
     solve_fbsde_picard,
     wealth_by_conditional_route,
 )
-from impact_hedger.errors import ContractViolation, DomainError
+from impact_hedger.errors import ContractViolation, DomainError, NumericOverflow
 
 
 def desk_market(n=200, eta=0.3, gamma=1.0, gamma_a=2.0, x0=0.0):
@@ -135,6 +139,40 @@ def test_exponential_triple_zero_drift_no_trade():
     tri = exponential_triple(lat, mkt)
     assert tri.h.sup_abs() == 0.0
     assert tri.zeta.sup_abs() == 0.0
+
+
+def _eta_squared_integral_by_generator(market, lattice, from_level):
+    # the per-level generator sum that exponential_triple used to run
+    grid = lattice.grid
+    fn = market.eta_fn()
+    return sum(fn(grid.t(i)) ** 2 * grid.dt for i in range(from_level, lattice.n_steps))
+
+
+etas = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+        lambda ab: (lambda t, a=ab[0], b=ab[1]: a + b * math.sin(3.0 * t))
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), horizon=st.floats(0.1, 3.0), eta=etas)
+def test_eta_squared_integrals_match_the_generator_bit_for_bit(n, horizon, eta):
+    lat = build_binomial(horizon, n)
+    mkt = MarketSpec(gamma=1.5, eta=eta, utility=cara_utility(2.0), x0=0.0)
+    old = [_eta_squared_integral_by_generator(mkt, lat, k) for k in range(n + 1)]
+    assert [mkt.eta_squared_integral(lat, from_level=k) for k in range(n + 1)] == old
+    zeta = exponential_triple(lat, mkt).zeta
+    assert [zeta.values(k)[0] for k in range(n + 1)] == [v / (2.0 * 3.5) for v in old]
+
+
+@pytest.mark.parametrize("eta, x0", [(1e3, 0.0), (1e10, 0.0), (0.3, -1e3)])
+def test_budget_lambda_out_of_float_range_is_numeric(eta, x0):
+    # exp underflows to 0 (large eta) or overflows to inf (very negative x0)
+    lat, mkt = desk_market(n=2, eta=eta, x0=x0)
+    with pytest.raises(NumericOverflow, match="lambda"):
+        budget_lambda(lat, mkt)
 
 
 def test_exponential_triple_requires_cara():

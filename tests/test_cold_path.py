@@ -3,7 +3,7 @@
 ``_pchip`` must agree bit for bit with scipy's ``PchipInterpolator`` (the
 tests may import scipy; the package's import path may not), and
 ``_write_csv`` must write the bytes the old per-cell ``format(v, ".17g")``
-join wrote.
+join wrote, though its digits now come from numpy (``impact_hedger.g17``).
 """
 import json
 import os
@@ -174,6 +174,90 @@ edge_tables = {
 @pytest.mark.parametrize("name", sorted(edge_tables))
 def test_write_csv_edge_tables_match_the_per_cell_format(name):
     _assert_writes_old_bytes(edge_tables[name])
+
+
+def _finite_bit_patterns(bits: np.ndarray) -> np.ndarray:
+    # an all-ones exponent (inf or nan) loses its top bit, leaving sign and
+    # mantissa on a finite value in [1, 2)
+    bits = bits.copy()
+    bits[~np.isfinite(bits.view(np.float64))] ^= 1 << 62
+    return bits.view(np.float64)
+
+
+# any int64, and one built from sign, exponent and mantissa fields, which
+# reaches every binade as often as the subnormals
+bit_patterns = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.builds(
+        lambda sign, exponent, mantissa: (exponent << 52 | mantissa) - sign * 2**63,
+        st.integers(0, 1),
+        st.integers(0, 2047),
+        st.integers(0, 2**52 - 1),
+    ),
+)
+
+
+@st.composite
+def bit_pattern_tables(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=20))
+    bits = draw(hnp.arrays(np.int64, shape, elements=bit_patterns))
+    table = _finite_bit_patterns(bits)
+    return layouts[draw(st.sampled_from(["C", "fortran", "column_slice"]))](table)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(table=bit_pattern_tables())
+def test_write_csv_matches_the_per_cell_format_on_any_bit_pattern(table):
+    _assert_writes_old_bytes(table)
+
+
+def _hard_cells() -> list[float]:
+    cells = [
+        1234567890123456.75,  # an exact tie, rounded to even: ...456.8
+        1e16,
+        1e17,
+        99999999999999999.0,
+        2.0**53,
+        2.0**63,
+        5e-324,
+        0.0,
+        -0.0,
+    ]
+    for edge in (1e-250, 1e250):
+        cells += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    for k in range(-20, 21):
+        power = 10.0**k
+        cells += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+    # 1 to 17 significant digits, in fixed and in exponent notation
+    for digits in range(1, 18):
+        for exponent in (-30, -5, -4, -1, 0, 5, 15, 16, 17, 30):
+            cells.append(float(f"{'123456789' * 2}"[:digits] + f"e{exponent - digits + 1}"))
+    return cells + [-c for c in cells]
+
+
+@pytest.mark.parametrize("layout", ["C", "fortran", "column_slice"])
+def test_write_csv_matches_the_per_cell_format_on_hard_cells(layout):
+    cells = np.array(_hard_cells())
+    assert "9.9999999999999995e-07" in {format(c, ".17g") for c in cells}
+    assert "1234567890123456.8" in {format(c, ".17g") for c in cells}
+    # one distinct column, then the same cells in rows of three
+    _assert_writes_old_bytes(layouts[layout](cells.reshape(-1, 1)))
+    _assert_writes_old_bytes(layouts[layout](cells[: cells.size // 3 * 3].reshape(-1, 3)))
+
+
+def test_importing_the_cli_loads_no_formatter():
+    script = (
+        "import sys\n"
+        "import impact_hedger.cli\n"
+        "print(*(m in sys.modules for m in ('impact_hedger.g17', 'fractions', 'decimal')))\n"
+        "from impact_hedger import g17\n"
+        "print(g17._tables.cache_info().currsize)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False", "0"]
 
 
 @settings(max_examples=100, deadline=None)
