@@ -322,16 +322,20 @@ _SOLUTION_HEADER = ["level", "node", "x", "zeta", "m", "theta", "h"]
 
 
 def _solution_rows(lattice, sol) -> np.ndarray:
-    n = lattice.n_steps
-    blocks = []
-    for k in range(n + 1):
-        x = sol.x.values(k)
-        zero = np.zeros_like(x)
-        m = sol.m.values(k) if k < n else zero
-        h = sol.h.values(k) if k < n else zero
-        theta = sol.theta.values(k) if (sol.theta is not None and k < n) else zero
-        blocks.append(_level_table(k, x, sol.zeta.values(k), m, theta, h))
-    return np.concatenate(blocks)
+    """One row per node, level by level, written column by column from the
+    whole-lattice buffers; m, theta and h read 0 on the terminal level, and
+    theta reads 0 throughout when the route recovered no holdings."""
+    level = lattice.level_index
+    inner = lattice.offsets[-2]  # the nodes of levels 0 .. n-1
+    table = np.zeros((level.size, len(_SOLUTION_HEADER)))
+    table[:, 0] = level
+    table[:, 1] = np.arange(level.size) - lattice.offsets[level]
+    table[:, 2] = sol.x.flat
+    table[:, 3] = sol.zeta.flat
+    for j, proc in ((4, sol.m), (5, sol.theta), (6, sol.h)):
+        if proc is not None:
+            table[:inner, j] = proc.flat
+    return table
 
 
 def _emit(
@@ -402,15 +406,18 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
     report.results["n_quotes"] = int(prices.size)
 
 
-def _solve_routes(cfg, lattice, driver, s, curve=None):
+def _solve_routes(cfg, lattice, driver, s, curve=None, cara_holdings=True):
     """The CARA and Picard routes for payoff ``s``, sharing one position curve.
 
     ``curve`` is the scenario's position curve, built here if not given.
+    The CARA route recovers its holdings only if ``cara_holdings`` is set.
     """
     utility = cara_utility(cfg.gamma_a)
     if curve is None:
         curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
-    cara = solve_fbsde_cara(lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s, curve=curve)
+    cara = solve_fbsde_cara(
+        lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s if cara_holdings else None, curve=curve
+    )
     picard = solve_fbsde_picard(
         lattice,
         driver,
@@ -430,7 +437,8 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
     lattice = build_binomial(cfg.horizon, cfg.n_steps)
     driver = _build_driver(cfg)
     s, _ = _build_payoff(cfg, lattice)
-    cara, picard = _solve_routes(cfg, lattice, driver, s)
+    # only the CARA wealth is read here (cara_route_gap)
+    cara, picard = _solve_routes(cfg, lattice, driver, s, cara_holdings=False)
     sol = picard
     _emit(cfg, out_dir, report, "solve.csv", _SOLUTION_HEADER, _solution_rows(lattice, sol))
     report.results.update(
@@ -553,6 +561,7 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
         curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
     triple = exponential_triple(lattice, market, s_terminal=s, y_grid=cfg.y_grid, curve=curve)
     cara, picard = _solve_routes(cfg, lattice, driver, s, curve=curve)
+    del curve  # the tables do not need it: free its (n_y, nodes) buffer before writing them
 
     routes = {"closedform": triple, "cara": cara, "picard": picard}
     for name, sol in routes.items():

@@ -70,15 +70,17 @@ def girsanov_density(lattice: Lattice, eta) -> NodeProcess:
     fn = _as_time_fn(eta)
     grid = lattice.grid
     dt, sq = grid.dt, grid.sqrt_dt
-    log_levels = [np.zeros(lattice.level_size(0))]
+    log_density = NodeProcess.empty(lattice, lattice.n_steps + 1)
+    log_levels = log_density.levels
+    log_levels[0][...] = 0.0
     for k in range(lattice.n_steps):
         e = fn(grid.t(k))
         prev = log_levels[k]
         nxt, _ = lattice.forward_level(
             prev - 0.5 * e * e * dt + e * sq, prev - 0.5 * e * e * dt - e * sq
         )
-        log_levels.append(nxt)
-    return NodeProcess(lattice, [np.exp(lv) for lv in log_levels])
+        log_levels[k + 1][...] = nxt
+    return log_density.map(np.exp)
 
 
 def inverse_marginal_f(utility: UtilitySpec, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -204,32 +206,28 @@ def exponential_triple(
     grid = lattice.grid
     n = lattice.n_steps
 
-    h_levels = [
-        np.full(lattice.level_size(k), eta(grid.t(k)) / (gamma + ga))
-        for k in range(n)
-    ]
+    h = NodeProcess.empty(lattice, n)
+    for k, level in enumerate(h.levels):
+        level[...] = eta(grid.t(k)) / (gamma + ga)
     # each remaining integral summed left to right, as eta_squared_integral does
     terms = market.eta_squared_terms(lattice)
-    zeta_levels = [
-        np.full(lattice.level_size(k), sum(terms[k:]) / (2.0 * (gamma + ga)))
-        for k in range(n + 1)
-    ]
-    m_levels = [np.zeros(lattice.level_size(k)) for k in range(n)]
+    zeta = NodeProcess.empty(lattice, n + 1)
+    for k, level in enumerate(zeta.levels):
+        level[...] = sum(terms[k:]) / (2.0 * (gamma + ga))
 
     driver = market.driver()
-    x_levels, consistency = _forward_wealth(lattice, driver, h_levels, market.x0)
+    x, consistency = _forward_wealth(lattice, driver, h.levels, market.x0)
 
-    h_proc = NodeProcess(lattice, h_levels)
     theta = None
     if s_terminal is not None:
         from .optimizer import recover_theta
 
-        theta = recover_theta(lattice, driver, s_terminal, h_proc, y_grid=y_grid, curve=curve)
+        theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
     sol = FbsdeSolution(
-        x=NodeProcess(lattice, x_levels),
-        zeta=NodeProcess(lattice, zeta_levels),
-        m=NodeProcess(lattice, m_levels),
-        h=h_proc,
+        x=x,
+        zeta=zeta,
+        m=NodeProcess.constant(lattice, 0.0, n_levels=n),
+        h=h,
         theta=theta,
         residuals=None,
         forward_consistency=consistency,
@@ -250,8 +248,9 @@ def wealth_by_conditional_route(
     eta = market.eta_fn()
     grid = lattice.grid
     n = lattice.n_steps
-    levels: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    levels[n] = np.exp(gamma * np.asarray(terminal_wealth, dtype=float))
+    growth = NodeProcess.empty(lattice, n + 1)
+    levels = growth.levels
+    levels[n][...] = np.exp(gamma * np.asarray(terminal_wealth, dtype=float))
     for k in range(n - 1, -1, -1):
         e = eta(grid.t(k))
         q_up = 0.5 * (1.0 - e * grid.sqrt_dt)
@@ -259,8 +258,8 @@ def wealth_by_conditional_route(
         if not (0.0 < q_up < 1.0):
             raise InvalidArgument("|eta| sqrt(dt) must stay below 1")
         down, up = lattice.split_children(levels[k + 1])
-        levels[k] = q_up * up + q_dn * down
-    return NodeProcess(lattice, [np.log(lv) / gamma for lv in levels])
+        levels[k][...] = q_up * up + q_dn * down
+    return growth.map(lambda v: np.log(v) / gamma)
 
 
 def no_trade_solution(
@@ -294,12 +293,11 @@ def no_trade_solution(
     if not applicable:
         return None
     n = lattice.n_steps
-    zeros = lambda k: np.zeros(lattice.level_size(k))  # noqa: E731
     return FbsdeSolution(
-        x=NodeProcess(lattice, [np.full(lattice.level_size(k), x0) for k in range(n + 1)]),
-        zeta=NodeProcess(lattice, [zeros(k) for k in range(n + 1)]),
-        m=NodeProcess(lattice, [zeros(k) for k in range(n)]),
-        h=NodeProcess(lattice, [zeros(k) for k in range(n)]),
-        theta=NodeProcess(lattice, [zeros(k) for k in range(n)]),
+        x=NodeProcess.constant(lattice, x0),
+        zeta=NodeProcess.constant(lattice, 0.0),
+        m=NodeProcess.constant(lattice, 0.0, n_levels=n),
+        h=NodeProcess.constant(lattice, 0.0, n_levels=n),
+        theta=NodeProcess.constant(lattice, 0.0, n_levels=n),
         residuals=None,
     )

@@ -101,16 +101,19 @@ def _sweep_levels(
 
 def _stack_levels(
     lattice: Lattice, terminal: np.ndarray, levels: Iterator[tuple[int, np.ndarray, np.ndarray]]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every level of a sweep: Pi levels 0..n (the terminal last) and Z levels 0..n-1."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every level of a sweep, written into two whole-lattice buffers: Pi over
+    levels 0..n (the terminal last) and Z over levels 0..n-1, each with the
+    terminal's leading row axis."""
+    off = lattice.offsets
     n = lattice.n_steps
-    pi_levels: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    z_levels: list[np.ndarray] = [np.empty(0)] * n
-    pi_levels[n] = terminal
+    pi_flat = np.empty(terminal.shape[:-1] + (off[n + 1],))
+    z_flat = np.empty(terminal.shape[:-1] + (off[n],))
+    pi_flat[..., off[n] :] = terminal
     for k, pi, z in levels:
-        z_levels[k] = z
-        pi_levels[k] = pi
-    return pi_levels, z_levels
+        pi_flat[..., off[k] : off[k + 1]] = pi
+        z_flat[..., off[k] : off[k + 1]] = z
+    return pi_flat, z_flat
 
 
 def _driver_levels(
@@ -129,16 +132,21 @@ def _driver_levels(
 def _driver_sweep(
     lattice: Lattice, driver: Driver, terminal: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every Pi and Z level of the guarded sweep of ``driver``."""
-    return _stack_levels(lattice, terminal, _driver_levels(lattice, driver, terminal))
+    """Every Pi and Z level of the guarded sweep of ``driver``, as views
+    into the whole-lattice buffers of ``_stack_levels``."""
+    pi, z = _stack_levels(lattice, terminal, _driver_levels(lattice, driver, terminal))
+    return lattice.split_levels(pi), lattice.split_levels(z)
 
 
-def _driver_z(lattice: Lattice, driver: Driver, terminal: np.ndarray) -> list[np.ndarray]:
-    """Z levels of the guarded sweep of ``driver``; no Pi level is kept."""
-    z_levels: list[np.ndarray] = [np.empty(0)] * lattice.n_steps
+def _driver_z(lattice: Lattice, driver: Driver, terminal: np.ndarray) -> np.ndarray:
+    """Z of the guarded sweep of ``driver`` as one whole-lattice buffer per
+    row, shape ``terminal.shape[:-1] + (nodes of levels 0..n-1,)``; no Pi
+    level is kept."""
+    off = lattice.offsets
+    z_flat = np.empty(terminal.shape[:-1] + (off[lattice.n_steps],))
     for k, _, z in _driver_levels(lattice, driver, terminal):
-        z_levels[k] = z
-    return z_levels
+        z_flat[..., off[k] : off[k + 1]] = z
+    return z_flat
 
 
 def _position_terminals(lattice: Lattice, s_terminal, ys, h_m=None) -> np.ndarray:
@@ -153,20 +161,17 @@ def _unit_integrands(
 ) -> tuple[NodeProcess, NodeProcess]:
     """Integrands of the unit short and unit long payoffs, -S and S, in one sweep."""
     s = _terminal_array(lattice, s_terminal)
-    z_levels = _driver_z(lattice, driver, np.stack([-s, s]))
-    return (
-        NodeProcess(lattice, [z[0] for z in z_levels]),
-        NodeProcess(lattice, [z[1] for z in z_levels]),
-    )
+    z_minus, z_plus = _driver_z(lattice, driver, np.stack([-s, s]))
+    return NodeProcess.from_flat(lattice, z_minus), NodeProcess.from_flat(lattice, z_plus)
 
 
 def solve_bsde(lattice: Lattice, driver: Driver, terminal) -> BsdeSolution:
     """Solve the backward equation with the given driver and terminal payoff."""
     term = _terminal_array(lattice, terminal)
-    pi_levels, z_levels = _driver_sweep(lattice, driver, term)
+    pi, z = _stack_levels(lattice, term, _driver_levels(lattice, driver, term))
     return BsdeSolution(
-        pi=NodeProcess(lattice, pi_levels),
-        z=NodeProcess(lattice, z_levels),
+        pi=NodeProcess.from_flat(lattice, pi),
+        z=NodeProcess.from_flat(lattice, z),
         terminal=term,
         driver=driver,
     )
@@ -181,8 +186,9 @@ def entropic_exact(lattice: Lattice, gamma: float, terminal) -> NodeProcess:
         raise InvalidArgument("gamma must be positive")
     term = _terminal_array(lattice, terminal)
     n = lattice.n_steps
-    levels: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    levels[n] = term
+    proc = NodeProcess.empty(lattice, n + 1)
+    levels = proc.levels
+    levels[n][...] = term
     log2 = np.log(2.0)
     for k in range(n - 1, -1, -1):
         down, up = lattice.split_children(levels[k + 1])
@@ -191,8 +197,8 @@ def entropic_exact(lattice: Lattice, gamma: float, terminal) -> NodeProcess:
             raise NumericOverflow(
                 f"non-finite entropic evaluation at level {k}", level=k
             )
-        levels[k] = pi
-    return NodeProcess(lattice, levels)
+        levels[k][...] = pi
+    return proc
 
 
 def z_of_position(
@@ -255,12 +261,9 @@ def dz_dy(
     if not eps > 0:
         raise InvalidArgument("eps must be positive")
     books = _position_terminals(lattice, s_terminal, [y - eps, y, y + eps], h_m)
-    z_levels = _driver_z(lattice, driver, books)
-
-    fwd_levels = [(z[2] - z[1]) / eps for z in z_levels]
-    bwd_levels = [(z[1] - z[0]) / eps for z in z_levels]
-    forward = NodeProcess(lattice, fwd_levels)
-    backward = NodeProcess(lattice, bwd_levels)
+    z_lo, z_mid, z_hi = _driver_z(lattice, driver, books)
+    forward = NodeProcess.from_flat(lattice, (z_hi - z_mid) / eps)
+    backward = NodeProcess.from_flat(lattice, (z_mid - z_lo) / eps)
 
     disagreement = forward.sup_diff(backward)
     scale = 1.0 + forward.sup_abs()
@@ -270,9 +273,7 @@ def dz_dy(
         kink = True
     if kink:
         return DzDyResult(dz=forward, kink=True, forward=forward, backward=backward)
-    central = NodeProcess(
-        lattice, [0.5 * (f + b) for f, b in zip(fwd_levels, bwd_levels)]
-    )
+    central = NodeProcess.from_flat(lattice, 0.5 * (forward.flat + backward.flat))
     return DzDyResult(dz=central, kink=False, forward=forward, backward=backward)
 
 
@@ -335,7 +336,7 @@ def dz_dy_variational(
 
     sigma = float(markov.sigma)
 
-    def solve_f(y_shift: float) -> list[np.ndarray]:
+    def solve_f(y_shift: float) -> np.ndarray:
         primal = solve_bsde(lattice, driver, h_vals - y_shift * s_vals)
         z_levels = primal.z.levels
 
@@ -344,18 +345,14 @@ def dz_dy_variational(
             return gz * v
 
         f_terminal = (h_r - y_shift * s_r) * grad_levels[n]
-        f_levels, _ = _stack_levels(
+        f_flat, _ = _stack_levels(
             lattice, f_terminal, _sweep_levels(lattice, f_terminal, g_of_level)
         )
-        return f_levels
+        return f_flat[: lattice.offsets[n]]
 
-    f_hi = solve_f(y + eps)
-    f_lo = solve_f(y - eps)
-    dz_levels = [
-        -(hi - lo) / (2.0 * eps) / grad_levels[k] * sigma
-        for k, (hi, lo) in enumerate(zip(f_hi[:-1], f_lo[:-1]))
-    ]
-    return NodeProcess(lattice, dz_levels)
+    grad = np.concatenate(grad_levels[:n])
+    dz = -(solve_f(y + eps) - solve_f(y - eps)) / (2.0 * eps) / grad * sigma
+    return NodeProcess.from_flat(lattice, dz)
 
 
 class PositionCurve:
@@ -364,6 +361,10 @@ class PositionCurve:
     Homogeneous drivers with zero book use the exact scaling identity for
     every y instead; non-homogeneous drivers interpolate between the
     precomputed grid solutions and refuse any lookup outside the hull.
+    The grid solutions are one ``(n_y, nodes)`` buffer over the flat
+    layout of levels 0..n-1; ``_stacks[k]`` is level k's ``(n_y, k + 1)``
+    view.  Inversion needs each level monotone in y; the direction of
+    every level is found once, at the first inversion.
     """
 
     def __init__(
@@ -389,9 +390,11 @@ class PositionCurve:
             if yg.ndim != 1 or yg.size < 2 or np.any(np.diff(yg) <= 0):
                 raise InvalidArgument("y_grid must be sorted with at least 2 points")
             self.y_grid = yg
-            # one batched sweep, one row per grid position: shape (n_y, level_size)
+            # one batched sweep, one row per grid position
             books = _position_terminals(lattice, s_terminal, yg, h_m)
-            self._stacks = _driver_z(lattice, driver, books)
+            self._slab = _driver_z(lattice, driver, books)
+            self._stacks = lattice.split_levels(self._slab)
+            self._monotone = self._decreasing = None
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -435,11 +438,27 @@ class PositionCurve:
         return NodeProcess(self.lattice, levels)
 
     def invert_level(self, k: int, targets: np.ndarray) -> np.ndarray:
-        """Positions y solving Z^y = target per node (monotone curves only)."""
+        """Positions y solving Z^y = target per node of level k (monotone curves only)."""
+        return self._invert(k, k + 1, targets)
+
+    def invert(self, targets: NodeProcess) -> NodeProcess:
+        """Positions y solving Z^y = target at every node of ``targets``."""
+        return NodeProcess.from_flat(
+            self.lattice, self._invert(0, targets.n_levels, targets.flat)
+        )
+
+    def _invert(self, first: int, stop: int, targets: np.ndarray) -> np.ndarray:
+        """Inversion at the nodes of levels ``first .. stop-1``, laid out flat.
+
+        The lowest level that fails raises: a level that is not monotone in
+        y before a target outside its attainable image.
+        """
+        off = self.lattice.offsets
+        a, b = off[first], off[stop]
+        t = np.asarray(targets, dtype=float)
         if self._homogeneous:
-            zm = self.z_minus.values(k)
-            zp = self.z_plus.values(k)
-            t = np.asarray(targets, dtype=float)
+            zm = self.z_minus.flat[a:b]
+            zp = self.z_plus.flat[a:b]
             out = np.zeros_like(t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cand_pos = np.where(zm != 0.0, t / zm, np.nan)
@@ -447,46 +466,101 @@ class PositionCurve:
             nonzero = t != 0.0
             take_pos = nonzero & (cand_pos > 0)
             take_neg = nonzero & ~take_pos & (cand_neg < 0)
-            bad = nonzero & ~take_pos & ~take_neg
-            if np.any(bad):
+            if np.any(nonzero & ~take_pos & ~take_neg):
                 raise ImageViolation(
                     "integrand target outside the homogeneous image cone"
                 )
             out[take_pos] = cand_pos[take_pos]
             out[take_neg] = cand_neg[take_neg]
             return out
-        stack = self._stacks[k]  # (n_y, n_nodes)
-        diffs = np.diff(stack, axis=0)
-        if np.all(diffs > 0):
-            direction = 1.0
-        elif np.all(diffs < 0):
-            direction = -1.0
-        else:
-            raise InversionUnavailable(
-                f"position curve is not monotone in y at level {k}"
-            )
-        t = np.asarray(targets, dtype=float)
-        lo = np.min(stack, axis=0)
-        hi = np.max(stack, axis=0)
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
+        monotone, decreasing = self._directions()
+        dec = decreasing[a:b]
+        slab = self._slab
+        # a strictly monotone column has its extremes in its first and last rows
+        first_row, last_row = slab[0, a:b], slab[-1, a:b]
+        bad = t < np.where(dec, last_row, first_row) - 1e-12
+        bad |= t > np.where(dec, first_row, last_row) + 1e-12
+        failed = ~monotone[first:stop] | np.logical_or.reduceat(bad, off[first:stop] - a)
+        if np.any(failed):
+            k = first + int(np.argmax(failed))
+            if not monotone[k]:
+                raise InversionUnavailable(
+                    f"position curve is not monotone in y at level {k}"
+                )
             raise ImageViolation("integrand target outside the attainable image")
-        s = stack if direction > 0 else -stack
-        tt = t if direction > 0 else -t
-        return _interp_columns(tt, s, self.y_grid)
+        # a decreasing column is inverted as the increasing -Z against -target;
+        # blocks of columns bound the scratch memory
+        out = np.empty_like(t)
+        for c in range(0, b - a, _INVERT_BLOCK_NODES):
+            cols = slice(c, min(c + _INVERT_BLOCK_NODES, b - a))
+            sign = np.where(dec[cols], -1.0, 1.0)
+            out[cols] = _interp_columns(
+                t[cols] * sign, slab[:, a + cols.start : a + cols.stop], self.y_grid, sign
+            )
+        return out
+
+    def _directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each level is strictly monotone in y, and whether each node's
+        column decreases, found once, one pair of grid rows at a time.
+
+        ``a > b`` is ``a - b > 0`` for every pair of doubles, so this is the
+        sign of the differences along y.
+        """
+        if self._monotone is None:
+            slab = self._slab
+            rising = np.ones(slab.shape[1], dtype=bool)
+            falling = np.ones(slab.shape[1], dtype=bool)
+            step = np.empty(slab.shape[1], dtype=bool)
+            for i in range(slab.shape[0] - 1):
+                rising &= np.greater(slab[i + 1], slab[i], out=step)
+                falling &= np.less(slab[i + 1], slab[i], out=step)
+            starts = self.lattice.offsets[: self.lattice.n_steps]
+            level_rising = np.logical_and.reduceat(rising, starts)
+            level_falling = np.logical_and.reduceat(falling, starts)
+            self._monotone = level_rising | level_falling
+            self._decreasing = np.repeat(
+                ~level_rising & level_falling, np.diff(self.lattice.offsets[:-1])
+            )
+        return self._monotone, self._decreasing
 
 
-def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x[j], xp[:, j], fp)`` for every column ``j`` at once.
+# nodes the inversion works on at a time: bounds its scratch memory
+_INVERT_BLOCK_NODES = 1 << 12
+
+
+def _interp_columns(
+    x: np.ndarray, xp: np.ndarray, fp: np.ndarray, sign: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.interp(x[j], sign[j] * xp[:, j], fp)`` for every column ``j`` at once.
 
     Uses ``np.interp``'s arithmetic, so the results agree bit for bit: the
     bracket ``xp[i] <= x < xp[i+1]``, the value ``fp[i]`` on a node,
     ``slope * (x - xp[i]) + fp[i]`` between nodes and the end values of
-    ``fp`` outside the hull.  Each column of ``xp`` must increase strictly.
+    ``fp`` outside the hull.  Each column of ``sign * xp`` must increase
+    strictly.  ``sign`` (+1.0 or -1.0 per column, +1.0 if omitted) reads a
+    decreasing column as its negation, which is exact, so no signed copy of
+    ``xp`` is made.  In a strictly increasing column the nodes ``<= x`` are
+    a leading run, so its length is found by bisection, a few gathers of
+    one node per column rather than a pass over every row.
     """
-    cols = np.arange(xp.shape[1])
-    i = np.clip(np.count_nonzero(xp <= x, axis=0) - 1, 0, xp.shape[0] - 2)
-    x0 = xp[i, cols]
-    slope = (fp[i + 1] - fp[i]) / (xp[i + 1, cols] - x0)
+    n_y, n_cols = xp.shape
+    cols = np.arange(n_cols)
+
+    def node(i):
+        v = xp[i, cols]
+        return v if sign is None else v * sign
+
+    run = np.zeros(n_cols, dtype=np.intp)
+    step = 1 << (n_y.bit_length() - 1)
+    while step:
+        longer = run + step
+        fits = longer <= n_y
+        fits &= node(np.minimum(longer, n_y) - 1) <= x
+        run[fits] = longer[fits]
+        step >>= 1
+    i = np.clip(run - 1, 0, n_y - 2)
+    x0 = node(i)
+    slope = (fp[i + 1] - fp[i]) / (node(i + 1) - x0)
     out = np.where(x == x0, fp[i], slope * (x - x0) + fp[i])
-    out = np.where(x < xp[0], fp[0], out)
-    return np.where(x >= xp[-1], fp[-1], out)
+    out = np.where(x < node(0), fp[0], out)
+    return np.where(x >= node(n_y - 1), fp[-1], out)

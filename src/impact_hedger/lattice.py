@@ -9,6 +9,7 @@ and path-dependent wealth accounting; it is capped at 22 steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +61,10 @@ class Lattice:
     node ``j`` sits at slot ``j + 1`` of the next level and the down-child
     at slot ``j``.  On the full-binary topology the children of node ``j``
     are ``2j`` (down) and ``2j + 1`` (up).
+
+    A whole-lattice buffer lays the levels end to end: level ``k`` is the
+    slice ``offsets[k]:offsets[k + 1]``, and ``children`` gives the flat
+    (down, up) index of every node of levels ``0 .. n-1``.
     """
 
     def __init__(self, grid: TimeGrid, topology: str = RECOMBINING):
@@ -84,6 +89,8 @@ class Lattice:
             self._ups = ups
         else:
             self._ups = None
+        sizes = [self.level_size(k) for k in range(grid.n_steps + 1)]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
 
     # -- shape -----------------------------------------------------------
 
@@ -103,6 +110,35 @@ class Lattice:
         if self.topology == RECOMBINING:
             return np.arange(k + 1, dtype=np.int64)
         return self._ups[k]
+
+    @cached_property
+    def children(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (down-child, up-child) indices of the nodes of levels 0 .. n-1."""
+        n = self.n_steps
+        node = np.arange(self.offsets[n])
+        if self.topology == RECOMBINING:
+            # node j of level k sits at offsets[k] + j, its down-child at
+            # offsets[k + 1] + j, and offsets[k + 1] - offsets[k] = k + 1
+            down = node + np.repeat(np.arange(1, n + 1), np.diff(self.offsets[:-1]))
+        else:
+            # offsets[k] = 2^k - 1, so the children of node p are 2p + 1, 2p + 2
+            down = 2 * node + 1
+        return down, down + 1
+
+    @cached_property
+    def level_index(self) -> np.ndarray:
+        """Level of every node, in the flat layout of all n + 1 levels."""
+        return np.repeat(np.arange(self.n_steps + 1), np.diff(self.offsets))
+
+    def split_levels(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-level views of a whole-lattice buffer (levels along the last axis)."""
+        off = self.offsets
+        n_levels = int(np.searchsorted(off, flat.shape[-1]))
+        if n_levels == off.size or off[n_levels] != flat.shape[-1]:
+            raise InvalidArgument(
+                f"a buffer of {flat.shape[-1]} nodes does not end at a level boundary"
+            )
+        return [flat[..., off[k] : off[k + 1]] for k in range(n_levels)]
 
     def w_values(self, k: int) -> np.ndarray:
         """Brownian values at level ``k``: (2 * ups - k) * sqrt(dt)."""
@@ -243,35 +279,61 @@ def project_martingale_increment(
 class NodeProcess:
     """An adapted process: one value per lattice node.
 
-    ``levels`` holds one dense array per level starting from level 0.  A
-    process may stop short of the terminal level (integrands such as Z are
-    defined on levels ``0 .. n-1`` only).
+    The values live in one contiguous buffer, ``flat``, laid out level by
+    level as ``lattice.offsets`` says; ``levels[k]`` and ``values(k)`` are
+    views into it, so writing a level writes the process.  A process may
+    stop short of the terminal level (integrands such as Z are defined on
+    levels ``0 .. n-1`` only).
     """
 
-    __slots__ = ("lattice", "levels")
+    __slots__ = ("lattice", "flat", "levels")
 
     def __init__(self, lattice: Lattice, levels: Sequence[np.ndarray]):
         if not levels:
             raise InvalidArgument("a NodeProcess needs at least one level")
         if len(levels) > lattice.n_steps + 1:
             raise InvalidArgument("more levels than the lattice has")
-        arrs = []
+        self._adopt(lattice, np.empty(lattice.offsets[len(levels)]))
         for k, lv in enumerate(levels):
             a = np.asarray(lv, dtype=float)
             if a.shape != (lattice.level_size(k),):
                 raise InvalidArgument(
                     f"level {k} has size {a.shape}, expected ({lattice.level_size(k)},)"
                 )
-            arrs.append(a)
+            self.levels[k][...] = a
+
+    def _adopt(self, lattice: Lattice, flat: np.ndarray) -> None:
         self.lattice = lattice
-        self.levels = arrs
+        self.flat = flat
+        self.levels = lattice.split_levels(flat)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_flat(cls, lattice: Lattice, flat: np.ndarray) -> "NodeProcess":
+        """Process over the buffer ``flat`` itself (no copy), levels 0 .. k-1 end to end."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.ndim != 1 or not flat.size:
+            raise InvalidArgument("a NodeProcess needs a non-empty 1-d buffer")
+        if flat.size > lattice.offsets[-1]:
+            raise InvalidArgument("more levels than the lattice has")
+        proc = cls.__new__(cls)
+        proc._adopt(lattice, flat)
+        return proc
+
+    @classmethod
+    def empty(cls, lattice: Lattice, n_levels: int) -> "NodeProcess":
+        """Uninitialised process of ``n_levels`` levels, to be written level by level."""
+        if not 1 <= n_levels <= lattice.n_steps + 1:
+            raise InvalidArgument(f"a NodeProcess has 1 to {lattice.n_steps + 1} levels")
+        return cls.from_flat(lattice, np.empty(lattice.offsets[n_levels]))
+
+    @classmethod
     def constant(cls, lattice: Lattice, value: float, n_levels: int | None = None) -> "NodeProcess":
         n = lattice.n_steps + 1 if n_levels is None else n_levels
-        return cls(lattice, [np.full(lattice.level_size(k), float(value)) for k in range(n)])
+        proc = cls.empty(lattice, n)
+        proc.flat[...] = float(value)
+        return proc
 
     @classmethod
     def brownian(cls, lattice: Lattice) -> "NodeProcess":
@@ -292,20 +354,19 @@ class NodeProcess:
 
     @property
     def root(self) -> float:
-        return float(self.levels[0][0])
+        return float(self.flat[0])
 
     def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "NodeProcess":
-        return NodeProcess(self.lattice, [fn(lv) for lv in self.levels])
+        """Apply an elementwise ``fn`` to every node, in one call on the buffer."""
+        return NodeProcess.from_flat(self.lattice, fn(self.flat))
 
     def sup_diff(self, other: "NodeProcess") -> float:
         """Largest node-wise absolute difference over the shared levels."""
-        n = min(self.n_levels, other.n_levels)
-        return max(
-            float(np.max(np.abs(self.levels[k] - other.levels[k]))) for k in range(n)
-        )
+        size = min(self.flat.size, other.flat.size)
+        return float(np.max(np.abs(self.flat[:size] - other.flat[:size])))
 
     def sup_abs(self) -> float:
-        return max(float(np.max(np.abs(lv))) for lv in self.levels)
+        return float(np.max(np.abs(self.flat)))
 
     def __mul__(self, c: float) -> "NodeProcess":
         return self.map(lambda lv: lv * c)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -324,9 +324,9 @@ def _h_level_general(
 def _forward_wealth(
     lattice: Lattice,
     driver: Driver,
-    h_levels: list[np.ndarray],
+    h_levels: Sequence[np.ndarray],
     x0: float,
-) -> tuple[list[np.ndarray], float]:
+) -> tuple[NodeProcess, float]:
     """Forward accumulation dX = -g(t, H) dt + H dW on the lattice.
 
     On the recombining topology an interior node inherits the mean of its
@@ -336,18 +336,20 @@ def _forward_wealth(
     """
     grid = lattice.grid
     dt, sq = grid.dt, grid.sqrt_dt
-    x_levels = [np.full(1, float(x0))]
+    x = NodeProcess.empty(lattice, lattice.n_steps + 1)
+    x_levels = x.levels
+    x_levels[0][0] = float(x0)
     worst = 0.0
     for k in range(lattice.n_steps):
-        x = x_levels[k]
+        xk = x_levels[k]
         h = h_levels[k]
         g = np.asarray(driver.g(grid.t(k), h), dtype=float)
-        nxt, gap = lattice.forward_level(x - g * dt - h * sq, x - g * dt + h * sq)
+        nxt, gap = lattice.forward_level(xk - g * dt - h * sq, xk - g * dt + h * sq)
         worst = max(worst, gap)
         if not np.all(np.isfinite(nxt)):
             raise NumericOverflow(f"non-finite wealth at level {k + 1}", level=k + 1)
-        x_levels.append(nxt)
-    return x_levels, worst
+        x_levels[k + 1][...] = nxt
+    return x, worst
 
 
 def _project_m(lattice: Lattice, zeta_next: np.ndarray) -> np.ndarray:
@@ -379,35 +381,31 @@ def solve_fbsde_cara(
     n = lattice.n_steps
     dt = grid.dt
 
-    zeta_levels: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    m_levels: list[np.ndarray] = [np.empty(0)] * n
-    h_levels: list[np.ndarray] = [np.empty(0)] * n
-    zeta_levels[n] = np.zeros(lattice.level_size(n))
+    zeta, m, h = (NodeProcess.empty(lattice, size) for size in (n + 1, n, n))
+    zeta_levels, m_levels, h_levels = zeta.levels, m.levels, h.levels
+    zeta_levels[n][...] = 0.0
     for k in range(n - 1, -1, -1):
         t = grid.t(k)
-        m = _project_m(lattice, zeta_levels[k + 1])
-        h = _h_level_cara(driver, gamma_a, t, m)
-        f = 0.5 * gamma_a * (h + m) ** 2 + np.asarray(driver.g(t, h), dtype=float)
-        zeta = lattice.conditional_expectation(zeta_levels[k + 1]) - f * dt
-        if not np.all(np.isfinite(zeta)):
+        mk = _project_m(lattice, zeta_levels[k + 1])
+        hk = _h_level_cara(driver, gamma_a, t, mk)
+        f = 0.5 * gamma_a * (hk + mk) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
+        zk = lattice.conditional_expectation(zeta_levels[k + 1]) - f * dt
+        if not np.all(np.isfinite(zk)):
             raise NumericOverflow(f"non-finite backward value at level {k}", level=k)
-        zeta_levels[k] = zeta
-        m_levels[k] = m
-        h_levels[k] = h
+        zeta_levels[k][...] = zk
+        m_levels[k][...] = mk
+        h_levels[k][...] = hk
 
-    x_levels, consistency = _forward_wealth(lattice, driver, h_levels, x0)
+    x, consistency = _forward_wealth(lattice, driver, h_levels, x0)
 
-    h_proc = NodeProcess(lattice, h_levels)
     theta = None
     if s_terminal is not None:
-        theta = recover_theta(
-            lattice, driver, s_terminal, h_proc, y_grid=y_grid, curve=curve
-        )
+        theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
     sol = FbsdeSolution(
-        x=NodeProcess(lattice, x_levels),
-        zeta=NodeProcess(lattice, zeta_levels),
-        m=NodeProcess(lattice, m_levels),
-        h=h_proc,
+        x=x,
+        zeta=zeta,
+        m=m,
+        h=h,
         theta=theta,
         residuals=None,
         converged=True,
@@ -534,8 +532,8 @@ def solve_fbsde_picard(
         else:
             z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
 
-    bounds = np.cumsum([0] + [lattice.level_size(k) for k in range(n + 1)])
-    x_iter = np.full(bounds[-1], float(x0))
+    offsets = lattice.offsets
+    x_iter = np.full(offsets[-1], float(x0))
     converged = False
     residual_history: list[float] = []
     step_history: list[str] = []
@@ -544,42 +542,42 @@ def solve_fbsde_picard(
     x_prev = f_prev = None
 
     for iterations in range(1, max_iter + 1):
-        zeta_levels = [np.empty(0)] * (n + 1)
-        m_levels = [np.empty(0)] * n
-        h_levels = [np.empty(0)] * n
-        theta_levels = [np.empty(0)] * n
-        zeta_levels[n] = np.zeros(lattice.level_size(n))
+        zeta, m, h = (NodeProcess.empty(lattice, size) for size in (n + 1, n, n))
+        zeta_levels, m_levels, h_levels = zeta.levels, m.levels, h.levels
+        if kinked:
+            theta = NodeProcess.empty(lattice, n)
+        zeta_levels[n][...] = 0.0
         ambiguous = False
         for k in range(n - 1, -1, -1):
             t = grid.t(k)
             zeta_bar = lattice.conditional_expectation(zeta_levels[k + 1])
-            m = _project_m(lattice, zeta_levels[k + 1])
-            w = x_iter[bounds[k] : bounds[k + 1]] + zeta_bar
+            mk = _project_m(lattice, zeta_levels[k + 1])
+            w = x_iter[offsets[k] : offsets[k + 1]] + zeta_bar
             if kinked:
                 zm = z_minus.values(k)
                 zp = z_plus.values(k)
                 gm = np.asarray(driver.g(t, zm))
                 gp = np.asarray(driver.g(t, zp))
-                h, theta_k, amb = _homogeneous_h_level(
-                    utility, t, w, m, zm, zp, gm, gp, theta_plus
+                hk, theta_k, amb = _homogeneous_h_level(
+                    utility, t, w, mk, zm, zp, gm, gp, theta_plus
                 )
+                theta.levels[k][...] = theta_k
                 ambiguous = ambiguous or amb
-                theta_levels[k] = theta_k
             else:
-                h = _h_level_general(driver, utility, t, w, m)
+                hk = _h_level_general(driver, utility, t, w, mk)
             psi2 = np.asarray(utility.psi2(w))
-            f = 0.5 * psi2 * (h + m) ** 2 - np.asarray(driver.g(t, h), dtype=float)
-            zeta = zeta_bar + f * dt
-            if not np.all(np.isfinite(zeta)):
+            f = 0.5 * psi2 * (hk + mk) ** 2 - np.asarray(driver.g(t, hk), dtype=float)
+            zk = zeta_bar + f * dt
+            if not np.all(np.isfinite(zk)):
                 raise NumericOverflow(
                     f"non-finite backward value at level {k}", level=k
                 )
-            zeta_levels[k] = zeta
-            m_levels[k] = m
-            h_levels[k] = h
+            zeta_levels[k][...] = zk
+            m_levels[k][...] = mk
+            h_levels[k][...] = hk
 
-        x_levels, consistency = _forward_wealth(lattice, driver, h_levels, x0)
-        image = np.concatenate(x_levels)
+        x, consistency = _forward_wealth(lattice, driver, h_levels, x0)
+        image = x.flat
         resid = image - x_iter
         residual = float(np.max(np.abs(resid)))
         residual_history.append(residual)
@@ -609,20 +607,15 @@ def solve_fbsde_picard(
         x_prev, f_prev = x_iter, resid
         x_iter = step
 
-    h_proc = NodeProcess(lattice, h_levels)
-    if kinked:
-        theta = NodeProcess(lattice, theta_levels)
-    elif s_terminal is not None:
-        theta = recover_theta(
-            lattice, driver, s_terminal, h_proc, y_grid=y_grid, curve=curve
-        )
-    else:
+    if not kinked:
         theta = None
+        if s_terminal is not None:
+            theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
     sol = FbsdeSolution(
-        x=NodeProcess(lattice, x_levels),
-        zeta=NodeProcess(lattice, zeta_levels),
-        m=NodeProcess(lattice, m_levels),
-        h=h_proc,
+        x=x,
+        zeta=zeta,
+        m=m,
+        h=h,
         theta=theta,
         residuals=None,
         converged=converged,
@@ -655,10 +648,11 @@ def verify_optimality(
     first-order condition holds (differentiable drivers), and, for
     homogeneous drivers with the unit-payoff integrands supplied, the
     equality on traded nodes and the band inequalities on no-trade nodes.
+    The check is one pass over the whole-lattice buffers: the utility
+    callables take the flat wealth, a driver callable one level at a time.
     """
     lattice = sol.x.lattice
-    grid = lattice.grid
-    n = lattice.n_steps
+    inner = lattice.offsets[lattice.n_steps]  # the nodes of levels 0 .. n-1
     homogeneous = (
         driver.is_homogeneous
         and not driver.is_differentiable
@@ -667,64 +661,64 @@ def verify_optimality(
         and sol.theta is not None
     )
 
-    w_levels = [sol.x.values(k) + sol.zeta.values(k) for k in range(n + 1)]
-    u1_levels = [np.asarray(utility.u1(w)) for w in w_levels]
-    mart = 0.0
-    psi2_gap = 0.0
-    foc = 0.0 if driver.is_differentiable else None
-    hom_eq = 0.0 if homogeneous else None
-    slack1 = slack2 = np.inf
-    beta_levels = []
-    for k in range(n):
-        t = grid.t(k)
-        w, u1 = w_levels[k], u1_levels[k]
-        pred = lattice.conditional_expectation(u1_levels[k + 1])
-        mart = max(mart, float(np.max(np.abs(pred - u1))))
+    w_all = sol.x.flat + sol.zeta.flat
+    u1_all = np.asarray(utility.u1(w_all), dtype=float)
+    w, u1 = w_all[:inner], u1_all[:inner]
+    # in-place steps keep the scratch small; each is the operation, in the
+    # order, of 0.5 * (down + up) - u1, 0.5 * beta**2 * u3 / u2**3 and
+    # 0.5 * (u3 / u2) * hm**2
+    down, up = lattice.children
+    gap = u1_all[down]
+    gap += u1_all[up]
+    gap *= 0.5
+    gap -= u1
+    mart = float(np.max(np.abs(gap, out=gap)))
+    u2 = np.asarray(utility.u2(w))
+    h = sol.h.flat
+    m = sol.m.flat
+    hm = h + m
+    beta = u2 * hm
+    u3 = np.asarray(utility.u3(w))
+    gap = np.square(beta)
+    gap *= 0.5
+    gap *= u3
+    gap /= u2**3
+    rhs = u3 / u2
+    rhs *= 0.5
+    rhs *= np.square(hm)
+    gap -= rhs
+    psi2_gap = float(np.max(np.abs(gap, out=gap)))
+    del gap, rhs, u3
 
-        u2 = np.asarray(utility.u2(w))
-        h = sol.h.values(k)
-        m = sol.m.values(k)
-        hm = h + m
-        beta = u2 * hm
-        beta_levels.append(beta)
-        u3 = np.asarray(utility.u3(w))
-        lhs = 0.5 * beta**2 * u3 / u2**3
-        rhs = 0.5 * (u3 / u2) * hm**2
-        psi2_gap = max(psi2_gap, float(np.max(np.abs(lhs - rhs))))
+    foc = None
+    if driver.is_differentiable:
+        res = -u1 * _by_level(lattice, driver.grad, h) + u2 * (h + m)
+        foc = float(np.max(np.abs(res)))
 
-        if foc is not None:
-            res = -u1 * np.asarray(driver.grad(t, h)) + u2 * (h + m)
-            foc = max(foc, float(np.max(np.abs(res))))
-
-        if homogeneous:
-            theta = sol.theta.values(k)
-            zm = z_minus.values(k)
-            zp = z_plus.values(k)
-            gm = np.asarray(driver.g(t, zm))
-            gp = np.asarray(driver.g(t, zp))
-            traded = np.abs(theta) > band_tol
-            if np.any(traded):
-                sgn = np.sign(theta[traded])
-                z_side = np.where(sgn > 0, zm[traded], zp[traded])
-                g_side = np.where(sgn > 0, gm[traded], gp[traded])
-                res = (
-                    -u1[traded] * sgn * g_side
-                    + sgn * z_side * u2[traded] * (h[traded] + m[traded])
-                )
-                hom_eq = max(hom_eq, float(np.max(np.abs(res))))
-            idle = ~traded
-            if np.any(idle):
-                s1 = u1[idle] * gm[idle] - u2[idle] * m[idle] * zm[idle]
-                s2 = u1[idle] * gp[idle] - u2[idle] * m[idle] * zp[idle]
-                slack1 = min(slack1, float(np.min(s1)))
-                slack2 = min(slack2, float(np.min(s2)))
-
-    hom_slack = None
+    hom_eq = hom_slack = None
     if homogeneous:
-        hom_slack = (
-            slack1 if math.isfinite(slack1) else 0.0,
-            slack2 if math.isfinite(slack2) else 0.0,
-        )
+        theta = sol.theta.flat
+        zm = z_minus.flat
+        zp = z_plus.flat
+        gm = _by_level(lattice, driver.g, zm)
+        gp = _by_level(lattice, driver.g, zp)
+        traded = np.abs(theta) > band_tol
+        hom_eq = 0.0
+        if np.any(traded):
+            sgn = np.sign(theta[traded])
+            z_side = np.where(sgn > 0, zm[traded], zp[traded])
+            g_side = np.where(sgn > 0, gm[traded], gp[traded])
+            res = (
+                -u1[traded] * sgn * g_side
+                + sgn * z_side * u2[traded] * (h[traded] + m[traded])
+            )
+            hom_eq = float(np.max(np.abs(res)))
+        idle = ~traded
+        slack1 = slack2 = math.inf
+        if np.any(idle):
+            slack1 = float(np.min(u1[idle] * gm[idle] - u2[idle] * m[idle] * zm[idle]))
+            slack2 = float(np.min(u1[idle] * gp[idle] - u2[idle] * m[idle] * zp[idle]))
+        hom_slack = tuple(v if math.isfinite(v) else 0.0 for v in (slack1, slack2))
 
     return OptimalityReport(
         martingale_residual=mart,
@@ -732,8 +726,21 @@ def verify_optimality(
         homogeneous_equality_residual=hom_eq,
         homogeneous_slack=hom_slack,
         psi2_consistency=psi2_gap,
-        beta=NodeProcess(lattice, beta_levels),
+        beta=NodeProcess.from_flat(lattice, beta),
     )
+
+
+def _by_level(lattice: Lattice, fn: Callable, values: np.ndarray) -> np.ndarray:
+    """``fn(t_k, level k of values)`` for every level of a whole-lattice buffer.
+
+    ``fn`` is a driver callable: it takes a scalar time, so it is called
+    once per level, each result written into one flat buffer.
+    """
+    out = np.empty_like(values)
+    grid = lattice.grid
+    for k, (lv, dst) in enumerate(zip(lattice.split_levels(values), lattice.split_levels(out))):
+        dst[...] = fn(grid.t(k), lv)
+    return out
 
 
 def recover_theta(
@@ -752,7 +759,4 @@ def recover_theta(
     """
     if curve is None:
         curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
-    theta_levels = [
-        curve.invert_level(k, h.values(k)) for k in range(h.n_levels)
-    ]
-    return NodeProcess(lattice, theta_levels)
+    return curve.invert(h)

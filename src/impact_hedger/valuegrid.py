@@ -16,6 +16,7 @@ from .driver import Driver
 from .errors import (
     ConcavityViolation,
     ControlBracketExhausted,
+    ExtrapolationRefused,
     InvalidArgument,
     InverseDomainError,
     NumericOverflow,
@@ -431,7 +432,9 @@ def fbsde_from_surface(
 
     Wealth follows the policy integrand; the backward value is
     I(V_x(t, X)) - X and its martingale part is
-    upsilon V_xx / U''(X + zeta) - upsilon.
+    upsilon V_xx / U''(X + zeta) - upsilon.  Every read of the surface
+    must lie in its stencil-safe interior: a level whose lattice wealth
+    leaves it raises ``ExtrapolationRefused``.
     """
     tgrid, xgrid = surface.tgrid, surface.xgrid
     if lattice.n_steps != tgrid.n_steps or abs(lattice.grid.horizon - tgrid.horizon) > 1e-12:
@@ -440,21 +443,36 @@ def fbsde_from_surface(
     dt, sq = grid.dt, grid.sqrt_dt
     n = lattice.n_steps
     x_axis = xgrid.x
+    x_lo, x_hi = x_axis[xgrid.interior][[0, -1]]
 
-    x_levels = [np.full(1, float(x0))]
-    h_levels: list[np.ndarray] = []
+    x = NodeProcess.empty(lattice, n + 1)
+    h = NodeProcess.empty(lattice, n)
+    x_levels, h_levels = x.levels, h.levels
+    x_levels[0][0] = float(x0)
     consistency = 0.0
-    for k in range(n):
+
+    def check_on_grid(k: int) -> None:
         xk = x_levels[k]
-        ups = np.interp(xk, x_axis, policy.upsilon[k])
+        if not (np.min(xk) >= x_lo and np.max(xk) <= x_hi):
+            raise ExtrapolationRefused(
+                f"lattice wealth at level {k} spans {np.min(xk):.6g}..{np.max(xk):.6g}, "
+                f"outside the surface interior [{x_lo:.6g}, {x_hi:.6g}]"
+            )
+
+    for k in range(n):
+        check_on_grid(k)
+        xk = x_levels[k]
+        ups = h_levels[k]
+        ups[...] = np.interp(xk, x_axis, policy.upsilon[k])
         g = np.asarray(driver.g(grid.t(k), ups), dtype=float)
         nxt, gap = lattice.forward_level(xk - g * dt - ups * sq, xk - g * dt + ups * sq)
         consistency = max(consistency, gap)
-        h_levels.append(ups)
-        x_levels.append(nxt)
+        x_levels[k + 1][...] = nxt
+    check_on_grid(n)
 
-    zeta_levels = []
-    m_levels = []
+    zeta = NodeProcess.empty(lattice, n + 1)
+    m = NodeProcess.empty(lattice, n)
+    theta = NodeProcess.empty(lattice, n)
     for k in range(n + 1):
         xk = x_levels[k]
         # smooth off-grid reads: linear interpolation of the stencil fields
@@ -462,23 +480,21 @@ def fbsde_from_surface(
         vx = _pchip(x_axis, surface.v_x(k), xk)
         if np.any(vx <= 0):
             raise InverseDomainError("V_x must be positive to invert the marginal utility")
-        zeta = np.asarray(utility.inverse_marginal(vx), dtype=float) - xk
-        zeta_levels.append(zeta)
+        zk = zeta.levels[k]
+        zk[...] = np.asarray(utility.inverse_marginal(vx), dtype=float) - xk
         if k < n:
             vxx = _pchip(x_axis, surface.v_xx(k), xk)
             ups = h_levels[k]
-            u2 = np.asarray(utility.u2(xk + zeta))
-            m_levels.append((ups * vxx) / u2 - ups)
+            u2 = np.asarray(utility.u2(xk + zk))
+            m.levels[k][...] = (ups * vxx) / u2 - ups
+            theta.levels[k][...] = np.interp(xk, x_axis, policy.theta_hat[k])
 
-    theta_levels = [
-        np.interp(x_levels[k], x_axis, policy.theta_hat[k]) for k in range(n)
-    ]
     sol = FbsdeSolution(
-        x=NodeProcess(lattice, x_levels),
-        zeta=NodeProcess(lattice, zeta_levels),
-        m=NodeProcess(lattice, m_levels),
-        h=NodeProcess(lattice, h_levels),
-        theta=NodeProcess(lattice, theta_levels),
+        x=x,
+        zeta=zeta,
+        m=m,
+        h=h,
+        theta=theta,
         residuals=None,
         forward_consistency=consistency,
     )
