@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from impact_hedger import (
     NodeProcess,
     PositionCurve,
+    WealthGrid,
     build_binomial,
     build_full_binary,
     cara_utility,
@@ -35,7 +36,7 @@ from impact_hedger import (
 )
 from impact_hedger import optimizer
 from impact_hedger.cli import load_config, run
-from impact_hedger.errors import ImageViolation, InversionUnavailable
+from impact_hedger.errors import ExtrapolationRefused, ImageViolation, InversionUnavailable
 from impact_hedger.gexpect import _unit_integrands
 from impact_hedger.optimizer import FbsdeSolution, recover_theta
 
@@ -484,9 +485,10 @@ def test_value_refuses_lattice_wealth_off_the_surface(tmp_path, x0):
 
 def test_value_names_the_level_where_wealth_leaves_the_surface(tmp_path):
     # x0 on the interior edge: the first up-move leaves it
+    xgrid = WealthGrid(-3.0, 3.0, 121)
     cfg = tmp_path / "desk.ini"
-    cfg.write_text(_VALUE_DESK.format(x0=3.0 - 3 * 6.0 / 120))
-    with pytest.raises(Exception, match=r"level 1 spans .* outside the surface interior"):
+    cfg.write_text(_VALUE_DESK.format(x0=repr(float(xgrid.x[xgrid.interior][-1]))))
+    with pytest.raises(ExtrapolationRefused, match=r"level 1 spans .* outside the surface interior"):
         run("value", cfg, tmp_path)
 
 
