@@ -13,20 +13,21 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver
+from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver, quadratic_driver
 from .errors import (
     ContractViolation,
     DomainError,
     InvalidArgument,
     NumericOverflow,
-    RootNotFound,
 )
 from .gexpect import PositionCurve
 from .lattice import Lattice, NodeProcess
 from .optimizer import (
     FbsdeSolution,
     UtilitySpec,
+    _decreasing_root,
     _forward_wealth,
+    _invert_scalar_decreasing,
     verify_optimality,
 )
 
@@ -64,22 +65,16 @@ class MarketSpec:
 def girsanov_density(lattice: Lattice, eta) -> NodeProcess:
     """Density process exp(-1/2 int eta^2 ds - int eta dW) on the lattice.
 
-    Node-measurable for constant eta; for level-varying eta the interior
-    nodes take the mean of the two parent accumulations.
+    The log density is the wealth, from 0, of the integrand -eta under the
+    driver z^2 / 2, so it is one forward wealth pass.  Node-measurable for
+    constant eta; for level-varying eta the interior nodes take the mean of
+    the two parent accumulations.
     """
     fn = _as_time_fn(eta)
-    grid = lattice.grid
-    dt, sq = grid.dt, grid.sqrt_dt
-    log_density = NodeProcess.empty(lattice, lattice.n_steps + 1)
-    log_levels = log_density.levels
-    log_levels[0][...] = 0.0
-    for k in range(lattice.n_steps):
-        e = fn(grid.t(k))
-        prev = log_levels[k]
-        nxt, _ = lattice.forward_level(
-            prev - 0.5 * e * e * dt + e * sq, prev - 0.5 * e * e * dt - e * sq
-        )
-        log_levels[k + 1][...] = nxt
+    t = lattice.grid.t
+    log_density, _ = _forward_wealth(
+        lattice, quadratic_driver(0.5), lambda k, x: np.full_like(x, -fn(t(k))), 0.0
+    )
     return log_density.map(np.exp)
 
 
@@ -88,7 +83,7 @@ def inverse_marginal_f(utility: UtilitySpec, gamma: float) -> Callable[[np.ndarr
 
     CARA utilities have the explicit form
     f(v) = -log(gamma v / gamma_a) / (gamma + gamma_a); anything else is
-    inverted by bracketed bisection.
+    inverted by a bracketed root search.
     """
     if not gamma > 0:
         raise InvalidArgument("gamma must be positive")
@@ -108,23 +103,9 @@ def inverse_marginal_f(utility: UtilitySpec, gamma: float) -> Callable[[np.ndarr
         return float(utility.u1(np.asarray(x))) * np.exp(-gamma * x) / gamma
 
     def f_generic(v):
-        from scipy.optimize import brentq
-
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(arr <= 0):
+        if np.any(np.asarray(v, dtype=float) <= 0):
             raise DomainError("inverse marginal defined for positive arguments only")
-        out = np.empty_like(arr)
-        for i, vi in enumerate(arr):
-            lo, hi = -1.0, 1.0
-            for _ in range(200):
-                if forward(lo) >= vi >= forward(hi):
-                    out[i] = brentq(lambda x: forward(x) - vi, lo, hi, xtol=1e-13)
-                    break
-                lo *= 2.0
-                hi *= 2.0
-            else:
-                raise RootNotFound(f"could not bracket {vi}", bracket=(lo, hi))
-        return out if np.ndim(v) else float(out[0])
+        return _invert_scalar_decreasing(forward, v, xtol=1e-13)
 
     return f_generic
 
@@ -148,7 +129,6 @@ def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
             raise NumericOverflow(f"budget multiplier lambda = {lam!r} is out of float range")
         return lam
 
-    from scipy.optimize import brentq
     from scipy.special import roots_hermitenorm
 
     f = inverse_marginal_f(market.utility, gamma)
@@ -163,13 +143,8 @@ def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
         xt = f(lam * xi)
         return float(np.sum(weights * np.exp(gamma * xt) * xi)) - target
 
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if budget_gap(lo) >= 0.0 >= budget_gap(hi):
-            return float(np.exp(brentq(budget_gap, lo, hi, xtol=1e-13)))
-        lo -= 1.0
-        hi += 1.0
-    raise RootNotFound("could not bracket the budget multiplier", bracket=(lo, hi))
+    widen = lambda lo, hi: (lo - 1.0, hi + 1.0)  # noqa: E731
+    return float(np.exp(_decreasing_root(budget_gap, -1.0, 1.0, 1e-13, widen, 200)))
 
 
 def optimal_terminal_wealth(
@@ -216,10 +191,11 @@ def exponential_triple(
         level[...] = sum(terms[k:]) / (2.0 * (gamma + ga))
 
     driver = market.driver()
-    x, consistency = _forward_wealth(lattice, driver, h.levels, market.x0)
+    x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], market.x0)
 
     theta = None
     if s_terminal is not None:
+        # bound at call time, so a patched optimizer.recover_theta is the one called
         from .optimizer import recover_theta
 
         theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)

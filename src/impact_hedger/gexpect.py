@@ -58,11 +58,12 @@ class BsdeSolution:
 def _sweep_levels(
     lattice: Lattice,
     terminal: np.ndarray,
-    g_of_level: Callable[[int, np.ndarray], np.ndarray],
+    g_of_level: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     slope_of_level: Callable[[int, np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The backward recursion, one level at a time: yields ``(k, Pi_k, Z_k)``
-    for k = n-1 down to 0; ``g_of_level(k, z)`` may depend on the level.
+    for k = n-1 down to 0.  ``g_of_level(k, z, cond)`` gets the level, Z_k
+    and the level mean ``cond`` = E_k[Pi_{k+1}]; it may depend on all three.
 
     ``terminal`` is one buffer of shape ``(level_size(n),)`` or a batch of
     them, shape ``(rows, level_size(n))``; each level keeps the leading row
@@ -82,7 +83,7 @@ def _sweep_levels(
         down, up = lattice.split_children(pi)
         z = -(up - down) / (2.0 * sq)
         cond = 0.5 * (down + up)
-        g = np.asarray(g_of_level(k, z), dtype=float)
+        g = np.asarray(g_of_level(k, z, cond), dtype=float)
         pi = cond - g * dt
         if not np.all(np.isfinite(pi)):
             raise NumericOverflow(
@@ -124,7 +125,7 @@ def _driver_levels(
     return _sweep_levels(
         lattice,
         terminal,
-        lambda k, z: driver.g(grid.t(k), z),
+        lambda k, z, _: driver.g(grid.t(k), z),
         lambda k, z: driver.lipschitz_slope(grid.t(k), z),
     )
 
@@ -340,7 +341,7 @@ def dz_dy_variational(
         primal = solve_bsde(lattice, driver, h_vals - y_shift * s_vals)
         z_levels = primal.z.levels
 
-        def g_of_level(k: int, v: np.ndarray) -> np.ndarray:
+        def g_of_level(k: int, v: np.ndarray, _) -> np.ndarray:
             gz = np.asarray(driver.g_z(grid.t(k), z_levels[k]))
             return gz * v
 

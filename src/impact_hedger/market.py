@@ -13,8 +13,9 @@ import numpy as np
 
 from .driver import Driver
 from .errors import ContractViolation, InvalidArgument
-from .gexpect import PositionCurve, _driver_levels, _terminal_array, solve_bsde
+from .gexpect import PositionCurve, _driver_levels, _driver_sweep, _terminal_array, solve_bsde
 from .lattice import FULL_BINARY, Lattice, NodeProcess
+from .optimizer import _forward_wealth
 
 
 @dataclass
@@ -158,23 +159,15 @@ def pnl_process(
         raise InvalidArgument("pass the recombining lattice; expansion is internal")
     binary = lattice.expand_full_binary()
     curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
-    grid = lattice.grid
-    dt, sq = grid.dt, grid.sqrt_dt
+    z_theta = NodeProcess.empty(binary, lattice.n_steps)
 
-    gains_levels = [np.zeros(1)]
-    z_levels = []
-    for k in range(lattice.n_steps):
-        theta_k = strategy.theta.values(k)
-        z_rec = curve.z_level(k, theta_k)
-        z_bin = lattice.lift_level(z_rec, k, binary)
-        g_bin = np.asarray(driver.g(grid.t(k), z_bin), dtype=float)
-        drift = gains_levels[k] - g_bin * dt
-        gains_levels.append(binary.forward_level(drift - z_bin * sq, drift + z_bin * sq)[0])
-        z_levels.append(z_bin)
+    def z_of_level(k: int, _) -> np.ndarray:
+        z_bin = z_theta.levels[k]
+        z_bin[...] = lattice.lift_level(curve.z_level(k, strategy.theta.values(k)), k, binary)
+        return z_bin
 
-    gains = NodeProcess(binary, gains_levels)
+    gains, _ = _forward_wealth(binary, driver, z_of_level, 0.0)
     x = gains.map(lambda lv: lv + x0)
-    z_theta = NodeProcess(binary, z_levels)
     return WealthPath(lattice=binary, x=x, gains=gains, z_theta=z_theta, x0=x0)
 
 
@@ -194,27 +187,25 @@ def simple_strategy_pnl(
     binary = lattice.expand_full_binary()
     n = lattice.n_steps
 
-    theta_levels = [float(strategy.theta.values(k)[0]) for k in range(n)]
-    for k in range(n):
-        if np.ptp(strategy.theta.values(k)) != 0.0:
-            raise ContractViolation(
-                "simple strategies must be level-constant for trade-by-trade pricing"
-            )
+    levels = strategy.theta.levels[:n]
+    if any(np.ptp(lv) != 0.0 for lv in levels):
+        raise ContractViolation(
+            "simple strategies must be level-constant for trade-by-trade pricing"
+        )
+    # held[k] is the position before the trade at level k, held[k + 1] after it
+    held = [0.0] + [float(lv[0]) for lv in levels]
 
     total_cost = np.zeros(binary.level_size(n))
-    for k in strategy.jump_levels:
-        theta_old = theta_levels[k - 1] if k > 0 else 0.0
-        theta_new = theta_levels[k]
-        pi_hold = solve_bsde(lattice, driver, -theta_old * s).pi.values(k)
-        pi_after = solve_bsde(lattice, driver, -theta_new * s).pi.values(k)
-        price_nodes = pi_hold - pi_after
+    jumps = strategy.jump_levels
+    if jumps:  # the books held before and after each jump, swept as one batch
+        books = np.stack([-held[k + j] * s for k in jumps for j in (0, 1)])
+        pi_levels, _ = _driver_sweep(lattice, driver, books)
+    for i, k in enumerate(jumps):
+        price_nodes = pi_levels[k][2 * i] - pi_levels[k][2 * i + 1]
         # book the cost at the path's level-k ancestor and carry it to maturity
         carried = lattice.lift_level(price_nodes, k, binary)
         total_cost += np.repeat(carried, 1 << (n - k))
-
-    s_bin = lattice.lift_level(s, n, binary)
-    theta_T = theta_levels[-1]
-    return theta_T * s_bin - total_cost
+    return held[-1] * lattice.lift_level(s, n, binary) - total_cost
 
 
 def check_admissible(
@@ -246,8 +237,10 @@ def expected_terminal_utility(
 
     CARA utilities factor multiplicatively over path increments, so the
     expectation collapses to a backward recursion on the recombining
-    lattice at any depth.  Other utilities fall back to full path
-    enumeration, which is capped by the binary-expansion limit.
+    lattice at any depth.  Other utilities enumerate every path, capped by
+    the binary-expansion limit, with the wealth step of ``_forward_wealth``
+    written out here: only the last level is kept, where a whole process
+    would hold 2^(n+1) nodes.
     """
     if isinstance(z_levels, NodeProcess):
         z_levels = z_levels.levels

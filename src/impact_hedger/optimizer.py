@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,13 @@ from .errors import (
     NumericOverflow,
     RootNotFound,
 )
-from .gexpect import PositionCurve, _unit_integrands, solve_bsde  # noqa: F401  (re-exported)
+from .gexpect import (  # noqa: F401  (solve_bsde re-exported)
+    PositionCurve,
+    _stack_levels,
+    _sweep_levels,
+    _unit_integrands,
+    solve_bsde,
+)
 from .lattice import Lattice, NodeProcess
 
 
@@ -87,15 +93,11 @@ def custom_utility(
     u3: Callable,
     inverse_marginal: Callable | None = None,
 ) -> UtilitySpec:
-    """Wrap user callables; the inverse marginal falls back to bisection."""
+    """Wrap user callables; the inverse marginal falls back to a root search."""
     if inverse_marginal is None:
 
         def inverse_marginal(v):
-            v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-            out = np.empty_like(v_arr)
-            for i, vi in enumerate(v_arr):
-                out[i] = _invert_scalar_decreasing(lambda x: float(u1(x)), vi)
-            return out if np.ndim(v) else float(out[0])
+            return _invert_scalar_decreasing(lambda x: float(u1(x)), v)
 
     spec = UtilitySpec(
         kind="custom", u=u, u1=u1, u2=u2, u3=u3,
@@ -105,17 +107,47 @@ def custom_utility(
     return spec
 
 
-def _invert_scalar_decreasing(fn: Callable[[float], float], target: float) -> float:
-    """Solve fn(x) = target for a strictly decreasing fn on an expanding bracket."""
+def _invert_scalar_decreasing(
+    fn: Callable[[float], float], v, xtol: float = 1e-14
+) -> np.ndarray | float:
+    """Solve fn(x) = v for a strictly decreasing scalar fn, element by element
+    of ``v``, on a bracket that starts at [-1, 1] and doubles."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.empty_like(arr)
+    for i, vi in enumerate(arr):
+        out[i] = _decreasing_root(lambda x: fn(x) - vi, -1.0, 1.0, xtol, _double, 200)
+    return out if np.ndim(v) else float(out[0])
+
+
+def _double(lo: float, hi: float) -> tuple[float, float]:
+    return lo * 2.0, hi * 2.0
+
+
+def _decreasing_root(
+    fn: Callable[[float], float],
+    lo: float,
+    hi: float,
+    xtol: float,
+    widen: Callable[[float, float], tuple[float, float]],
+    tries: int,
+) -> float:
+    """Root of a decreasing scalar fn by Brent's method with tolerance ``xtol``.
+
+    The bracket is widened by ``widen(lo, hi)`` until fn(lo) >= 0 >= fn(hi),
+    trying at most ``tries`` brackets; ``RootNotFound`` carries the last one.
+    """
     from scipy.optimize import brentq
 
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if fn(lo) >= target >= fn(hi):
-            return brentq(lambda x: fn(x) - target, lo, hi, xtol=1e-14)
-        lo *= 2.0
-        hi *= 2.0
-    raise RootNotFound(f"could not bracket target {target}", bracket=(lo, hi))
+    for attempt in range(tries):
+        if attempt:
+            lo, hi = widen(lo, hi)
+        if fn(lo) >= 0.0 >= fn(hi):
+            return brentq(fn, lo, hi, xtol=xtol)
+    raise RootNotFound(
+        f"no sign change of a decreasing function in {tries} brackets, "
+        f"the last [{lo!r}, {hi!r}]",
+        bracket=(lo, hi),
+    )
 
 
 @dataclass
@@ -165,9 +197,9 @@ def solve_h(
 ) -> float:
     """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0.
 
-    Affine gradients admit a closed form; otherwise the root is bracketed
-    inside |H| <= |m| + |psi1 g_z(t, 0)| + 1, which contains it whenever
-    the driver is convex.
+    Affine gradients admit a closed form; otherwise the search starts from
+    |H| <= |m| + |psi1 g_z(t, 0)| + 1, which contains the root whenever the
+    driver is convex (the condition then decreases in H).
     """
     if not driver.is_differentiable:
         raise ContractViolation("solve_h requires a differentiable driver")
@@ -184,8 +216,6 @@ def solve_h(
         _assert_linear_growth(h, m, psi1, b)
         return float(h)
 
-    from scipy.optimize import brentq
-
     gz0 = float(driver.grad(t, 0.0))
     radius = abs(m) + abs(psi1 * gz0) + 1.0
     u1 = float(utility.u1(np.asarray(w)))
@@ -193,23 +223,9 @@ def solve_h(
     def foc(hh: float) -> float:
         return -u1 * float(driver.grad(t, hh)) + u2 * (hh + m)
 
-    lo, hi = -radius, radius
-    for _ in range(60):
-        flo, fhi = foc(lo), foc(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0:
-            h = brentq(foc, lo, hi, xtol=1e-14)
-            _assert_linear_growth(h, m, psi1, gz0)
-            return float(h)
-        lo *= 2.0
-        hi *= 2.0
-    raise RootNotFound(
-        f"no sign change for the first-order condition in [{lo}, {hi}]",
-        bracket=(lo, hi),
-    )
+    h = _decreasing_root(foc, -radius, radius, 1e-14, _double, 60)
+    _assert_linear_growth(h, m, psi1, gz0)
+    return float(h)
 
 
 def _assert_linear_growth(h: float, m: float, psi1: float, gz0: float) -> None:
@@ -249,32 +265,13 @@ def solve_h_homogeneous(
     and otherwise the no-trade band absorbs the position.  When both
     branches fire at once the root is ambiguous unless short sales are
     excluded (``theta_plus``), in which case only the long branch is used.
+    A zero ``z_plus`` has no short branch.
     """
     if z_minus == 0.0:
         raise InvalidArgument("unit-short integrand must be nonzero")
-    w = np.asarray(x + zeta)
-    psi1 = float(utility.psi1(w))
-
-    cand_long = (-z_minus * m + psi1 * g_minus) / (z_minus * z_minus)
-    if theta_plus:
-        if cand_long > 0:
-            return HomogeneousRoot(theta=cand_long, h=cand_long * z_minus, ambiguous=False)
-        return HomogeneousRoot(theta=0.0, h=0.0, ambiguous=False)
-
-    cand_short = -(-z_plus * m + psi1 * g_plus) / (z_plus * z_plus)
-    long_active = cand_long > 0
-    short_active = cand_short < 0
-    if long_active and short_active:
-        return HomogeneousRoot(
-            theta=cand_long, h=cand_long * z_minus, ambiguous=True
-        )
-    if long_active:
-        return HomogeneousRoot(theta=cand_long, h=cand_long * z_minus, ambiguous=False)
-    if short_active:
-        return HomogeneousRoot(
-            theta=cand_short, h=abs(cand_short) * z_plus, ambiguous=False
-        )
-    return HomogeneousRoot(theta=0.0, h=0.0, ambiguous=False)
+    rows = np.array([[x + zeta], [m], [z_minus], [z_plus], [g_minus], [g_plus]], dtype=float)
+    h, theta, ambiguous = _homogeneous_h_level(utility, *rows, theta_plus)
+    return HomogeneousRoot(theta=float(theta[0]), h=float(h[0]), ambiguous=ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +294,7 @@ def _h_level_cara(driver: Driver, gamma_a: float, t: float, m: np.ndarray) -> np
         out = np.where(h_pos > 0, h_pos, out)
         out = np.where(h_neg < 0, h_neg, out)
         return out
-    utility = cara_utility(gamma_a)
-    return np.array(
-        [solve_h(driver, utility, t, 0.0, 0.0, float(mi)) for mi in np.atleast_1d(m)]
-    )
+    return _h_level_general(driver, cara_utility(gamma_a), t, np.zeros_like(m), m)
 
 
 def _h_level_general(
@@ -324,15 +318,16 @@ def _h_level_general(
 def _forward_wealth(
     lattice: Lattice,
     driver: Driver,
-    h_levels: Sequence[np.ndarray],
+    h_of_level: Callable[[int, np.ndarray], np.ndarray],
     x0: float,
 ) -> tuple[NodeProcess, float]:
     """Forward accumulation dX = -g(t, H) dt + H dW on the lattice.
 
-    On the recombining topology an interior node inherits the mean of its
-    two parents' predictions; the largest parent disagreement is returned
-    as a consistency diagnostic (exactly zero when H is deterministic per
-    level).
+    ``h_of_level(k, x_k)`` gives the integrand at level k from the wealth
+    already built there.  On the recombining topology an interior node
+    inherits the mean of its two parents' predictions; the largest parent
+    disagreement is returned as a consistency diagnostic (exactly zero when
+    H is deterministic per level).
     """
     grid = lattice.grid
     dt, sq = grid.dt, grid.sqrt_dt
@@ -342,7 +337,7 @@ def _forward_wealth(
     worst = 0.0
     for k in range(lattice.n_steps):
         xk = x_levels[k]
-        h = h_levels[k]
+        h = h_of_level(k, xk)
         g = np.asarray(driver.g(grid.t(k), h), dtype=float)
         nxt, gap = lattice.forward_level(xk - g * dt - h * sq, xk - g * dt + h * sq)
         worst = max(worst, gap)
@@ -350,12 +345,6 @@ def _forward_wealth(
             raise NumericOverflow(f"non-finite wealth at level {k + 1}", level=k + 1)
         x_levels[k + 1][...] = nxt
     return x, worst
-
-
-def _project_m(lattice: Lattice, zeta_next: np.ndarray) -> np.ndarray:
-    """M_k = +E_k[zeta_{k+1} dW] / dt (the backward pair carries +M dW)."""
-    down, up = lattice.split_children(zeta_next)
-    return (up - down) / (2.0 * lattice.grid.sqrt_dt)
 
 
 def solve_fbsde_cara(
@@ -370,33 +359,26 @@ def solve_fbsde_cara(
     """Decoupled solve for CARA utility.
 
     The backward pair solves zeta_k = E_k[zeta_{k+1}] - f(t_k, M_k) dt with
-    f(t, M) = (gamma_a / 2) |H + M|^2 + g(t, H) and zero terminal value;
-    wealth then accumulates forward with integrand H(t, M).  The optimal
-    holdings are recovered from the position curve (``curve``, or one
-    built from ``y_grid``) when the traded payoff is supplied.
+    f(t, M) = (gamma_a / 2) |H + M|^2 + g(t, H) and zero terminal value, in
+    one backward sweep; wealth then accumulates forward with H(t, M).  The
+    optimal holdings are recovered from the position curve (``curve``, or
+    one built from ``y_grid``) when the traded payoff is supplied.
     """
     if not gamma_a > 0:
         raise InvalidArgument("gamma_a must be positive")
     grid = lattice.grid
     n = lattice.n_steps
-    dt = grid.dt
+    h = NodeProcess.empty(lattice, n)
 
-    zeta, m, h = (NodeProcess.empty(lattice, size) for size in (n + 1, n, n))
-    zeta_levels, m_levels, h_levels = zeta.levels, m.levels, h.levels
-    zeta_levels[n][...] = 0.0
-    for k in range(n - 1, -1, -1):
+    def f_of_level(k: int, z: np.ndarray, _) -> np.ndarray:
         t = grid.t(k)
-        mk = _project_m(lattice, zeta_levels[k + 1])
-        hk = _h_level_cara(driver, gamma_a, t, mk)
-        f = 0.5 * gamma_a * (hk + mk) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
-        zk = lattice.conditional_expectation(zeta_levels[k + 1]) - f * dt
-        if not np.all(np.isfinite(zk)):
-            raise NumericOverflow(f"non-finite backward value at level {k}", level=k)
-        zeta_levels[k][...] = zk
-        m_levels[k][...] = mk
-        h_levels[k][...] = hk
+        m = -z
+        hk = h.levels[k]
+        hk[...] = _h_level_cara(driver, gamma_a, t, m)
+        return 0.5 * gamma_a * (hk + m) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
 
-    x, consistency = _forward_wealth(lattice, driver, h_levels, x0)
+    zeta, m = _backward_pair(lattice, f_of_level)
+    x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], x0)
 
     theta = None
     if s_terminal is not None:
@@ -408,17 +390,23 @@ def solve_fbsde_cara(
         h=h,
         theta=theta,
         residuals=None,
-        converged=True,
-        iterations=0,
         forward_consistency=consistency,
     )
     sol.residuals = verify_optimality(sol, driver, cara_utility(gamma_a))
     return sol
 
 
+def _backward_pair(lattice: Lattice, f_of_level: Callable) -> tuple[NodeProcess, NodeProcess]:
+    """(zeta, M) of the backward sweep of ``f_of_level`` from a zero terminal
+    value; M = -Z, since the pair carries +M dW."""
+    terminal = np.zeros(lattice.level_size(lattice.n_steps))
+    zeta, z = _stack_levels(lattice, terminal, _sweep_levels(lattice, terminal, f_of_level))
+    m = np.negative(z, out=z)
+    return NodeProcess.from_flat(lattice, zeta), NodeProcess.from_flat(lattice, m)
+
+
 def _homogeneous_h_level(
     utility: UtilitySpec,
-    t: float,
     w: np.ndarray,
     m: np.ndarray,
     zm: np.ndarray,
@@ -427,7 +415,10 @@ def _homogeneous_h_level(
     gp: np.ndarray,
     theta_plus: bool,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Vectorized kinked first-order condition; returns (h, theta, ambiguous)."""
+    """Vectorized kinked first-order condition; returns (h, theta, ambiguous).
+
+    A node with ``zp == 0`` has no short branch.
+    """
     psi1 = np.asarray(utility.psi1(w))
     cand_long = (-zm * m + psi1 * gm) / (zm * zm)
     long_on = cand_long > 0
@@ -515,25 +506,19 @@ def solve_fbsde_picard(
         raise InvalidArgument("damping must lie in (0, 1]")
     if max_iter < 1:
         raise InvalidArgument("max_iter must be at least 1")
-    grid = lattice.grid
-    n = lattice.n_steps
-    dt = grid.dt
-
-    kinked = driver.is_homogeneous and not driver.is_differentiable
-    if kinked:
+    kink = z_minus = z_plus = None
+    if driver.is_homogeneous and not driver.is_differentiable:
         if s_terminal is None:
             raise ContractViolation(
                 "homogeneous drivers need s_terminal for the unit integrands"
             )
-        if theta_plus is None:
-            theta_plus = True
         if curve is not None and curve.y_grid is None:
             z_minus, z_plus = curve.z_minus, curve.z_plus
         else:
             z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
+        kink = (z_minus, z_plus, True if theta_plus is None else theta_plus)
 
-    offsets = lattice.offsets
-    x_iter = np.full(offsets[-1], float(x0))
+    x_iter = np.full(lattice.offsets[-1], float(x0))
     converged = False
     residual_history: list[float] = []
     step_history: list[str] = []
@@ -542,41 +527,8 @@ def solve_fbsde_picard(
     x_prev = f_prev = None
 
     for iterations in range(1, max_iter + 1):
-        zeta, m, h = (NodeProcess.empty(lattice, size) for size in (n + 1, n, n))
-        zeta_levels, m_levels, h_levels = zeta.levels, m.levels, h.levels
-        if kinked:
-            theta = NodeProcess.empty(lattice, n)
-        zeta_levels[n][...] = 0.0
-        ambiguous = False
-        for k in range(n - 1, -1, -1):
-            t = grid.t(k)
-            zeta_bar = lattice.conditional_expectation(zeta_levels[k + 1])
-            mk = _project_m(lattice, zeta_levels[k + 1])
-            w = x_iter[offsets[k] : offsets[k + 1]] + zeta_bar
-            if kinked:
-                zm = z_minus.values(k)
-                zp = z_plus.values(k)
-                gm = np.asarray(driver.g(t, zm))
-                gp = np.asarray(driver.g(t, zp))
-                hk, theta_k, amb = _homogeneous_h_level(
-                    utility, t, w, mk, zm, zp, gm, gp, theta_plus
-                )
-                theta.levels[k][...] = theta_k
-                ambiguous = ambiguous or amb
-            else:
-                hk = _h_level_general(driver, utility, t, w, mk)
-            psi2 = np.asarray(utility.psi2(w))
-            f = 0.5 * psi2 * (hk + mk) ** 2 - np.asarray(driver.g(t, hk), dtype=float)
-            zk = zeta_bar + f * dt
-            if not np.all(np.isfinite(zk)):
-                raise NumericOverflow(
-                    f"non-finite backward value at level {k}", level=k
-                )
-            zeta_levels[k][...] = zk
-            m_levels[k][...] = mk
-            h_levels[k][...] = hk
-
-        x, consistency = _forward_wealth(lattice, driver, h_levels, x0)
+        zeta, m, h, theta, ambiguous = _picard_pass(lattice, driver, utility, x_iter, kink)
+        x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], x0)
         image = x.flat
         resid = image - x_iter
         residual = float(np.max(np.abs(resid)))
@@ -607,10 +559,8 @@ def solve_fbsde_picard(
         x_prev, f_prev = x_iter, resid
         x_iter = step
 
-    if not kinked:
-        theta = None
-        if s_terminal is not None:
-            theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
+    if kink is None and s_terminal is not None:
+        theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,
@@ -625,13 +575,50 @@ def solve_fbsde_picard(
         residual_history=residual_history,
         step_history=step_history,
     )
-    if kinked:
-        sol.residuals = verify_optimality(
-            sol, driver, utility, z_minus=z_minus, z_plus=z_plus
-        )
-    else:
-        sol.residuals = verify_optimality(sol, driver, utility)
+    sol.residuals = verify_optimality(sol, driver, utility, z_minus=z_minus, z_plus=z_plus)
     return sol
+
+
+def _picard_pass(
+    lattice: Lattice,
+    driver: Driver,
+    utility: UtilitySpec,
+    x_iter: np.ndarray,
+    kink: tuple[NodeProcess, NodeProcess, bool] | None,
+) -> tuple[NodeProcess, NodeProcess, NodeProcess, NodeProcess | None, bool]:
+    """One backward pass against the frozen flat wealth iterate: zeta, M, H,
+    and for a kinked driver (``kink`` = (z_minus, z_plus, theta_plus)) theta
+    and whether any node was ambiguous.  H solves the first-order condition
+    at w = X + E_k[zeta_{k+1}], the sweep's level mean; the sweep's driver
+    is -f, so its ``cond - (-f) dt`` is ``cond + f dt`` bit for bit.
+    """
+    grid = lattice.grid
+    off = lattice.offsets
+    h = NodeProcess.empty(lattice, lattice.n_steps)
+    theta = None if kink is None else NodeProcess.empty(lattice, lattice.n_steps)
+    ambiguous = False
+
+    def minus_f(k: int, z: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        nonlocal ambiguous
+        t = grid.t(k)
+        m = -z
+        w = x_iter[off[k] : off[k + 1]] + cond
+        hk = h.levels[k]
+        if kink is None:
+            hk[...] = _h_level_general(driver, utility, t, w, m)
+        else:
+            z_minus, z_plus, theta_plus = kink
+            zm, zp = z_minus.values(k), z_plus.values(k)
+            gm, gp = np.asarray(driver.g(t, zm)), np.asarray(driver.g(t, zp))
+            hk[...], theta.levels[k][...], amb = _homogeneous_h_level(
+                utility, w, m, zm, zp, gm, gp, theta_plus
+            )
+            ambiguous = ambiguous or amb
+        psi2 = np.asarray(utility.psi2(w))
+        return -(0.5 * psi2 * (hk + m) ** 2 - np.asarray(driver.g(t, hk), dtype=float))
+
+    zeta, m = _backward_pair(lattice, minus_f)
+    return zeta, m, h, theta, ambiguous
 
 
 def verify_optimality(

@@ -22,7 +22,7 @@ from .errors import (
     NumericOverflow,
 )
 from .lattice import Lattice, NodeProcess, TimeGrid
-from .optimizer import FbsdeSolution, UtilitySpec, verify_optimality
+from .optimizer import FbsdeSolution, UtilitySpec, _forward_wealth, verify_optimality
 
 # stencil-safe interior margin, in grid cells per side
 _EDGE_CELLS = 3
@@ -439,36 +439,27 @@ def fbsde_from_surface(
     tgrid, xgrid = surface.tgrid, surface.xgrid
     if lattice.n_steps != tgrid.n_steps or abs(lattice.grid.horizon - tgrid.horizon) > 1e-12:
         raise InvalidArgument("lattice and surface must share the time grid")
-    grid = lattice.grid
-    dt, sq = grid.dt, grid.sqrt_dt
     n = lattice.n_steps
     x_axis = xgrid.x
     x_lo, x_hi = x_axis[xgrid.interior][[0, -1]]
 
-    x = NodeProcess.empty(lattice, n + 1)
-    h = NodeProcess.empty(lattice, n)
-    x_levels, h_levels = x.levels, h.levels
-    x_levels[0][0] = float(x0)
-    consistency = 0.0
-
-    def check_on_grid(k: int) -> None:
-        xk = x_levels[k]
+    def check_on_grid(k: int, xk: np.ndarray) -> None:
         if not (np.min(xk) >= x_lo and np.max(xk) <= x_hi):
             raise ExtrapolationRefused(
                 f"lattice wealth at level {k} spans {np.min(xk):.6g}..{np.max(xk):.6g}, "
                 f"outside the surface interior [{x_lo:.6g}, {x_hi:.6g}]"
             )
 
-    for k in range(n):
-        check_on_grid(k)
-        xk = x_levels[k]
-        ups = h_levels[k]
-        ups[...] = np.interp(xk, x_axis, policy.upsilon[k])
-        g = np.asarray(driver.g(grid.t(k), ups), dtype=float)
-        nxt, gap = lattice.forward_level(xk - g * dt - ups * sq, xk - g * dt + ups * sq)
-        consistency = max(consistency, gap)
-        x_levels[k + 1][...] = nxt
-    check_on_grid(n)
+    h = NodeProcess.empty(lattice, n)
+
+    def ups_of_level(k: int, xk: np.ndarray) -> np.ndarray:
+        check_on_grid(k, xk)
+        h.levels[k][...] = np.interp(xk, x_axis, policy.upsilon[k])
+        return h.levels[k]
+
+    x, consistency = _forward_wealth(lattice, driver, ups_of_level, x0)
+    x_levels = x.levels
+    check_on_grid(n, x_levels[n])
 
     zeta = NodeProcess.empty(lattice, n + 1)
     m = NodeProcess.empty(lattice, n)
@@ -484,7 +475,7 @@ def fbsde_from_surface(
         zk[...] = np.asarray(utility.inverse_marginal(vx), dtype=float) - xk
         if k < n:
             vxx = _pchip(x_axis, surface.v_xx(k), xk)
-            ups = h_levels[k]
+            ups = h.levels[k]
             u2 = np.asarray(utility.u2(xk + zk))
             m.levels[k][...] = (ups * vxx) / u2 - ups
             theta.levels[k][...] = np.interp(xk, x_axis, policy.theta_hat[k])

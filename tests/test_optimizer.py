@@ -247,7 +247,7 @@ def test_unconverged_picard_returns_the_wealth_of_its_integrand():
     lat, drv = cara_scenario(10)
     sol = solve_fbsde_picard(lat, drv, CARA2, 0.25, tol=1e-14, max_iter=1)
     assert not sol.converged
-    x, consistency = _forward_wealth(lat, drv, sol.h.levels, 0.25)
+    x, consistency = _forward_wealth(lat, drv, lambda k, _: sol.h.levels[k], 0.25)
     for got, want in zip(sol.x.levels, x.levels, strict=True):
         np.testing.assert_array_equal(got, want)
     assert sol.forward_consistency == consistency
