@@ -9,14 +9,12 @@ lattice.
 
 from .driver import (
     Driver,
-    ValidationReport,
     custom_driver,
     drifted_quadratic_driver,
     entropic_driver,
     homogeneous_driver,
     linear_driver,
     quadratic_driver,
-    validate,
     zero_driver,
 )
 from .gexpect import (
@@ -37,14 +35,11 @@ from .lattice import (
     TimeGrid,
     build_binomial,
     build_full_binary,
-    project_martingale_increment,
     simulate_state,
-    take_conditional_expectation,
 )
 from .market import (
     Strategy,
     WealthPath,
-    check_admissible,
     constant_strategy,
     expected_terminal_utility,
     piecewise_constant_strategy,

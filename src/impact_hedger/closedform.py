@@ -21,12 +21,11 @@ from .errors import (
     NumericOverflow,
 )
 from .gexpect import PositionCurve
-from .lattice import Lattice, NodeProcess
+from .lattice import Lattice, NodeProcess, _forward_wealth
 from .optimizer import (
     FbsdeSolution,
     UtilitySpec,
     _decreasing_root,
-    _forward_wealth,
     _invert_scalar_decreasing,
     verify_optimality,
 )
@@ -238,21 +237,14 @@ def wealth_by_conditional_route(
     return growth.map(lambda v: np.log(v) / gamma)
 
 
-def no_trade_solution(
-    lattice: Lattice, driver, x0: float, t_samples=None
-) -> FbsdeSolution | None:
+def no_trade_solution(lattice: Lattice, driver, x0: float) -> FbsdeSolution | None:
     """Flat solution (X = x0, zeta = 0, M = 0) when not trading is optimal.
 
     Applicable when g and its gradient vanish at 0 (differentiable case)
     or when 0 lies in the subgradient at 0 (positively homogeneous case);
-    returns None otherwise.
+    returns None otherwise.  Both are checked at 7 evenly spaced times.
     """
-    grid = lattice.grid
-    ts = (
-        np.linspace(0.0, grid.horizon, 7)
-        if t_samples is None
-        else np.asarray(t_samples, dtype=float)
-    )
+    ts = np.linspace(0.0, lattice.grid.horizon, 7)
     tol = 1e-12
     if driver.is_homogeneous and not driver.is_differentiable:
         # subgradient at 0 is [-g(t,-1), g(t,1)]

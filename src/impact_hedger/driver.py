@@ -1,9 +1,9 @@
 """Driver functions g(t, z) generating the nonlinear evaluations.
 
 Every driver is convex in z and normalized so that g(t, 0) = 0.  The
-structural flags (Lipschitz / positively homogeneous / differentiable) are
-what the solvers branch on, so constructors set them rather than leaving
-them to be guessed downstream.
+structural flags (positively homogeneous / differentiable) are what the
+solvers branch on, so constructors set them rather than leaving them to be
+guessed downstream.
 """
 from __future__ import annotations
 
@@ -36,20 +36,16 @@ class Driver:
 
     Contract: ``g`` and ``g_z`` act elementwise on arrays of any shape, so
     ``g(t, z)[i]`` depends on ``z[i]`` alone.  The backward sweep relies on
-    it to solve a whole stack of terminal payoffs at once, one row each,
-    and :func:`validate` calls ``g`` on 2-D arrays.
+    it to solve a whole stack of terminal payoffs at once, one row each.
     """
 
     kind: str
     g: Callable[[float, np.ndarray], np.ndarray]
     g_z: Callable[[float, np.ndarray], np.ndarray] | None
-    is_lipschitz: bool
     is_homogeneous: bool
     is_differentiable: bool
     # gradient of the form g_z(t, z) = a(t) * z + b(t), when it exists
     affine_grad: tuple[TimeFn, TimeFn] | None = None
-    # representation g(t, z) = (1/2) gamma(t) z^2 - eta(t) z, when it exists
-    quadratic_family: tuple[TimeFn, TimeFn] | None = None
 
     def eval(self, t: float, z: float | np.ndarray) -> float | np.ndarray:
         """Value g(t, z); vectorized over z."""
@@ -88,11 +84,16 @@ class Driver:
         return out
 
     def as_quadratic_family(self, t: float) -> tuple[float, float] | None:
-        """Coefficients (gamma, eta) of g = (1/2) gamma z^2 - eta z, if of that form."""
-        if self.quadratic_family is None:
+        """Coefficients (gamma, eta) of g = (1/2) gamma z^2 - eta z, if of that form.
+
+        Since g(t, 0) = 0, an affine gradient a z + b integrates to
+        g = (1/2) a z^2 + b z, so (gamma, eta) = (a, -b).
+        """
+        coeffs = self.affine_grad_coeffs(t)
+        if coeffs is None:
             return None
-        gfn, efn = self.quadratic_family
-        return float(gfn(t)), float(efn(t))
+        a, b = coeffs
+        return a, -b
 
     def affine_grad_coeffs(self, t: float) -> tuple[float, float] | None:
         """Coefficients (a, b) of g_z(t, z) = a z + b, if the gradient is affine."""
@@ -108,11 +109,9 @@ def zero_driver() -> Driver:
         kind="zero",
         g=lambda t, z: np.zeros_like(z),
         g_z=lambda t, z: np.zeros_like(z),
-        is_lipschitz=True,
         is_homogeneous=True,
         is_differentiable=True,
         affine_grad=(_as_time_fn(0.0), _as_time_fn(0.0)),
-        quadratic_family=(_as_time_fn(0.0), _as_time_fn(0.0)),
     )
 
 
@@ -123,57 +122,30 @@ def linear_driver(nu: float | TimeFn) -> Driver:
         kind="linear",
         g=lambda t, z: nu_fn(t) * z,
         g_z=lambda t, z: np.full_like(z, nu_fn(t)),
-        is_lipschitz=True,
         is_homogeneous=True,
         is_differentiable=True,
         affine_grad=(_as_time_fn(0.0), nu_fn),
-        quadratic_family=(_as_time_fn(0.0), lambda t: -nu_fn(t)),
     )
 
 
-def quadratic_driver(
-    alpha: float,
-    linear_part: Callable[[float, np.ndarray], np.ndarray] | None = None,
-    linear_part_grad: Callable[[float, np.ndarray], np.ndarray] | None = None,
-) -> Driver:
-    """g = alpha z^2 + l(t, z) with a Lipschitz linear part l."""
+def quadratic_driver(alpha: float) -> Driver:
+    """g = alpha z^2."""
     if alpha < 0:
         raise InvalidArgument("alpha must be nonnegative")
-    if linear_part is None:
-
-        def g(t, z):
-            return alpha * z * z
-
-        def g_z(t, z):
-            return 2.0 * alpha * z
-
-        return Driver(
-            kind="quadratic",
-            g=g,
-            g_z=g_z,
-            is_lipschitz=(alpha == 0.0),
-            is_homogeneous=False,
-            is_differentiable=True,
-            affine_grad=(_as_time_fn(2.0 * alpha), _as_time_fn(0.0)),
-            quadratic_family=(_as_time_fn(2.0 * alpha), _as_time_fn(0.0)),
-        )
 
     def g(t, z):
-        return alpha * z * z + linear_part(t, z)
+        return alpha * z * z
 
-    g_z = None
-    if linear_part_grad is not None:
-
-        def g_z(t, z):  # noqa: F811
-            return 2.0 * alpha * z + linear_part_grad(t, z)
+    def g_z(t, z):
+        return 2.0 * alpha * z
 
     return Driver(
         kind="quadratic",
         g=g,
         g_z=g_z,
-        is_lipschitz=(alpha == 0.0),
         is_homogeneous=False,
-        is_differentiable=g_z is not None,
+        is_differentiable=True,
+        affine_grad=(_as_time_fn(2.0 * alpha), _as_time_fn(0.0)),
     )
 
 
@@ -186,11 +158,9 @@ def entropic_driver(gamma: float) -> Driver:
         kind="entropic",
         g=lambda t, z: c * z * z,
         g_z=lambda t, z: 2.0 * c * z,
-        is_lipschitz=False,
         is_homogeneous=False,
         is_differentiable=True,
         affine_grad=(_as_time_fn(2.0 * c), _as_time_fn(0.0)),
-        quadratic_family=(_as_time_fn(2.0 * c), _as_time_fn(0.0)),
     )
 
 
@@ -210,11 +180,9 @@ def drifted_quadratic_driver(gamma: float, eta: float | TimeFn) -> Driver:
         kind="drifted-quadratic",
         g=g,
         g_z=g_z,
-        is_lipschitz=False,
         is_homogeneous=False,
         is_differentiable=True,
         affine_grad=(_as_time_fn(gamma), lambda t: -eta_fn(t)),
-        quadratic_family=(_as_time_fn(gamma), eta_fn),
     )
 
 
@@ -237,7 +205,6 @@ def homogeneous_driver(kappa: float) -> Driver:
         kind="homogeneous",
         g=g,
         g_z=g_z,
-        is_lipschitz=True,
         is_homogeneous=True,
         is_differentiable=False,
     )
@@ -247,7 +214,6 @@ def custom_driver(
     g: Callable[[float, np.ndarray], np.ndarray],
     g_z: Callable[[float, np.ndarray], np.ndarray] | None = None,
     *,
-    is_lipschitz: bool = False,
     is_homogeneous: bool = False,
     is_differentiable: bool | None = None,
 ) -> Driver:
@@ -256,66 +222,7 @@ def custom_driver(
         kind="custom",
         g=lambda t, z: np.asarray(g(t, z), dtype=float),
         g_z=None if g_z is None else (lambda t, z: np.asarray(g_z(t, z), dtype=float)),
-        is_lipschitz=is_lipschitz,
         is_homogeneous=is_homogeneous,
         is_differentiable=(g_z is not None) if is_differentiable is None else is_differentiable,
     )
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Worst-case violations of the structural driver conditions on samples."""
-
-    max_abs_g_at_zero: float
-    convexity_violation: float
-    homogeneity_violation: float
-
-    @property
-    def ok(self) -> bool:
-        tol = 1e-12
-        return (
-            self.max_abs_g_at_zero <= tol
-            and self.convexity_violation <= tol
-            and self.homogeneity_violation <= tol
-        )
-
-
-def validate(driver: Driver, t_samples, z_samples) -> ValidationReport:
-    """Check normalization, midpoint convexity and (if flagged) homogeneity.
-
-    Failures are reported, not raised; callers decide what to do with a
-    driver that misbehaves.
-    """
-    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    zs = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    if ts.size == 0 or zs.size == 0:
-        raise InvalidArgument("sample sets must be non-empty")
-
-    g0 = max(abs(float(driver.eval(t, 0.0))) for t in ts)
-
-    worst_convex = 0.0
-    z1 = zs[:, None]
-    z2 = zs[None, :]
-    mid = 0.5 * (z1 + z2)
-    for t in ts:
-        g_mid = np.asarray(driver.g(t, mid))
-        g_avg = 0.5 * (
-            np.asarray(driver.g(t, z1 * np.ones_like(mid)))
-            + np.asarray(driver.g(t, z2 * np.ones_like(mid)))
-        )
-        worst_convex = max(worst_convex, float(np.max(g_mid - g_avg)))
-
-    worst_homog = 0.0
-    if driver.is_homogeneous:
-        lams = np.array([0.25, 0.5, 2.0, 3.0])
-        for t in ts:
-            gz = np.asarray(driver.g(t, zs))
-            for lam in lams:
-                glz = np.asarray(driver.g(t, lam * zs))
-                worst_homog = max(worst_homog, float(np.max(np.abs(glz - lam * gz))))
-
-    return ValidationReport(
-        max_abs_g_at_zero=g0,
-        convexity_violation=max(worst_convex, 0.0),
-        homogeneity_violation=worst_homog,
-    )

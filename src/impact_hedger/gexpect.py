@@ -256,9 +256,12 @@ def dz_dy(
     y: float,
     eps: float,
     h_m=None,
-    kink_tol: float = 1e-6,
 ) -> DzDyResult:
-    """Central finite difference of y -> Z^y, node by node."""
+    """Central finite difference of y -> Z^y, node by node.
+
+    A kink is flagged where the one-sided differences disagree by more
+    than 1e-6 relative to the size of the forward difference.
+    """
     if not eps > 0:
         raise InvalidArgument("eps must be positive")
     books = _position_terminals(lattice, s_terminal, [y - eps, y, y + eps], h_m)
@@ -268,7 +271,7 @@ def dz_dy(
 
     disagreement = forward.sup_diff(backward)
     scale = 1.0 + forward.sup_abs()
-    kink = disagreement > kink_tol * scale
+    kink = disagreement > 1e-6 * scale
     if driver.is_homogeneous and not driver.is_differentiable and y == 0.0:
         # sign convention at zero position is ambiguous for kinked drivers
         kink = True
@@ -291,8 +294,6 @@ def dz_dy_variational(
     h_fn: Callable[[np.ndarray], np.ndarray] | None,
     y: float,
     eps: float = 1e-4,
-    s_grad: Callable[[np.ndarray], np.ndarray] | None = None,
-    h_grad: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> NodeProcess:
     """Position derivative via the first-variation backward equation.
 
@@ -303,8 +304,11 @@ def dz_dy_variational(
     integrand then satisfies Z^y = -F * (dR/dr0)^{-1} * sigma, and the
     position derivative is obtained by differencing F in y through its
     terminal condition.  This route is independent of :func:`dz_dy`, which
-    differences the primal integrand directly.
+    differences the primal integrand directly.  The payoff gradients are
+    central finite differences.
     """
+    if not eps > 0:
+        raise InvalidArgument("eps must be positive")
     if not isinstance(markov, StateSde):
         raise ContractViolation("variational derivative requires Markov state dynamics")
     if not driver.is_differentiable:
@@ -326,13 +330,13 @@ def dz_dy_variational(
         # both children inherit the parent's gradient
         grad_levels.append(lattice.forward_level(nxt, nxt)[0])
 
-    s_r = s_grad(r_T) if s_grad is not None else _fd_gradient(s_fn, r_T)
+    s_r = _fd_gradient(s_fn, r_T)
     if h_fn is None:
         h_vals = np.zeros_like(r_T)
         h_r = np.zeros_like(r_T)
     else:
         h_vals = np.asarray(h_fn(r_T), dtype=float)
-        h_r = h_grad(r_T) if h_grad is not None else _fd_gradient(h_fn, r_T)
+        h_r = _fd_gradient(h_fn, r_T)
     s_vals = np.asarray(s_fn(r_T), dtype=float)
 
     sigma = float(markov.sigma)

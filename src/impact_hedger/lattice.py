@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, ModeConflict
+from .driver import Driver
+from .errors import InvalidArgument, ModeConflict, NumericOverflow
 
 RECOMBINING = "recombining"
 FULL_BINARY = "full-binary"
@@ -48,9 +49,6 @@ class TimeGrid:
 
     def t(self, k: int) -> float:
         return k * self.dt
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
 class Lattice:
@@ -144,11 +142,6 @@ class Lattice:
         """Brownian values at level ``k``: (2 * ups - k) * sqrt(dt)."""
         return (2.0 * self.up_counts(k) - k) * self.grid.sqrt_dt
 
-    def increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Branch increments (+sqrt(dt), -sqrt(dt)) and probabilities (1/2, 1/2)."""
-        s = self.grid.sqrt_dt
-        return np.array([s, -s]), np.array([0.5, 0.5])
-
     # -- sweep primitives --------------------------------------------------
 
     def split_children(self, values_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,18 +196,6 @@ class Lattice:
             v = self.conditional_expectation(v)
         return float(v[0])
 
-    def level_probabilities(self, k: int) -> np.ndarray:
-        """Node probabilities at level ``k`` under the (1/2, 1/2) branching."""
-        self._check_level(k)
-        if self.topology == FULL_BINARY:
-            n = 1 << k
-            return np.full(n, 1.0 / n)
-        j = np.arange(k + 1)
-        from scipy.special import gammaln
-
-        logp = gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1) - k * np.log(2.0)
-        return np.exp(logp)
-
     # -- topology change ---------------------------------------------------
 
     def expand_full_binary(self) -> "Lattice":
@@ -248,32 +229,6 @@ def build_binomial(T: float, n_steps: int) -> Lattice:
 def build_full_binary(T: float, n_steps: int) -> Lattice:
     """Non-recombining binary lattice; one node per path prefix."""
     return Lattice(TimeGrid(T, n_steps), FULL_BINARY)
-
-
-def take_conditional_expectation(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Level-(k+1) values -> level-k values, recombining convention.
-
-    output[j] = (input[j] + input[j+1]) / 2
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise InvalidArgument("expected a 1-d buffer with at least 2 nodes")
-    return 0.5 * (v[:-1] + v[1:])
-
-
-def project_martingale_increment(
-    values: Sequence[float] | np.ndarray, dt: float
-) -> np.ndarray:
-    """Level-(k+1) values -> Z values at level k, recombining convention.
-
-    output[j] = -(input[j+1] - input[j]) / (2 * sqrt(dt))
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise InvalidArgument("expected a 1-d buffer with at least 2 nodes")
-    if not dt > 0.0:
-        raise InvalidArgument("dt must be positive")
-    return -(v[1:] - v[:-1]) / (2.0 * np.sqrt(dt))
 
 
 class NodeProcess:
@@ -334,10 +289,6 @@ class NodeProcess:
         proc = cls.empty(lattice, n)
         proc.flat[...] = float(value)
         return proc
-
-    @classmethod
-    def brownian(cls, lattice: Lattice) -> "NodeProcess":
-        return cls(lattice, [lattice.w_values(k) for k in range(lattice.n_steps + 1)])
 
     # -- access ------------------------------------------------------------
 
@@ -400,9 +351,9 @@ class StateSde:
             return np.asarray(self.sigma(t, r), dtype=float) * np.ones_like(r)
         return np.full_like(r, float(self.sigma))
 
-    def drift_gradient(self, t: float, r: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    def drift_gradient(self, t: float, r: np.ndarray) -> np.ndarray:
         """d b / d r by central differences (used by variational sweeps)."""
-        h = step * (1.0 + np.abs(r))
+        h = 1e-6 * (1.0 + np.abs(r))
         return (self.drift_at(t, r + h) - self.drift_at(t, r - h)) / (2.0 * h)
 
 
@@ -434,3 +385,35 @@ def simulate_state(lattice: Lattice, sde: StateSde) -> NodeProcess:
             )
         levels.append(nxt)
     return NodeProcess(lattice, levels)
+
+
+def _forward_wealth(
+    lattice: Lattice,
+    driver: Driver,
+    h_of_level: Callable[[int, np.ndarray], np.ndarray],
+    x0: float,
+) -> tuple[NodeProcess, float]:
+    """Forward accumulation dX = -g(t, H) dt + H dW on the lattice.
+
+    ``h_of_level(k, x_k)`` gives the integrand at level k from the wealth
+    already built there.  Each step is :meth:`Lattice.forward_level`, so on
+    the recombining topology an interior node inherits the mean of its two
+    parents' predictions; the largest parent disagreement is returned as a
+    consistency diagnostic (exactly zero when H is deterministic per level).
+    """
+    grid = lattice.grid
+    dt, sq = grid.dt, grid.sqrt_dt
+    x = NodeProcess.empty(lattice, lattice.n_steps + 1)
+    x_levels = x.levels
+    x_levels[0][0] = float(x0)
+    worst = 0.0
+    for k in range(lattice.n_steps):
+        xk = x_levels[k]
+        h = h_of_level(k, xk)
+        g = np.asarray(driver.g(grid.t(k), h), dtype=float)
+        nxt, gap = lattice.forward_level(xk - g * dt - h * sq, xk - g * dt + h * sq)
+        worst = max(worst, gap)
+        if not np.all(np.isfinite(nxt)):
+            raise NumericOverflow(f"non-finite wealth at level {k + 1}", level=k + 1)
+        x_levels[k + 1][...] = nxt
+    return x, worst

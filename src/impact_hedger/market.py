@@ -1,4 +1,4 @@
-"""Quoted price curve, trading P&L and admissibility diagnostics.
+"""Quoted price curve and trading P&L.
 
 Wealth of a trading strategy is path-dependent, so P&L accounting runs on
 the full-binary expansion of the lattice (one node per path prefix).  The
@@ -14,8 +14,7 @@ import numpy as np
 from .driver import Driver
 from .errors import ContractViolation, InvalidArgument
 from .gexpect import PositionCurve, _driver_levels, _driver_sweep, _terminal_array, solve_bsde
-from .lattice import FULL_BINARY, Lattice, NodeProcess
-from .optimizer import _forward_wealth
+from .lattice import FULL_BINARY, Lattice, NodeProcess, _forward_wealth
 
 
 @dataclass
@@ -206,24 +205,6 @@ def simple_strategy_pnl(
         carried = lattice.lift_level(price_nodes, k, binary)
         total_cost += np.repeat(carried, 1 << (n - k))
     return held[-1] * lattice.lift_level(s, n, binary) - total_cost
-
-
-def check_admissible(
-    lattice: Lattice,
-    driver: Driver,
-    s_terminal,
-    strategy: Strategy,
-    y_grid=None,
-) -> float:
-    """Lattice value of E int_0^T |Z^theta_t|^2 dt (finite at desk scale)."""
-    if lattice.topology == FULL_BINARY:
-        raise InvalidArgument("pass the recombining lattice")
-    curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
-    total = 0.0
-    for k in range(lattice.n_steps):
-        z = curve.z_level(k, strategy.theta.values(k))
-        total += lattice.root_expectation(z * z) * lattice.grid.dt
-    return float(total)
 
 
 def expected_terminal_utility(

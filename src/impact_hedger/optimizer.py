@@ -22,7 +22,6 @@ from .driver import Driver
 from .errors import (
     ContractViolation,
     InvalidArgument,
-    NumericOverflow,
     RootNotFound,
 )
 from .gexpect import (  # noqa: F401  (solve_bsde re-exported)
@@ -32,7 +31,7 @@ from .gexpect import (  # noqa: F401  (solve_bsde re-exported)
     _unit_integrands,
     solve_bsde,
 )
-from .lattice import Lattice, NodeProcess
+from .lattice import Lattice, NodeProcess, _forward_wealth
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class UtilitySpec:
         """U''' / U''."""
         return np.asarray(self.u3(x)) / np.asarray(self.u2(x))
 
-    def validate(self, x_samples=None) -> None:
-        xs = np.linspace(-2.0, 2.0, 41) if x_samples is None else np.asarray(x_samples)
+    def validate(self) -> None:
+        xs = np.linspace(-2.0, 2.0, 41)
         u1 = np.asarray(self.u1(xs))
         u2 = np.asarray(self.u2(xs))
         if np.any(u1 <= 0):
@@ -313,38 +312,6 @@ def _h_level_general(
             for wi, mi in zip(w, m)
         ]
     )
-
-
-def _forward_wealth(
-    lattice: Lattice,
-    driver: Driver,
-    h_of_level: Callable[[int, np.ndarray], np.ndarray],
-    x0: float,
-) -> tuple[NodeProcess, float]:
-    """Forward accumulation dX = -g(t, H) dt + H dW on the lattice.
-
-    ``h_of_level(k, x_k)`` gives the integrand at level k from the wealth
-    already built there.  On the recombining topology an interior node
-    inherits the mean of its two parents' predictions; the largest parent
-    disagreement is returned as a consistency diagnostic (exactly zero when
-    H is deterministic per level).
-    """
-    grid = lattice.grid
-    dt, sq = grid.dt, grid.sqrt_dt
-    x = NodeProcess.empty(lattice, lattice.n_steps + 1)
-    x_levels = x.levels
-    x_levels[0][0] = float(x0)
-    worst = 0.0
-    for k in range(lattice.n_steps):
-        xk = x_levels[k]
-        h = h_of_level(k, xk)
-        g = np.asarray(driver.g(grid.t(k), h), dtype=float)
-        nxt, gap = lattice.forward_level(xk - g * dt - h * sq, xk - g * dt + h * sq)
-        worst = max(worst, gap)
-        if not np.all(np.isfinite(nxt)):
-            raise NumericOverflow(f"non-finite wealth at level {k + 1}", level=k + 1)
-        x_levels[k + 1][...] = nxt
-    return x, worst
 
 
 def solve_fbsde_cara(
@@ -627,7 +594,6 @@ def verify_optimality(
     utility: UtilitySpec,
     z_minus: NodeProcess | None = None,
     z_plus: NodeProcess | None = None,
-    band_tol: float = 1e-10,
 ) -> OptimalityReport:
     """Residuals of the optimality characterization for a candidate triple.
 
@@ -689,7 +655,7 @@ def verify_optimality(
         zp = z_plus.flat
         gm = _by_level(lattice, driver.g, zm)
         gp = _by_level(lattice, driver.g, zp)
-        traded = np.abs(theta) > band_tol
+        traded = np.abs(theta) > 1e-10  # smaller holdings lie in the no-trade band
         hom_eq = 0.0
         if np.any(traded):
             sgn = np.sign(theta[traded])

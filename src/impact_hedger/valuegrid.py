@@ -21,8 +21,8 @@ from .errors import (
     InverseDomainError,
     NumericOverflow,
 )
-from .lattice import Lattice, NodeProcess, TimeGrid
-from .optimizer import FbsdeSolution, UtilitySpec, _forward_wealth, verify_optimality
+from .lattice import Lattice, NodeProcess, TimeGrid, _forward_wealth
+from .optimizer import FbsdeSolution, UtilitySpec, verify_optimality
 
 # stencil-safe interior margin, in grid cells per side
 _EDGE_CELLS = 3
@@ -202,13 +202,13 @@ def _maximizer_row(
     t: float,
     vx: np.ndarray,
     vxx: np.ndarray,
-    force_search: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise maximizer of -g(t,z) V_x + z^2 V_xx / 2 per x.
 
     Returns (upsilon, theta_hat).  Closed forms cover the quadratic family
-    and the homogeneous cone; anything else is bracketed by golden-section
-    search on the control interval.
+    (every driver with an affine gradient) and the homogeneous cone;
+    anything else is bracketed by golden-section search on the control
+    interval.
     """
     if np.any(vxx >= 0):
         raise ConcavityViolation("V_xx must be negative where the operator is evaluated")
@@ -221,10 +221,11 @@ def _maximizer_row(
         return theta_hat * zs, theta_hat
 
     quad = driver.as_quadratic_family(t)
-    if quad is not None and not force_search:
+    if quad is not None:
         gamma_c, eta_c = quad
-        # the zero start turns a -0.0 product (eta_c = -0.0 for a linear
-        # driver with zero slope) into +0.0, so a zero maximizer is +0.0
+        # the zero start turns a -0.0 product (eta_c = -b is -0.0 for the
+        # zero, quadratic and entropic drivers) into +0.0, so a zero
+        # maximizer is +0.0
         ups = -(0.0 + eta_c * vx) / (vxx - gamma_c * vx)
     else:
         ups = _golden_max_rows(driver, t, vx, vxx, control.z_lo, control.z_hi)
@@ -243,9 +244,9 @@ def _golden_max_rows(
     vxx: np.ndarray,
     lo: float,
     hi: float,
-    iters: int = 80,
 ) -> np.ndarray:
-    """Vectorized golden-section maximization of the operator integrand."""
+    """Vectorized golden-section maximization of the operator integrand
+    (80 iterations)."""
 
     def phi(z: np.ndarray) -> np.ndarray:
         return -np.asarray(driver.g(t, z)) * vx + 0.5 * z * z * vxx
@@ -257,7 +258,7 @@ def _golden_max_rows(
     d = a + inv_phi * (b - a)
     fc = phi(c)
     fd = phi(d)
-    for _ in range(iters):
+    for _ in range(80):
         take_left = fc >= fd
         b = np.where(take_left, d, b)
         a = np.where(take_left, a, c)
@@ -274,7 +275,6 @@ def dp_value(
     driver: Driver,
     utility: UtilitySpec,
     control: ControlSpec,
-    boundary_pad: float | None = None,
 ) -> tuple[ValueSurface, PolicySlice]:
     """Backward dynamic programming sweep for the value surface.
 
@@ -284,12 +284,10 @@ def dp_value(
     continuation values use monotone cubic interpolation.
 
     The sweep runs on a ghost-padded grid so the scheme's own boundary
-    layer stays outside the requested surface; ``boundary_pad`` widens the
-    computational grid on each side (default 15 percent of the range).
+    layer stays outside the requested surface: the computational grid is
+    widened by 15 percent of the range on each side.
     """
-    pad = 0.15 * (xgrid.x_max - xgrid.x_min) if boundary_pad is None else boundary_pad
-    if pad < 0:
-        raise InvalidArgument("boundary_pad must be nonnegative")
+    pad = 0.15 * (xgrid.x_max - xgrid.x_min)
     n_pad = int(np.ceil(pad / xgrid.dx))
     wide = WealthGrid(
         xgrid.x_min - n_pad * xgrid.dx,
@@ -351,13 +349,12 @@ def lv_operator(
     driver: Driver,
     t: float,
     x: float,
-    force_search: bool = False,
 ) -> tuple[float, float]:
     """Operator value and maximizing integrand at an interior grid point."""
     k, i = _locate(surface.tgrid, surface.xgrid, t, x)
     vx = surface.v_x(k)
     vxx = surface.v_xx(k)
-    ups_row, _ = _maximizer_row(driver, surface.control, t, vx, vxx, force_search=force_search)
+    ups_row, _ = _maximizer_row(driver, surface.control, t, vx, vxx)
     u = float(ups_row[i])
     lv = float(-float(driver.eval(t, u)) * vx[i] + 0.5 * u * u * vxx[i])
     return lv, u

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impact_hedger import (
     custom_driver,
@@ -8,7 +10,6 @@ from impact_hedger import (
     homogeneous_driver,
     linear_driver,
     quadratic_driver,
-    validate,
     zero_driver,
 )
 from impact_hedger.errors import UnsupportedOperation
@@ -49,20 +50,33 @@ def test_time_dependent_coefficients():
     assert drv.grad(0.5, 5.0) == pytest.approx(0.6)
 
 
+TIMES = st.floats(0.0, 2.0)
+ZS = st.floats(-50.0, 50.0)
+
+
 @pytest.mark.parametrize("drv", ALL_BUILTINS, ids=lambda d: d.kind)
-def test_validate_builtins_clean(drv):
-    rep = validate(drv, np.linspace(0.0, 1.0, 5), np.linspace(-2.0, 2.0, 9))
-    assert rep.max_abs_g_at_zero <= 1e-12
-    assert rep.convexity_violation <= 1e-12
-    assert rep.homogeneity_violation <= 1e-12
-    assert rep.ok
+@settings(max_examples=200, deadline=None)
+@given(t=TIMES, z1=ZS, z2=ZS, lam=st.floats(1e-3, 1e3))
+def test_validate_builtins_clean(drv, t, z1, z2, lam):
+    """The driver contract on drawn inputs: g(t, 0) = 0, midpoint convexity,
+    positive homogeneity where flagged, and, where the gradient is affine,
+    g = (1/2) a z^2 + b z with ``as_quadratic_family`` = (a, -b)."""
+    def g(z):
+        return float(np.asarray(drv.g(t, np.array([z])))[0])
 
-
-def test_validate_flags_nonconvex_cubic():
-    drv = custom_driver(lambda t, z: z**3)
-    rep = validate(drv, [0.0], [-1.0, 0.0, 1.0])
-    assert rep.convexity_violation > 0.1
-    assert not rep.ok
+    assert g(0.0) == 0.0
+    g1, g2 = g(z1), g(z2)
+    assert g(0.5 * (z1 + z2)) <= 0.5 * (g1 + g2) + 1e-12 * (1.0 + abs(g1) + abs(g2))
+    if drv.is_homogeneous:
+        assert g(lam * z1) == pytest.approx(lam * g1, rel=1e-14)
+    coeffs = drv.affine_grad_coeffs(t)
+    if coeffs is None:
+        assert drv.as_quadratic_family(t) is None
+        return
+    a, b = coeffs
+    quad, lin = 0.5 * a * z1 * z1, b * z1
+    assert abs(g1 - (quad + lin)) <= 1e-15 * (abs(quad) + abs(lin))
+    assert drv.as_quadratic_family(t) == (a, -b)
 
 
 @pytest.mark.parametrize("drv", ALL_BUILTINS, ids=lambda d: d.kind)
@@ -98,5 +112,7 @@ def test_entropic_equals_quadratic_exactly():
 
 def test_homogeneity_scaling_identity():
     drv = homogeneous_driver(0.1)
-    rep = validate(drv, [0.0, 1.0], np.linspace(-2, 2, 9))
-    assert rep.homogeneity_violation <= 1e-12
+    z = np.linspace(-2, 2, 9)
+    for t in (0.0, 1.0):
+        for lam in (0.25, 0.5, 2.0, 3.0):
+            np.testing.assert_allclose(drv.g(t, lam * z), lam * drv.g(t, z), rtol=0, atol=1e-12)

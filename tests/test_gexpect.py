@@ -25,6 +25,7 @@ from impact_hedger import (
 from impact_hedger.errors import (
     ContractViolation,
     ExtrapolationRefused,
+    InvalidArgument,
     NumericOverflow,
     StepSizeViolation,
 )
@@ -299,6 +300,18 @@ def test_variational_entropic_gap_shrinks_with_dt():
         var = dz_dy_variational(lat, drv, sde, lambda x: x, lambda x: x * x, 0.5)
         gaps[n] = direct.dz.sup_diff(var)
     assert gaps[100] <= 0.6 * gaps[50]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan])
+@pytest.mark.parametrize("route", ["direct", "variational"])
+def test_position_derivative_refuses_a_nonpositive_eps(route, eps):
+    lat, sde, r = markov_setup(10)
+    drv = entropic_driver(1.0)
+    with pytest.raises(InvalidArgument, match="eps must be positive"):
+        if route == "direct":
+            dz_dy(lat, drv, r.terminal, 0.5, eps)
+        else:
+            dz_dy_variational(lat, drv, sde, lambda x: x, None, 0.5, eps=eps)
 
 
 def test_variational_requires_differentiable_driver():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from impact_hedger import (
     StateSde,
     build_binomial,
     build_full_binary,
-    project_martingale_increment,
     simulate_state,
-    take_conditional_expectation,
+    solve_bsde,
+    zero_driver,
 )
 from impact_hedger.errors import InvalidArgument, ModeConflict
 
@@ -42,38 +44,44 @@ def test_invalid_arguments():
 
 
 def test_conditional_expectation_examples():
-    np.testing.assert_allclose(take_conditional_expectation([3.0, 3.0]), [3.0])
-    np.testing.assert_allclose(take_conditional_expectation([-1.0, 1.0]), [0.0])
-    np.testing.assert_allclose(
-        take_conditional_expectation([0.0, 1.0, 4.0]), [0.5, 2.5]
-    )
+    lat = build_binomial(1.0, 2)
+    np.testing.assert_allclose(lat.conditional_expectation([3.0, 3.0]), [3.0])
+    np.testing.assert_allclose(lat.conditional_expectation([-1.0, 1.0]), [0.0])
+    np.testing.assert_allclose(lat.conditional_expectation([0.0, 1.0, 4.0]), [0.5, 2.5])
     with pytest.raises(InvalidArgument):
-        take_conditional_expectation([1.0])
+        lat.conditional_expectation([1.0])
 
 
 def test_martingale_projection_examples():
+    def z_before_maturity(T, terminal):
+        lat = build_binomial(T, len(terminal) - 1)
+        return solve_bsde(lat, zero_driver(), terminal).z.values(lat.n_steps - 1)
+
     # terminal W with T = 1, one step: Z_0 = -1
-    np.testing.assert_allclose(project_martingale_increment([-1.0, 1.0], 1.0), [-1.0])
-    # constant terminal has no martingale part
-    np.testing.assert_allclose(project_martingale_increment([5.0, 5.0, 5.0], 0.5), [0.0, 0.0])
+    np.testing.assert_allclose(z_before_maturity(1.0, [-1.0, 1.0]), [-1.0])
+    # constant terminal has no martingale part (dt = 0.5)
+    np.testing.assert_allclose(z_before_maturity(1.0, [5.0, 5.0, 5.0]), [0.0, 0.0])
     # sign flips with the payoff
-    np.testing.assert_allclose(project_martingale_increment([1.0, -1.0], 1.0), [1.0])
+    np.testing.assert_allclose(z_before_maturity(1.0, [1.0, -1.0]), [1.0])
 
 
 def test_branch_moments_exact():
     lat = build_binomial(2.0, 5)
-    incr, prob = lat.increments()
-    assert float(prob @ incr) == 0.0
-    assert float(prob @ incr**2) == lat.grid.dt
+    for k in range(lat.n_steps):
+        incr = np.stack(lat.split_children(lat.w_values(k + 1))) - lat.w_values(k)
+        np.testing.assert_allclose(incr.mean(axis=0), 0.0, atol=1e-15)
+        np.testing.assert_allclose((incr**2).mean(axis=0), lat.grid.dt, rtol=1e-14)
 
 
 def test_tower_property_matches_weighted_sum():
-    lat = build_binomial(1.0, 60)
+    n = 60
+    lat = build_binomial(1.0, n)
     rng = np.random.default_rng(0)
-    v = rng.normal(size=lat.level_size(60))
+    v = rng.normal(size=lat.level_size(n))
     folded = lat.root_expectation(v)
-    weighted = float(lat.level_probabilities(60) @ v)
-    assert abs(folded - weighted) < 1e-12
+    # node j of level n is reached by comb(n, j) of the 2^n equally likely paths
+    weights = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float) / 2.0**n
+    assert abs(folded - float(weights @ v)) < 1e-12
 
 
 def test_node_process_shape_validation():

@@ -4,7 +4,6 @@ import pytest
 from impact_hedger import (
     build_binomial,
     cara_utility,
-    check_admissible,
     constant_strategy,
     entropic_driver,
     expected_terminal_utility,
@@ -177,21 +176,6 @@ def test_two_jump_strategy_matches_pnl_process(drv):
     wp = pnl_process(lat, drv, s, strat, 0.0, y_grid=y_grid)
     trade_by_trade = simple_strategy_pnl(lat, drv, s, strat)
     np.testing.assert_allclose(wp.x.terminal, trade_by_trade, atol=1e-10)
-
-
-def test_admissibility_examples():
-    lat = build_binomial(1.0, 16)
-    drv = homogeneous_driver(0.1)
-    s = lat.w_values(16)
-    assert check_admissible(lat, drv, s, constant_strategy(lat, 0.0)) == 0.0
-    # Z(-S) = 1: integrand is 1, so the value is T
-    assert check_admissible(lat, drv, s, constant_strategy(lat, 1.0)) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    # theta = -2 uses Z(S) = -1: |Z|^2 = 4
-    assert check_admissible(lat, drv, s, constant_strategy(lat, -2.0)) == pytest.approx(
-        4.0, abs=1e-12
-    )
 
 
 def test_expected_utility_cara_matches_enumeration():

@@ -1,7 +1,7 @@
 """Each lattice recursion and each root search is written once.
 
 CARA and Picard run on the shared backward sweep (``_sweep_levels``), every
-wealth-like forward pass on ``_forward_wealth`` and every bracketed root
+wealth-like forward pass on ``lattice._forward_wealth`` and every bracketed root
 search on ``_decreasing_root``.  The loops they replaced are kept here as
 the reference: the shared code must give their numbers bit for bit.
 """

@@ -23,7 +23,7 @@ from impact_hedger import (
     zero_driver,
 )
 from impact_hedger.errors import ContractViolation, ImageViolation, InvalidArgument
-from impact_hedger.optimizer import _forward_wealth
+from impact_hedger.lattice import _forward_wealth
 
 
 CARA2 = cara_utility(2.0)

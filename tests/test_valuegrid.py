@@ -13,6 +13,7 @@ from impact_hedger import (
     build_binomial,
     cara_closed_form_surface,
     cara_utility,
+    custom_driver,
     dp_value,
     drifted_quadratic_driver,
     exponential_triple,
@@ -52,7 +53,10 @@ def test_lv_operator_golden_section_agrees():
     tg, xg = desk_grids(n_t=50)
     surf = cara_closed_form_surface(tg, xg, 1.0, 0.3, 2.0)
     lv_c, ups_c = lv_operator(surf, DRIVER, 0.5, 0.0)
-    lv_g, ups_g = lv_operator(surf, DRIVER, 0.5, 0.0, force_search=True)
+    # the same g without its affine-gradient coefficients takes the search
+    searched = custom_driver(DRIVER.g, DRIVER.g_z)
+    assert searched.as_quadratic_family(0.5) is None
+    lv_g, ups_g = lv_operator(surf, searched, 0.5, 0.0)
     assert ups_g == pytest.approx(ups_c, abs=1e-6)
     assert lv_g == pytest.approx(lv_c, abs=1e-6)
 
