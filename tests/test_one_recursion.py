@@ -1,9 +1,9 @@
 """Each lattice recursion and each root search is written once.
 
 CARA and Picard run on the shared backward sweep (``_sweep_levels``), every
-wealth-like forward pass on ``lattice._forward_wealth`` and every bracketed root
-search on ``_decreasing_root``.  The loops they replaced are kept here as
-the reference: the shared code must give their numbers bit for bit.
+wealth-like forward pass on ``lattice._forward_wealth`` and every bracketed
+root search on ``_decreasing_root``.  The loops they replaced are kept here
+as the reference: the shared code must give their numbers bit for bit.
 """
 from functools import lru_cache
 
