@@ -72,7 +72,6 @@ from .closedform import (
     wealth_by_conditional_route,
 )
 from .valuegrid import (
-    AnalyticSurface,
     BspdeResidualReport,
     ControlSpec,
     PolicySlice,

@@ -19,7 +19,6 @@ import configparser
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -230,24 +229,14 @@ def _build_payoff(cfg: ScenarioConfig, lattice):
     if cfg.payoff == "brownian":
         s = lattice.w_values(lattice.n_steps)
     elif cfg.payoff == "affine":
-        s = cfg.payoff_a * lattice.w_values(lattice.n_steps) + cfg.payoff_b
+        # an overflow is refused, with the payoff named, where the solvers
+        # take the terminal buffer
+        with np.errstate(over="ignore"):
+            s = cfg.payoff_a * lattice.w_values(lattice.n_steps) + cfg.payoff_b
     else:  # markov_linear
         s = state
     book = None if cfg.h_m == "zero" else state**2
     return s, book
-
-
-def _threads() -> int:
-    raw = os.environ.get("THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InvalidArgument(f"THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise InvalidArgument("THREADS must be >= 1")
-    return n
 
 
 # cells formatted per block of rows: bounds the scratch memory of a write
@@ -310,12 +299,6 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
             out = pool.take(index).view(np.uint8).reshape(n, n_cols, SLOT)
             out[:, :, -1] = ends
             fh.write(out.tobytes().translate(None, b"\0"))
-
-
-def _level_table(k: int, *columns: np.ndarray) -> np.ndarray:
-    """Rows (level, node, *columns) of one lattice level."""
-    size = columns[0].size
-    return np.column_stack((np.full(size, k), np.arange(size), *columns))
 
 
 _SOLUTION_HEADER = ["level", "node", "x", "zeta", "m", "theta", "h"]
@@ -382,15 +365,17 @@ def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
     s, book = _build_payoff(cfg, lattice)
     terminal = s if book is None else book - s
     sol = solve_bsde(lattice, driver, terminal)
-    n = lattice.n_steps
-    blocks = []
-    for k in range(n + 1):
-        pi = sol.pi.values(k)
-        z = sol.z.values(k) if k < n else np.zeros_like(pi)
-        t = np.full(pi.size, lattice.grid.t(k))
-        blocks.append(_level_table(k, t, lattice.w_values(k), pi, z))
+    # one row per node, level by level; z reads 0 on the terminal level
+    level = lattice.level_index
+    node = np.arange(level.size) - lattice.offsets[level]
+    z = np.zeros(level.size)
+    z[: lattice.offsets[-2]] = sol.z.flat
+    grid = lattice.grid
+    table = np.column_stack(
+        (level, node, level * grid.dt, (2.0 * node - level) * grid.sqrt_dt, sol.pi.flat, z)
+    )
     header = ["level", "node", "t", "W", "pi", "z"]
-    _emit(cfg, out_dir, report, "gexp.csv", header, np.concatenate(blocks))
+    _emit(cfg, out_dir, report, "gexp.csv", header, table)
     report.results["pi_root"] = sol.pi.root
     report.results["z_root"] = sol.z.root
 
@@ -504,31 +489,23 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     bridge = fbsde_from_surface(surface, policy, lattice, utility, cfg.x0, driver)
 
     x = xgrid.x
-    sl = xgrid.interior
-    xs = x[sl]
-    blocks = []
-    for k in range(tgrid.n_steps):
-        theta_row = (
-            policy.theta_hat[k]
-            if surface.control.kind == "homogeneous"
-            else policy.upsilon[k] / payoff_slope
+    n_t = tgrid.n_steps
+    # one row per slice k < n_t and interior wealth point, slice by slice
+    cells = (slice(0, n_t), xgrid.interior)
+    xs = x[xgrid.interior]
+    theta = policy.theta_hat if control.kind == "homogeneous" else policy.upsilon / payoff_slope
+    table = np.column_stack(
+        (
+            np.repeat(np.arange(n_t) * tgrid.dt, xs.size),
+            np.tile(xs, n_t),
+            *(
+                a[cells].ravel()
+                for a in (surface.v, surface.v_x, surface.v_xx, policy.upsilon, theta, resid.rows)
+            ),
         )
-        blocks.append(
-            np.column_stack(
-                (
-                    np.full(xs.size, tgrid.t(k)),
-                    xs,
-                    surface.v[k, sl],
-                    surface.v_x(k)[sl],
-                    surface.v_xx(k)[sl],
-                    policy.upsilon[k, sl],
-                    theta_row[sl],
-                    resid.rows[k, sl],
-                )
-            )
-        )
+    )
     header = ["t", "x", "V", "Vx", "Vxx", "upsilon", "theta_hat", "residual"]
-    _emit(cfg, out_dir, report, "value.csv", header, np.concatenate(blocks))
+    _emit(cfg, out_dir, report, "value.csv", header, table)
     i0 = int(np.argmin(np.abs(x - cfg.x0)))
     report.results.update(
         {
@@ -602,7 +579,7 @@ def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = RunReport(command=command, scenario=cfg.echo(), threads=_threads())
+    report = RunReport(command=command, scenario=cfg.echo())
     try:
         _COMMANDS[command](cfg, out, report)
     except InvalidArgument:

@@ -215,14 +215,13 @@ def custom_driver(
     g_z: Callable[[float, np.ndarray], np.ndarray] | None = None,
     *,
     is_homogeneous: bool = False,
-    is_differentiable: bool | None = None,
 ) -> Driver:
-    """Wrap user callables; flags are taken at face value."""
+    """Wrap user callables: differentiable when ``g_z`` is given, homogeneous as flagged."""
     return Driver(
         kind="custom",
         g=lambda t, z: np.asarray(g(t, z), dtype=float),
         g_z=None if g_z is None else (lambda t, z: np.asarray(g_z(t, z), dtype=float)),
         is_homogeneous=is_homogeneous,
-        is_differentiable=(g_z is not None) if is_differentiable is None else is_differentiable,
+        is_differentiable=g_z is not None,
     )
 

@@ -26,11 +26,11 @@ from .errors import (
     NumericOverflow,
     StepSizeViolation,
 )
-from .lattice import Lattice, NodeProcess, StateSde, simulate_state
+from .lattice import Lattice, NodeProcess, StateSde, _fd_gradient, simulate_state
 
 
 def _terminal_array(lattice: Lattice, terminal) -> np.ndarray:
-    """Accept a NodeProcess (its last level) or a raw terminal buffer."""
+    """Accept a NodeProcess (its last level) or a raw terminal buffer, all finite."""
     if isinstance(terminal, NodeProcess):
         values = terminal.terminal
         if terminal.n_levels != lattice.n_steps + 1:
@@ -42,6 +42,8 @@ def _terminal_array(lattice: Lattice, terminal) -> np.ndarray:
             f"terminal buffer has shape {values.shape}, expected "
             f"({lattice.level_size(lattice.n_steps)},)"
         )
+    if not np.all(np.isfinite(values)):
+        raise NumericOverflow("non-finite terminal payoff or book")
     return values.copy()
 
 
@@ -279,11 +281,6 @@ def dz_dy(
         return DzDyResult(dz=forward, kink=True, forward=forward, backward=backward)
     central = NodeProcess.from_flat(lattice, 0.5 * (forward.flat + backward.flat))
     return DzDyResult(dz=central, kink=False, forward=forward, backward=backward)
-
-
-def _fd_gradient(fn: Callable[[np.ndarray], np.ndarray], r: np.ndarray) -> np.ndarray:
-    h = 1e-6 * (1.0 + np.abs(r))
-    return (np.asarray(fn(r + h), dtype=float) - np.asarray(fn(r - h), dtype=float)) / (2.0 * h)
 
 
 def dz_dy_variational(

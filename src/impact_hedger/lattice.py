@@ -353,8 +353,13 @@ class StateSde:
 
     def drift_gradient(self, t: float, r: np.ndarray) -> np.ndarray:
         """d b / d r by central differences (used by variational sweeps)."""
-        h = 1e-6 * (1.0 + np.abs(r))
-        return (self.drift_at(t, r + h) - self.drift_at(t, r - h)) / (2.0 * h)
+        return _fd_gradient(lambda s: self.drift_at(t, s), r)
+
+
+def _fd_gradient(fn: Callable[[np.ndarray], np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Central difference of ``fn`` at ``r``, with step 1e-6 (1 + |r|)."""
+    h = 1e-6 * (1.0 + np.abs(r))
+    return (np.asarray(fn(r + h), dtype=float) - np.asarray(fn(r - h), dtype=float)) / (2.0 * h)
 
 
 def simulate_state(lattice: Lattice, sde: StateSde) -> NodeProcess:

@@ -80,82 +80,80 @@ class ControlSpec:
 
 
 @dataclass
-class AnalyticSurface:
-    """Closed-form surface with exact derivatives, for oracle injections."""
-
-    v: Callable[[float, np.ndarray], np.ndarray]
-    v_t: Callable[[float, np.ndarray], np.ndarray]
-    v_x: Callable[[float, np.ndarray], np.ndarray]
-    v_xx: Callable[[float, np.ndarray], np.ndarray]
-
-
-@dataclass
 class ValueSurface:
-    """V on the time-wealth grid, with its wealth stencils."""
+    """V on the time-wealth grid with its derivatives, each (n_t + 1, n_x).
+
+    A derivative not passed in is computed once from ``v``: the wealth
+    derivatives by central stencils, ``v_t`` by central time differences,
+    0 on the first and last slice.
+    """
 
     tgrid: TimeGrid
     xgrid: WealthGrid
-    v: np.ndarray  # shape (n_t + 1, n_x)
+    v: np.ndarray
     control: ControlSpec
-    analytic: AnalyticSurface | None = None
+    v_x: np.ndarray | None = None
+    v_xx: np.ndarray | None = None
+    v_t: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         expected = (self.tgrid.n_steps + 1, self.xgrid.n_x)
         if self.v.shape != expected:
             raise InvalidArgument(f"surface shape {self.v.shape}, expected {expected}")
-
-    def v_x(self, k: int) -> np.ndarray:
-        if self.analytic is not None:
-            return np.asarray(self.analytic.v_x(self.tgrid.t(k), self.xgrid.x))
-        return _central_first(self.v[k], self.xgrid.dx)
-
-    def v_xx(self, k: int) -> np.ndarray:
-        if self.analytic is not None:
-            return np.asarray(self.analytic.v_xx(self.tgrid.t(k), self.xgrid.x))
-        return _central_second(self.v[k], self.xgrid.dx)
+        if self.v_x is None:
+            self.v_x = _central_first(self.v, self.xgrid.dx)
+        if self.v_xx is None:
+            self.v_xx = _central_second(self.v, self.xgrid.dx)
+        if self.v_t is None:
+            self.v_t = np.zeros_like(self.v)
+            self.v_t[1:-1] = (self.v[2:] - self.v[:-2]) / (2.0 * self.tgrid.dt)
 
     def check_shape_in_wealth(self, tol: float = 1e-10) -> None:
         """Interior monotonicity and strict concavity in x, with slack ``tol``."""
-        sl = self.xgrid.interior
-        for k in range(self.tgrid.n_steps + 1):
-            row = self.v[k, sl]
-            if np.any(np.diff(row) <= -tol):
-                raise ConcavityViolation(f"surface not increasing in wealth at slice {k}")
-            if np.any(np.diff(row, n=2) >= tol):
-                raise ConcavityViolation(f"surface not strictly concave at slice {k}")
+        rows = self.v[:, self.xgrid.interior]
+        falls = np.any(np.diff(rows) <= -tol, axis=1)
+        bends = np.any(np.diff(rows, n=2) >= tol, axis=1)
+        bad = np.flatnonzero(falls | bends)
+        if bad.size:
+            k = bad[0]
+            shape = "increasing in wealth" if falls[k] else "strictly concave"
+            raise ConcavityViolation(f"surface not {shape} at slice {k}")
 
 
-def _central_first(row: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(row)
-    out[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
-    out[0] = (row[1] - row[0]) / dx
-    out[-1] = (row[-1] - row[-2]) / dx
+def _central_first(v: np.ndarray, dx: float) -> np.ndarray:
+    """Central first difference along the last (wealth) axis, one-sided at the ends."""
+    out = np.empty_like(v)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (v[..., 1] - v[..., 0]) / dx
+    out[..., -1] = (v[..., -1] - v[..., -2]) / dx
     return out
 
 
-def _central_second(row: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(row)
-    out[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (dx * dx)
-    out[0] = out[1]
-    out[-1] = out[-2]
+def _central_second(v: np.ndarray, dx: float) -> np.ndarray:
+    """Central second difference along the last axis, copied out to the ends."""
+    out = np.empty_like(v)
+    out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (dx * dx)
+    out[..., 0] = out[..., 1]
+    out[..., -1] = out[..., -2]
     return out
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
     """One-sided three-point end slope, clipped to keep the data's shape."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+    return np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)), 3.0 * m0, d)
 
 
-def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+def _pchip(
+    x: np.ndarray, y: np.ndarray, xq: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Monotone cubic (Fritsch-Carlson) interpolant of ``y`` on ``x`` at ``xq``.
 
     ``x`` is strictly increasing with at least three nodes; queries outside
-    it extend the end cubics.  The arithmetic is that of scipy's
+    it extend the end cubics.  ``y`` is one row of node values, or, with
+    ``rows``, a stack of rows on the same ``x``: query ``xq[j]`` then reads
+    row ``rows[j]``.  The arithmetic is that of scipy's
     ``PchipInterpolator(x, y, extrapolate=True)(xq)``, so the two agree bit
     for bit: node slopes by the weighted harmonic mean (zero at a flat
     segment or a change of sign), the same end-slope rule, the Hermite
@@ -168,24 +166,26 @@ def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     m = np.diff(y) / h
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    left, right = m[..., :-1], m[..., 1:]
+    flat = (np.sign(right) != np.sign(left)) | (right == 0) | (left == 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        whmean = (w1 / left + w2 / right) / (w1 + w2)
         d_inner = np.where(flat, 0.0, 1.0 / whmean)
     d = np.concatenate((
-        [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+        _pchip_end_slope(h[0], h[1], m[..., :1], m[..., 1:2]),
         d_inner,
-        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
-    ))
-    t = (d[:-1] + d[1:] - 2 * m) / h
+        _pchip_end_slope(h[-1], h[-2], m[..., -1:], m[..., -2:-1]),
+    ), axis=-1)
+    t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
     c0 = t / h
-    c1 = (m - d[:-1]) / h - t
+    c1 = (m - d[..., :-1]) / h - t
     i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    at = i if rows is None else (rows, i)
     s = xq - x[i]
     s2 = s * s
     # scipy sums c3 + c2 s + c1 s^2 + c0 s^3 from a zero start, which
     # turns a -0.0 node value into +0.0
-    return 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+    return 0.0 + y[at] + d[at] * s + c1[at] * s2 + c0[at] * (s2 * s)
 
 
 @dataclass
@@ -352,8 +352,8 @@ def lv_operator(
 ) -> tuple[float, float]:
     """Operator value and maximizing integrand at an interior grid point."""
     k, i = _locate(surface.tgrid, surface.xgrid, t, x)
-    vx = surface.v_x(k)
-    vxx = surface.v_xx(k)
+    vx = surface.v_x[k]
+    vxx = surface.v_xx[k]
     ups_row, _ = _maximizer_row(driver, surface.control, t, vx, vxx)
     u = float(ups_row[i])
     lv = float(-float(driver.eval(t, u)) * vx[i] + 0.5 * u * u * vxx[i])
@@ -383,15 +383,11 @@ def residual_slice(
     if not 1 <= k <= tgrid.n_steps - 1:
         raise InvalidArgument("central time difference needs an interior slice")
     t = tgrid.t(k)
-    if surface.analytic is not None:
-        v_t = np.asarray(surface.analytic.v_t(t, xgrid.x))
-    else:
-        v_t = (surface.v[k + 1] - surface.v[k - 1]) / (2.0 * tgrid.dt)
-    vx = surface.v_x(k)
-    vxx = surface.v_xx(k)
+    vx = surface.v_x[k]
+    vxx = surface.v_xx[k]
     ups, th = _maximizer_row(driver, surface.control, t, vx, vxx)
     lv = -np.asarray(driver.g(t, ups)) * vx + 0.5 * ups**2 * vxx
-    resid = np.abs(v_t + lv)
+    resid = np.abs(surface.v_t[k] + lv)
     mask = np.zeros_like(resid, dtype=bool)
     if surface.control.kind == "homogeneous":
         on = th > 0
@@ -448,34 +444,31 @@ def fbsde_from_surface(
             )
 
     h = NodeProcess.empty(lattice, n)
+    theta = NodeProcess.empty(lattice, n)
 
     def ups_of_level(k: int, xk: np.ndarray) -> np.ndarray:
         check_on_grid(k, xk)
         h.levels[k][...] = np.interp(xk, x_axis, policy.upsilon[k])
+        theta.levels[k][...] = np.interp(xk, x_axis, policy.theta_hat[k])
         return h.levels[k]
 
     x, consistency = _forward_wealth(lattice, driver, ups_of_level, x0)
-    x_levels = x.levels
-    check_on_grid(n, x_levels[n])
+    check_on_grid(n, x.levels[n])
 
-    zeta = NodeProcess.empty(lattice, n + 1)
-    m = NodeProcess.empty(lattice, n)
-    theta = NodeProcess.empty(lattice, n)
-    for k in range(n + 1):
-        xk = x_levels[k]
-        # smooth off-grid reads: linear interpolation of the stencil fields
-        # leaves cell-scale noise that the marginal utility amplifies
-        vx = _pchip(x_axis, surface.v_x(k), xk)
-        if np.any(vx <= 0):
-            raise InverseDomainError("V_x must be positive to invert the marginal utility")
-        zk = zeta.levels[k]
-        zk[...] = np.asarray(utility.inverse_marginal(vx), dtype=float) - xk
-        if k < n:
-            vxx = _pchip(x_axis, surface.v_xx(k), xk)
-            ups = h.levels[k]
-            u2 = np.asarray(utility.u2(xk + zk))
-            m.levels[k][...] = (ups * vxx) / u2 - ups
-            theta.levels[k][...] = np.interp(xk, x_axis, policy.theta_hat[k])
+    # smooth off-grid reads: linear interpolation of the stencil fields
+    # leaves cell-scale noise that the marginal utility amplifies.  Each
+    # node reads the surface slice of its own level.
+    level = lattice.level_index
+    inner = lattice.offsets[-2]  # the nodes of levels 0 .. n-1
+    vx = _pchip(x_axis, surface.v_x, x.flat, rows=level)
+    if np.any(vx <= 0):
+        raise InverseDomainError("V_x must be positive to invert the marginal utility")
+    vxx = _pchip(x_axis, surface.v_xx[:n], x.flat[:inner], rows=level[:inner])
+    zeta = NodeProcess.from_flat(
+        lattice, np.asarray(utility.inverse_marginal(vx), dtype=float) - x.flat
+    )
+    u2 = np.asarray(utility.u2(x.flat[:inner] + zeta.flat[:inner]))
+    m = NodeProcess.from_flat(lattice, (h.flat * vxx) / u2 - h.flat)
 
     sol = FbsdeSolution(
         x=x,
@@ -501,38 +494,23 @@ def cara_closed_form_surface(
     """Inject the explicit CARA surface V = -exp(-gamma_a (x + zeta_t)).
 
     zeta_t is the remaining-variance integral of the measure drift over
-    2 (gamma + gamma_a); derivatives are attached analytically.
+    2 (gamma + gamma_a); the derivatives are the closed-form ones.
     """
     eta_fn = eta if callable(eta) else (lambda t, _e=float(eta): _e)
     n_t = tgrid.n_steps
     dt = tgrid.dt
-
-    def zeta_of(t: float) -> float:
-        # piecewise-constant eta on the grid
-        k0 = int(round(t / dt))
-        return sum(
-            eta_fn(tgrid.t(i)) ** 2 * dt for i in range(k0, n_t)
-        ) / (2.0 * (gamma + gamma_a))
-
-    def v(t, x):
-        return -np.exp(-gamma_a * (np.asarray(x) + zeta_of(t)))
-
-    def v_t(t, x):
-        k0 = int(round(t / dt))
-        zdot = -eta_fn(tgrid.t(min(k0, n_t - 1))) ** 2 / (2.0 * (gamma + gamma_a))
-        return -gamma_a * zdot * v(t, x)
-
-    def v_x(t, x):
-        return -gamma_a * v(t, x)
-
-    def v_xx(t, x):
-        return gamma_a**2 * v(t, x)
-
-    grid_v = np.stack([v(tgrid.t(k), xgrid.x) for k in range(n_t + 1)])
+    scale = 2.0 * (gamma + gamma_a)
+    # piecewise-constant eta on the grid; slice n_t takes the last step's
+    eta2 = [eta_fn(tgrid.t(i)) ** 2 for i in range(n_t)]
+    zeta = np.array([sum(e * dt for e in eta2[k:]) / scale for k in range(n_t + 1)])
+    zeta_dot = -np.array(eta2 + eta2[-1:]) / scale
+    v = -np.exp(-gamma_a * (xgrid.x + zeta[:, None]))
     return ValueSurface(
         tgrid=tgrid,
         xgrid=xgrid,
-        v=grid_v,
+        v=v,
         control=control or ControlSpec(kind="interval", z_lo=-1.0, z_hi=1.0),
-        analytic=AnalyticSurface(v=v, v_t=v_t, v_x=v_x, v_xx=v_xx),
+        v_x=-gamma_a * v,
+        v_xx=gamma_a**2 * v,
+        v_t=(-gamma_a * zeta_dot)[:, None] * v,
     )

@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from impact_hedger.cli import EXIT_CONFIG, load_config, main, run
+from impact_hedger.cli import EXIT_CONFIG, EXIT_NUMERIC, load_config, main, run
 from impact_hedger.errors import InvalidArgument
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -141,11 +142,6 @@ def test_verify_byte_identical_across_threads(tmp_path):
             assert blob == reference[name], f"{name} differs for {key}"
 
 
-def test_invalid_threads_rejected(tmp_path):
-    proc = _run_cli_subprocess("gexp", SCENARIOS / "entropic_gexp.ini", tmp_path, "many")
-    assert proc.returncode == EXIT_CONFIG
-
-
 def test_nonconvergence_exits_3_with_partial_outputs(tmp_path):
     cfg = tmp_path / "stall.ini"
     cfg.write_text(
@@ -228,6 +224,26 @@ def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
     assert "numeric error" in capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+
+
+@pytest.mark.parametrize("command", ["gexp", "price", "solve", "verify"])
+def test_an_overflowing_payoff_is_refused_by_name(tmp_path, capsys, command):
+    # 1e308 W overflows at the lattice edge: the run ends on the payoff,
+    # not on a sweep level, and without a numpy warning on the way
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(
+        "[driver]\nkind = zero\n"
+        "[utility]\nkind = cara\ngamma_a = 2.0\n"
+        "[market]\npayoff = affine\npayoff_a = 1e308\n"
+        "[numerics]\nhorizon = 4\nn_steps = 4\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite terminal payoff" in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("eta", ["1e3", "1e10"])

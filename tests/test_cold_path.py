@@ -71,6 +71,39 @@ def test_pchip_keeps_the_query_shape(case):
     assert out.tobytes() == ref.tobytes()
 
 
+@st.composite
+def pchip_stacks(draw):
+    # rows on one wealth axis, some of them flat, each query on any row;
+    # the queries cover every node and points outside the hull
+    x, first, xq = draw(pchip_cases())
+    n_rows = draw(st.integers(1, 4))
+    ys = [first]
+    for _ in range(n_rows - 1):
+        if draw(st.booleans()):
+            ys.append(np.full(x.size, draw(node_values)))
+        else:
+            ys.append(np.array(draw(st.lists(node_values, min_size=x.size, max_size=x.size))))
+    rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=xq.size, max_size=xq.size)))
+    return x, np.stack(ys), xq, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pchip_stacks())
+@example(
+    case=(
+        np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0], [1.0, 1.0, 2.0, 2.0]]),
+        np.array([-1.0, 0.0, 1.0, 3.0, 4.0, 2.5, 0.5, -0.0]),
+        np.array([0, 1, 2, 0, 1, 2, 1, 1]),
+    )
+)
+def test_batched_pchip_equals_one_fit_per_row(case):
+    x, ys, xq, rows = case
+    out = _pchip(x, ys, xq, rows=rows)
+    want = np.array([_pchip(x, ys[r], xq[j : j + 1])[0] for j, r in enumerate(rows)])
+    assert out.tobytes() == want.tobytes()
+
+
 def test_pchip_refuses_a_non_finite_row():
     x = np.linspace(0.0, 1.0, 5)
     with pytest.raises(NumericOverflow):

@@ -70,9 +70,7 @@ def test_solve_h_bisection_matches_closed_form():
     # hide the affine structure behind a custom driver to force bracketing
     from impact_hedger import custom_driver
 
-    drv = custom_driver(
-        lambda t, z: 0.5 * z * z - 0.3 * z, lambda t, z: z - 0.3, is_differentiable=True
-    )
+    drv = custom_driver(lambda t, z: 0.5 * z * z - 0.3 * z, lambda t, z: z - 0.3)
     direct = solve_h(drifted_quadratic_driver(1.0, 0.3), CARA2, 0.0, 0.0, 0.0, 0.07)
     bracketed = solve_h(drv, CARA2, 0.0, 0.0, 0.0, 0.07)
     assert bracketed == pytest.approx(direct, abs=1e-12)

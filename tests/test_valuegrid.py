@@ -8,6 +8,7 @@ from impact_hedger import (
     ControlSpec,
     MarketSpec,
     TimeGrid,
+    ValueSurface,
     WealthGrid,
     bspde_residual,
     build_binomial,
@@ -22,6 +23,7 @@ from impact_hedger import (
     lv_operator,
     zero_driver,
 )
+from impact_hedger import valuegrid
 from impact_hedger.errors import ControlBracketExhausted, InvalidArgument
 
 DRIVER = drifted_quadratic_driver(1.0, 0.3)
@@ -76,15 +78,66 @@ def test_stencil_first_derivative_order():
     errs = []
     for n_x in (101, 201):
         xg = WealthGrid(-3.0, 3.0, n_x)
-        surf = cara_closed_form_surface(tg, xg, 1.0, 0.3, 2.0)
-        analytic = surf.analytic
-        surf.analytic = None  # force stencils
-        num = surf.v_x(2)
-        exact = analytic.v_x(tg.t(2), xg.x)
+        closed = cara_closed_form_surface(tg, xg, 1.0, 0.3, 2.0)
+        num = ValueSurface(tg, xg, closed.v, closed.control).v_x[2]
         window = np.abs(xg.x) <= 2.0
-        errs.append(float(np.max(np.abs((num - exact))[window])))
+        errs.append(float(np.max(np.abs(num - closed.v_x[2])[window])))
     order = math.log(errs[0] / errs[1], 2)
     assert order >= 1.9
+
+
+def _slice_first(row, dx):
+    out = np.empty_like(row)
+    out[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
+    out[0] = (row[1] - row[0]) / dx
+    out[-1] = (row[-1] - row[-2]) / dx
+    return out
+
+
+def _slice_second(row, dx):
+    out = np.empty_like(row)
+    out[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (dx * dx)
+    out[0] = out[1]
+    out[-1] = out[-2]
+    return out
+
+
+def test_surface_derivatives_equal_the_per_slice_stencils():
+    # the arrays a surface computes once are, bit for bit, the stencils
+    # and central time difference taken slice by slice
+    tg, xg = desk_grids(n_t=20, n_x=101)
+    surf, _ = dp_value(tg, xg, DRIVER, UTILITY, INTERVAL)
+    for k in range(tg.n_steps + 1):
+        assert surf.v_x[k].tobytes() == _slice_first(surf.v[k], xg.dx).tobytes()
+        assert surf.v_xx[k].tobytes() == _slice_second(surf.v[k], xg.dx).tobytes()
+        if 1 <= k < tg.n_steps:
+            v_t = (surf.v[k + 1] - surf.v[k - 1]) / (2.0 * tg.dt)
+        else:
+            v_t = np.zeros(xg.n_x)
+        assert surf.v_t[k].tobytes() == v_t.tobytes()
+
+
+def test_a_built_surface_is_read_not_refitted(monkeypatch):
+    # the bridge fits v_x and v_xx in one batched call each, and neither
+    # the residual nor the bridge takes the surface's stencils again
+    tg, xg = desk_grids(n_t=30, n_x=201)
+    surf, pol = dp_value(tg, xg, DRIVER, UTILITY, INTERVAL)
+    pchip = valuegrid._pchip
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("rows") is not None)
+        return pchip(*args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("a surface stencil was computed again")
+
+    monkeypatch.setattr(valuegrid, "_pchip", counted)
+    monkeypatch.setattr(valuegrid, "_central_first", refused)
+    monkeypatch.setattr(valuegrid, "_central_second", refused)
+    bspde_residual(surf, DRIVER)
+    fbsde_from_surface(surf, pol, build_binomial(1.0, 30), UTILITY, 0.0, DRIVER)
+    assert calls == [True, True]
 
 
 def test_dp_zero_driver_keeps_terminal_utility():
