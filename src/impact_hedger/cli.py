@@ -124,7 +124,7 @@ _KEYS = (
     ("utility", "gamma_a", "gamma_a", _finite, None, *_POSITIVE),
     ("market", "payoff", "payoff", str, "brownian",
      *_one_of("brownian", "affine", "markov_linear")),
-    ("market", "payoff_a", "payoff_a", _finite, "1.0", *_ANY),
+    ("market", "payoff_a", "payoff_a", _finite, "1.0", lambda a: a != 0, "must be nonzero"),
     ("market", "payoff_b", "payoff_b", _finite, "0.0", *_ANY),
     ("market", "h_m", "h_m", str, "zero", *_one_of("zero", "markov_square")),
     ("market", "eta", "eta", _finite, "0.0", *_ANY),
@@ -479,10 +479,8 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     # the affine payoff a W + b has unit-short integrand a; the other
     # presets have slope one
     payoff_slope = cfg.payoff_a if cfg.payoff == "affine" else 1.0
-    if driver.is_homogeneous and not driver.is_differentiable:
-        control = ControlSpec(kind="homogeneous", z_scale=payoff_slope)
-    else:
-        control = ControlSpec(kind="interval", z_lo=cfg.z_lo, z_hi=cfg.z_hi)
+    kind = "homogeneous" if driver.kinked else "interval"
+    control = ControlSpec(kind=kind, z_lo=cfg.z_lo, z_hi=cfg.z_hi, z_scale=payoff_slope)
     surface, policy = dp_value(tgrid, xgrid, driver, utility, control)
     resid = bspde_residual(surface, driver)
     lattice = build_binomial(cfg.horizon, cfg.n_steps)
@@ -493,15 +491,12 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     # one row per slice k < n_t and interior wealth point, slice by slice
     cells = (slice(0, n_t), xgrid.interior)
     xs = x[xgrid.interior]
-    theta = policy.theta_hat if control.kind == "homogeneous" else policy.upsilon / payoff_slope
+    fields = (surface.v, surface.v_x, surface.v_xx, policy.upsilon, policy.theta_hat, resid.rows)
     table = np.column_stack(
         (
             np.repeat(np.arange(n_t) * tgrid.dt, xs.size),
             np.tile(xs, n_t),
-            *(
-                a[cells].ravel()
-                for a in (surface.v, surface.v_x, surface.v_xx, policy.upsilon, theta, resid.rows)
-            ),
+            *(a[cells].ravel() for a in fields),
         )
     )
     header = ["t", "x", "V", "Vx", "Vxx", "upsilon", "theta_hat", "residual"]

@@ -71,9 +71,15 @@ def girsanov_density(lattice: Lattice, eta) -> NodeProcess:
     """
     fn = _as_time_fn(eta)
     t = lattice.grid.t
-    log_density, _ = _forward_wealth(
-        lattice, quadratic_driver(0.5), lambda k, x: np.full_like(x, -fn(t(k))), 0.0
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_density, _ = _forward_wealth(
+                lattice, quadratic_driver(0.5), lambda k, x: np.full_like(x, -fn(t(k))), 0.0
+            )
+    except NumericOverflow as exc:
+        k = exc.level
+        msg = f"measure drift eta = {fn(t(k - 1))!r} makes the density non-finite at level {k}"
+        raise NumericOverflow(msg, level=k) from exc
     return log_density.map(np.exp)
 
 
@@ -246,7 +252,7 @@ def no_trade_solution(lattice: Lattice, driver, x0: float) -> FbsdeSolution | No
     """
     ts = np.linspace(0.0, lattice.grid.horizon, 7)
     tol = 1e-12
-    if driver.is_homogeneous and not driver.is_differentiable:
+    if driver.kinked:
         # subgradient at 0 is [-g(t,-1), g(t,1)]
         applicable = all(
             float(driver.eval(t, 1.0)) >= -tol and float(driver.eval(t, -1.0)) >= -tol

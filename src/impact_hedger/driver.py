@@ -47,6 +47,11 @@ class Driver:
     # gradient of the form g_z(t, z) = a(t) * z + b(t), when it exists
     affine_grad: tuple[TimeFn, TimeFn] | None = None
 
+    @property
+    def kinked(self) -> bool:
+        """Homogeneous with a kink at 0: solved on the unit-payoff cone, not by the FOC."""
+        return not self.is_differentiable and self.is_homogeneous
+
     def eval(self, t: float, z: float | np.ndarray) -> float | np.ndarray:
         """Value g(t, z); vectorized over z."""
         arr = np.asarray(z, dtype=float)
@@ -82,18 +87,6 @@ class Driver:
         nz = z != 0.0
         out[nz] = np.abs((gz[nz] - g0[nz]) / z[nz])
         return out
-
-    def as_quadratic_family(self, t: float) -> tuple[float, float] | None:
-        """Coefficients (gamma, eta) of g = (1/2) gamma z^2 - eta z, if of that form.
-
-        Since g(t, 0) = 0, an affine gradient a z + b integrates to
-        g = (1/2) a z^2 + b z, so (gamma, eta) = (a, -b).
-        """
-        coeffs = self.affine_grad_coeffs(t)
-        if coeffs is None:
-            return None
-        a, b = coeffs
-        return a, -b
 
     def affine_grad_coeffs(self, t: float) -> tuple[float, float] | None:
         """Coefficients (a, b) of g_z(t, z) = a z + b, if the gradient is affine."""

@@ -274,7 +274,7 @@ def dz_dy(
     disagreement = forward.sup_diff(backward)
     scale = 1.0 + forward.sup_abs()
     kink = disagreement > 1e-6 * scale
-    if driver.is_homogeneous and not driver.is_differentiable and y == 0.0:
+    if driver.kinked and y == 0.0:
         # sign convention at zero position is ambiguous for kinked drivers
         kink = True
     if kink:
@@ -423,13 +423,7 @@ class PositionCurve:
         y1 = self.y_grid[idx + 1]
         w = (y - y0) / (y1 - y0)
         cols = np.arange(stack.shape[1])
-        if y.shape == ():
-            z0 = stack[idx]
-            z1 = stack[idx + 1]
-        else:
-            z0 = stack[idx, cols]
-            z1 = stack[idx + 1, cols]
-        return (1.0 - w) * z0 + w * z1
+        return (1.0 - w) * stack[idx, cols] + w * stack[idx + 1, cols]
 
     def z_process(self, y: float) -> NodeProcess:
         """Integrand process for a constant position y."""

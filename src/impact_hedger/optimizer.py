@@ -194,46 +194,14 @@ def solve_h(
     zeta: float,
     m: float,
 ) -> float:
-    """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0.
-
-    Affine gradients admit a closed form; otherwise the search starts from
-    |H| <= |m| + |psi1 g_z(t, 0)| + 1, which contains the root whenever the
-    driver is convex (the condition then decreases in H).
-    """
+    """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0: the
+    one-node case of ``_h_level_general``."""
     if not driver.is_differentiable:
         raise ContractViolation("solve_h requires a differentiable driver")
     w = x + zeta
-    u2 = float(utility.u2(np.asarray(w)))
-    if u2 >= 0:
+    if float(utility.u2(np.asarray(w))) >= 0:
         raise InvalidArgument("U'' must be negative at x + zeta")
-    psi1 = float(utility.psi1(np.asarray(w)))
-
-    coeffs = driver.affine_grad_coeffs(t)
-    if coeffs is not None:
-        a, b = coeffs
-        h = (psi1 * b - m) / (1.0 - a * psi1)
-        _assert_linear_growth(h, m, psi1, b)
-        return float(h)
-
-    gz0 = float(driver.grad(t, 0.0))
-    radius = abs(m) + abs(psi1 * gz0) + 1.0
-    u1 = float(utility.u1(np.asarray(w)))
-
-    def foc(hh: float) -> float:
-        return -u1 * float(driver.grad(t, hh)) + u2 * (hh + m)
-
-    h = _decreasing_root(foc, -radius, radius, 1e-14, _double, 60)
-    _assert_linear_growth(h, m, psi1, gz0)
-    return float(h)
-
-
-def _assert_linear_growth(h: float, m: float, psi1: float, gz0: float) -> None:
-    # convexity bound: |H| <= |m| + |psi1 * g_z(t, 0)|
-    bound = abs(m) + abs(psi1 * gz0) + 1e-9 * (1.0 + abs(m))
-    if abs(h) > bound:
-        raise RootNotFound(
-            f"first-order root {h:.6g} violates the linear-growth bound {bound:.6g}"
-        )
+    return float(_h_level_general(driver, utility, t, np.array([w]), np.array([float(m)]))[0])
 
 
 @dataclass
@@ -278,13 +246,14 @@ def solve_h_homogeneous(
 # ---------------------------------------------------------------------------
 
 
-def _h_level_cara(driver: Driver, gamma_a: float, t: float, m: np.ndarray) -> np.ndarray:
+def _h_level_cara(driver: Driver, utility: UtilitySpec, t: float, m: np.ndarray) -> np.ndarray:
     """Vectorized H(t, M) for CARA utility: 0 in grad g(H) + gamma_a (H + M)."""
+    gamma_a = utility.gamma_a
     coeffs = driver.affine_grad_coeffs(t)
     if coeffs is not None:
         a, b = coeffs
         return (-b - gamma_a * m) / (gamma_a + a)
-    if driver.is_homogeneous and not driver.is_differentiable:
+    if driver.kinked:
         slope_pos = float(driver.eval(t, 1.0))   # right slope at 0
         slope_neg = float(driver.eval(t, -1.0))  # minus the left slope at 0
         h_pos = -m - slope_pos / gamma_a
@@ -293,25 +262,52 @@ def _h_level_cara(driver: Driver, gamma_a: float, t: float, m: np.ndarray) -> np
         out = np.where(h_pos > 0, h_pos, out)
         out = np.where(h_neg < 0, h_neg, out)
         return out
-    return _h_level_general(driver, cara_utility(gamma_a), t, np.zeros_like(m), m)
+    return _h_level_general(driver, utility, t, np.zeros_like(m), m)
 
 
 def _h_level_general(
     driver: Driver, utility: UtilitySpec, t: float,
     w: np.ndarray, m: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized H at a level for wealth-plus-zeta w and projection m."""
+    """Vectorized H at a level for wealth-plus-zeta w and projection m.
+
+    Affine gradients have a closed form.  Otherwise each distinct (w, m)
+    bit pattern is searched once, in node order (so the first error is the
+    first node's), from |H| <= |m| + |psi1 g_z(t, 0)| + 1, which holds the
+    root of a convex driver; the root must keep the linear-growth bound.
+    """
     coeffs = driver.affine_grad_coeffs(t)
     if coeffs is not None:
         a, b = coeffs
         psi1 = np.asarray(utility.psi1(w))
         return (psi1 * b - m) / (1.0 - a * psi1)
-    return np.array(
-        [
-            solve_h(driver, utility, t, float(wi), 0.0, float(mi))
-            for wi, mi in zip(w, m)
-        ]
+    if not driver.is_differentiable:
+        raise ContractViolation("the first-order condition requires a differentiable driver")
+    _, first, inverse = np.unique(
+        np.stack((w, m), axis=1).view(np.int64), axis=0, return_index=True, return_inverse=True
     )
+    roots = np.empty(first.size)
+    for j in np.argsort(first):
+        wj, mj = float(w[first[j]]), float(m[first[j]])
+        u2 = float(utility.u2(np.asarray(wj)))
+        if u2 >= 0:
+            raise InvalidArgument("U'' must be negative at x + zeta")
+        psi1 = float(utility.psi1(np.asarray(wj)))
+        gz0 = float(driver.grad(t, 0.0))
+        radius = abs(mj) + abs(psi1 * gz0) + 1.0
+        u1 = float(utility.u1(np.asarray(wj)))
+
+        def foc(hh: float) -> float:
+            return -u1 * float(driver.grad(t, hh)) + u2 * (hh + mj)
+
+        h = _decreasing_root(foc, -radius, radius, 1e-14, _double, 60)
+        bound = abs(mj) + abs(psi1 * gz0) + 1e-9 * (1.0 + abs(mj))
+        if abs(h) > bound:
+            raise RootNotFound(
+                f"first-order root {h:.6g} violates the linear-growth bound {bound:.6g}"
+            )
+        roots[j] = h
+    return roots[inverse.ravel()]
 
 
 def solve_fbsde_cara(
@@ -331,8 +327,7 @@ def solve_fbsde_cara(
     optimal holdings are recovered from the position curve (``curve``, or
     one built from ``y_grid``) when the traded payoff is supplied.
     """
-    if not gamma_a > 0:
-        raise InvalidArgument("gamma_a must be positive")
+    utility = cara_utility(gamma_a)
     grid = lattice.grid
     n = lattice.n_steps
     h = NodeProcess.empty(lattice, n)
@@ -341,7 +336,7 @@ def solve_fbsde_cara(
         t = grid.t(k)
         m = -z
         hk = h.levels[k]
-        hk[...] = _h_level_cara(driver, gamma_a, t, m)
+        hk[...] = _h_level_cara(driver, utility, t, m)
         return 0.5 * gamma_a * (hk + m) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
 
     zeta, m = _backward_pair(lattice, f_of_level)
@@ -359,7 +354,7 @@ def solve_fbsde_cara(
         residuals=None,
         forward_consistency=consistency,
     )
-    sol.residuals = verify_optimality(sol, driver, cara_utility(gamma_a))
+    sol.residuals = verify_optimality(sol, driver, utility)
     return sol
 
 
@@ -441,7 +436,6 @@ def solve_fbsde_picard(
     max_iter: int = 50,
     damping: float = 0.5,
     s_terminal=None,
-    y_grid=None,
     theta_plus: bool | None = None,
     curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
@@ -474,7 +468,7 @@ def solve_fbsde_picard(
     if max_iter < 1:
         raise InvalidArgument("max_iter must be at least 1")
     kink = z_minus = z_plus = None
-    if driver.is_homogeneous and not driver.is_differentiable:
+    if driver.kinked:
         if s_terminal is None:
             raise ContractViolation(
                 "homogeneous drivers need s_terminal for the unit integrands"
@@ -527,7 +521,7 @@ def solve_fbsde_picard(
         x_iter = step
 
     if kink is None and s_terminal is not None:
-        theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
+        theta = recover_theta(lattice, driver, s_terminal, h, curve=curve)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,
@@ -607,8 +601,7 @@ def verify_optimality(
     lattice = sol.x.lattice
     inner = lattice.offsets[lattice.n_steps]  # the nodes of levels 0 .. n-1
     homogeneous = (
-        driver.is_homogeneous
-        and not driver.is_differentiable
+        driver.kinked
         and z_minus is not None
         and z_plus is not None
         and sol.theta is not None

@@ -8,7 +8,6 @@ coefficient field vanishes, and the surface satisfies dV/dt + L V = 0 with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -60,23 +59,23 @@ class ControlSpec:
     """Attainable-integrand description for the pointwise maximization.
 
     ``interval``: integrands range over [z_lo, z_hi] (complete market).
-    ``homogeneous``: integrands are theta * z_scale(t) with theta >= 0,
-    z_scale being the deterministic unit-short integrand.
+    ``homogeneous``: integrands are theta * z_scale with theta >= 0.
+    ``z_scale`` is the traded payoff's unit integrand under either kind:
+    the holdings of an integrand are integrand / z_scale.
     """
 
     kind: str = "interval"
     z_lo: float = -1.0
     z_hi: float = 1.0
-    z_scale: float | Callable[[float], float] = 1.0
+    z_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("interval", "homogeneous"):
             raise InvalidArgument(f"unknown control kind {self.kind!r}")
         if self.kind == "interval" and not self.z_hi > self.z_lo:
             raise InvalidArgument("z_hi must exceed z_lo")
-
-    def scale_at(self, t: float) -> float:
-        return float(self.z_scale(t)) if callable(self.z_scale) else float(self.z_scale)
+        if not (np.isfinite(self.z_scale) and self.z_scale != 0):
+            raise InvalidArgument(f"z_scale must be finite and nonzero, got {self.z_scale!r}")
 
 
 @dataclass
@@ -108,11 +107,11 @@ class ValueSurface:
             self.v_t = np.zeros_like(self.v)
             self.v_t[1:-1] = (self.v[2:] - self.v[:-2]) / (2.0 * self.tgrid.dt)
 
-    def check_shape_in_wealth(self, tol: float = 1e-10) -> None:
-        """Interior monotonicity and strict concavity in x, with slack ``tol``."""
+    def check_shape_in_wealth(self) -> None:
+        """Interior monotonicity and strict concavity in x, with slack 1e-10."""
         rows = self.v[:, self.xgrid.interior]
-        falls = np.any(np.diff(rows) <= -tol, axis=1)
-        bends = np.any(np.diff(rows, n=2) >= tol, axis=1)
+        falls = np.any(np.diff(rows) <= -1e-10, axis=1)
+        bends = np.any(np.diff(rows, n=2) >= 1e-10, axis=1)
         bad = np.flatnonzero(falls | bends)
         if bad.size:
             k = bad[0]
@@ -214,19 +213,18 @@ def _maximizer_row(
         raise ConcavityViolation("V_xx must be negative where the operator is evaluated")
 
     if control.kind == "homogeneous":
-        zs = control.scale_at(t)
+        zs = control.z_scale
         g_zs = float(driver.eval(t, zs))
         theta1 = g_zs * vx / (zs * zs * vxx)
         theta_hat = np.maximum(theta1, 0.0)
         return theta_hat * zs, theta_hat
 
-    quad = driver.as_quadratic_family(t)
-    if quad is not None:
-        gamma_c, eta_c = quad
-        # the zero start turns a -0.0 product (eta_c = -b is -0.0 for the
-        # zero, quadratic and entropic drivers) into +0.0, so a zero
-        # maximizer is +0.0
-        ups = -(0.0 + eta_c * vx) / (vxx - gamma_c * vx)
+    coeffs = driver.affine_grad_coeffs(t)
+    if coeffs is not None:
+        # g = (1/2) a z^2 + b z; the zero start turns a -0.0 numerator
+        # into +0.0, so a zero maximizer is +0.0
+        a, b = coeffs
+        ups = -(0.0 - b * vx) / (vxx - a * vx)
     else:
         ups = _golden_max_rows(driver, t, vx, vxx, control.z_lo, control.z_hi)
     edge = 1e-9 * (control.z_hi - control.z_lo)
@@ -234,7 +232,14 @@ def _maximizer_row(
         raise ControlBracketExhausted(
             "control maximizer reached the search boundary; widen [z_lo, z_hi]"
         )
-    return ups, ups.copy()
+    return ups, ups / control.z_scale
+
+
+def _operator(
+    driver: Driver, t: float, z: np.ndarray, vx: np.ndarray, vxx: np.ndarray
+) -> np.ndarray:
+    """Operator integrand -g(t, z) V_x + (1/2) z^2 V_xx."""
+    return -np.asarray(driver.g(t, z)) * vx + 0.5 * z * z * vxx
 
 
 def _golden_max_rows(
@@ -248,24 +253,21 @@ def _golden_max_rows(
     """Vectorized golden-section maximization of the operator integrand
     (80 iterations)."""
 
-    def phi(z: np.ndarray) -> np.ndarray:
-        return -np.asarray(driver.g(t, z)) * vx + 0.5 * z * z * vxx
-
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a = np.full_like(vx, lo)
     b = np.full_like(vx, hi)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = phi(c)
-    fd = phi(d)
+    fc = _operator(driver, t, c, vx, vxx)
+    fd = _operator(driver, t, d, vx, vxx)
     for _ in range(80):
         take_left = fc >= fd
         b = np.where(take_left, d, b)
         a = np.where(take_left, a, c)
         c = b - inv_phi * (b - a)
         d = a + inv_phi * (b - a)
-        fc = phi(c)
-        fd = phi(d)
+        fc = _operator(driver, t, c, vx, vxx)
+        fd = _operator(driver, t, d, vx, vxx)
     return 0.5 * (a + b)
 
 
@@ -354,10 +356,8 @@ def lv_operator(
     k, i = _locate(surface.tgrid, surface.xgrid, t, x)
     vx = surface.v_x[k]
     vxx = surface.v_xx[k]
-    ups_row, _ = _maximizer_row(driver, surface.control, t, vx, vxx)
-    u = float(ups_row[i])
-    lv = float(-float(driver.eval(t, u)) * vx[i] + 0.5 * u * u * vxx[i])
-    return lv, u
+    ups, _ = _maximizer_row(driver, surface.control, t, vx, vxx)
+    return float(_operator(driver, t, ups, vx, vxx)[i]), float(ups[i])
 
 
 @dataclass
@@ -386,8 +386,7 @@ def residual_slice(
     vx = surface.v_x[k]
     vxx = surface.v_xx[k]
     ups, th = _maximizer_row(driver, surface.control, t, vx, vxx)
-    lv = -np.asarray(driver.g(t, ups)) * vx + 0.5 * ups**2 * vxx
-    resid = np.abs(surface.v_t[k] + lv)
+    resid = np.abs(surface.v_t[k] + _operator(driver, t, ups, vx, vxx))
     mask = np.zeros_like(resid, dtype=bool)
     if surface.control.kind == "homogeneous":
         on = th > 0
@@ -489,7 +488,6 @@ def cara_closed_form_surface(
     gamma: float,
     eta,
     gamma_a: float,
-    control: ControlSpec | None = None,
 ) -> ValueSurface:
     """Inject the explicit CARA surface V = -exp(-gamma_a (x + zeta_t)).
 
@@ -509,7 +507,7 @@ def cara_closed_form_surface(
         tgrid=tgrid,
         xgrid=xgrid,
         v=v,
-        control=control or ControlSpec(kind="interval", z_lo=-1.0, z_hi=1.0),
+        control=ControlSpec(),
         v_x=-gamma_a * v,
         v_xx=gamma_a**2 * v,
         v_t=(-gamma_a * zeta_dot)[:, None] * v,

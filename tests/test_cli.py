@@ -114,7 +114,9 @@ def test_outputs_are_finite(tmp_path):
 
 
 def _run_cli_subprocess(command, config, out_dir, threads):
-    env = dict(os.environ, THREADS=str(threads))
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "impact_hedger.cli", command, "--config", str(config), "--out", str(out_dir)],
         capture_output=True,
@@ -216,14 +218,48 @@ def test_config_error_inside_command_reports_exit_2(tmp_path):
 @pytest.mark.parametrize("command", ["closedform", "verify"])
 def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
     # the closed forms square [market] eta as a Python float, which raises
-    # OverflowError rather than returning inf
+    # OverflowError rather than returning inf; closedform's density pass
+    # meets the overflow first and names the drift and the level
     cfg = _small_desk(tmp_path)
     market = "payoff = brownian\neta = 0.3\n"
     cfg.write_text(cfg.read_text().replace(market, "payoff = brownian\neta = 1e160\n"))
     out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
-    assert "numeric error" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric error" in err
+    if command == "closedform":
+        assert "measure drift eta = 1e+160" in err and "level 1" in err
     assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+
+
+@pytest.mark.parametrize("slope", ["0", "-0.0"])
+def test_a_zero_payoff_slope_is_refused_at_load(tmp_path, capsys, slope):
+    cfg = _small_desk(tmp_path)
+    market = "payoff = brownian\n"
+    cfg.write_text(cfg.read_text().replace(market, f"payoff = affine\npayoff_a = {slope}\n"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["value", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[market] payoff_a" in err and "must be nonzero" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+def test_value_holdings_are_the_integrand_over_the_payoff_slope(tmp_path):
+    # every shipped scenario has slope 1, where the two columns coincide
+    cfg = _small_desk(tmp_path, numerics_extra="n_x = 101\n")
+    cfg.write_text(cfg.read_text().replace("payoff = brownian\n", "payoff = affine\npayoff_a = 1.3\n"))
+    assert main(["value", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "value.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    upsilon, theta = rows[:, header.index("upsilon")], rows[:, header.index("theta_hat")]
+    assert np.any(upsilon != 0.0)
+    assert (upsilon / 1.3).tobytes() == theta.tobytes()
 
 
 @pytest.mark.parametrize("command", ["gexp", "price", "solve", "verify"])

@@ -24,6 +24,21 @@ ALL_BUILTINS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "drv, kinked",
+    [
+        *((drv, drv.kind == "homogeneous") for drv in ALL_BUILTINS),
+        (custom_driver(lambda t, z: np.abs(z)), False),
+        (custom_driver(lambda t, z: np.abs(z), is_homogeneous=True), True),
+        (custom_driver(lambda t, z: z * z, lambda t, z: 2.0 * z), False),
+        (custom_driver(lambda t, z: 0.3 * z, lambda t, z: 0.3 + 0.0 * z, is_homogeneous=True), False),
+    ],
+    ids=[*(drv.kind for drv in ALL_BUILTINS), "custom", "custom_cone", "custom_smooth", "custom_linear"],
+)
+def test_kinked_is_homogeneous_without_a_gradient(drv, kinked):
+    assert drv.kinked is kinked
+
+
 def test_eval_examples():
     assert zero_driver().eval(0.3, 17.0) == 0.0
     # g = gamma z^2 / 2 - eta z at z = 0.1
@@ -60,7 +75,7 @@ ZS = st.floats(-50.0, 50.0)
 def test_validate_builtins_clean(drv, t, z1, z2, lam):
     """The driver contract on drawn inputs: g(t, 0) = 0, midpoint convexity,
     positive homogeneity where flagged, and, where the gradient is affine,
-    g = (1/2) a z^2 + b z with ``as_quadratic_family`` = (a, -b)."""
+    g = (1/2) a z^2 + b z."""
     def g(z):
         return float(np.asarray(drv.g(t, np.array([z])))[0])
 
@@ -71,12 +86,10 @@ def test_validate_builtins_clean(drv, t, z1, z2, lam):
         assert g(lam * z1) == pytest.approx(lam * g1, rel=1e-14)
     coeffs = drv.affine_grad_coeffs(t)
     if coeffs is None:
-        assert drv.as_quadratic_family(t) is None
         return
     a, b = coeffs
     quad, lin = 0.5 * a * z1 * z1, b * z1
     assert abs(g1 - (quad + lin)) <= 1e-15 * (abs(quad) + abs(lin))
-    assert drv.as_quadratic_family(t) == (a, -b)
 
 
 @pytest.mark.parametrize("drv", ALL_BUILTINS, ids=lambda d: d.kind)

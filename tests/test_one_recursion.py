@@ -576,6 +576,64 @@ def test_concave_driver_is_never_bracketed():
     assert err.value.bracket == (-radius * 2.0**59, radius * 2.0**59)
 
 
+# U' = 1 + (x - 3)^2 passes validation on [-2, 2] but has U'' >= 0 from x = 3
+BENT = custom_utility(
+    u=lambda x: x + (x - 3.0) ** 3 / 3.0,
+    u1=lambda x: 1.0 + (x - 3.0) ** 2,
+    u2=lambda x: 2.0 * (x - 3.0),
+    u3=lambda x: 2.0 + 0.0 * x,
+)
+# g = -0.3 log cosh z breaks the driver contract: the condition still
+# decreases (0.3 is below -U''/U'), but for m != 0 its root breaks the
+# linear-growth bound
+DRAGGED = custom_driver(lambda t, z: -0.3 * np.log(np.cosh(z)), lambda t, z: -0.3 * np.tanh(z))
+# few values, so a level repeats (w, m) bit patterns, -0.0 and 0.0 among them
+level_values = st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+
+def ref_h_level_general(driver, utility, t, w, m):
+    """The per-node loop: the U'' check, then the scalar bracket search."""
+    out = []
+    for wi, mi in zip(w, m):
+        if float(utility.u2(np.asarray(wi + 0.0))) >= 0:
+            raise InvalidArgument("U'' must be negative at x + zeta")
+        out.append(ref_solve_h(driver, utility, t, float(wi), 0.0, float(mi)))
+    return np.array(out)
+
+
+@SETTINGS
+@given(
+    driver=smooth_drivers | st.just(DRAGGED),
+    utility=utilities | st.just(BENT),
+    t=st.floats(0.0, 1.0),
+    nodes=st.lists(st.tuples(level_values | st.just(3.5), level_values), min_size=1, max_size=12),
+)
+def test_level_search_per_bit_pattern_matches_the_node_loop(driver, utility, t, nodes):
+    w, m = np.array(nodes).T.copy()
+    assert _outcome(_h_level_general, driver, utility, t, w, m) == _outcome(
+        ref_h_level_general, driver, utility, t, w, m
+    )
+
+
+def test_cara_searches_one_root_per_level(monkeypatch):
+    from impact_hedger import optimizer
+
+    calls = []
+    search = optimizer._decreasing_root
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(optimizer, "_decreasing_root", counted)
+    driver = custom_driver(
+        lambda t, z: z * z / 2.0 + 0.1 * (np.sqrt(1.0 + z * z) - 1.0) - 0.3 * z,
+        lambda t, z: z + 0.1 * z / np.sqrt(1.0 + z * z) - 0.3,
+    )
+    solve_fbsde_cara(build_binomial(1.0, 200), driver, 2.0, 0.0)
+    assert len(calls) == 200
+
+
 # -- one kinked first-order condition --------------------------------------------
 
 

@@ -41,7 +41,7 @@ _VALUES = {
     ("utility", "kind"): (st.just("cara"), _WORD),
     ("utility", "gamma_a"): (_floats(0.5, 3.0), _floats(-3.0, 0.0)),
     ("market", "payoff"): (st.sampled_from(["brownian", "affine", "markov_linear"]), _WORD),
-    ("market", "payoff_a"): (_floats(0.5, 1.5), _WILD),
+    ("market", "payoff_a"): (_floats(0.5, 1.5), st.sampled_from(["0", "0.0", "-0.0"])),
     ("market", "payoff_b"): (_floats(-0.5, 0.5), _WILD),
     ("market", "h_m"): (st.sampled_from(["zero", "markov_square"]), _WORD),
     ("market", "eta"): (_floats(0.0, 0.5), _WILD),

@@ -57,10 +57,35 @@ def test_lv_operator_golden_section_agrees():
     lv_c, ups_c = lv_operator(surf, DRIVER, 0.5, 0.0)
     # the same g without its affine-gradient coefficients takes the search
     searched = custom_driver(DRIVER.g, DRIVER.g_z)
-    assert searched.as_quadratic_family(0.5) is None
+    assert searched.affine_grad_coeffs(0.5) is None
     lv_g, ups_g = lv_operator(surf, searched, 0.5, 0.0)
     assert ups_g == pytest.approx(ups_c, abs=1e-6)
     assert lv_g == pytest.approx(lv_c, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "drv, ctrl",
+    [
+        (DRIVER, INTERVAL),
+        (custom_driver(DRIVER.g, DRIVER.g_z), INTERVAL),
+        (homogeneous_driver(0.02), ControlSpec(kind="homogeneous", z_scale=1.3)),
+    ],
+    ids=["closed_form", "golden", "homogeneous"],
+)
+def test_lv_operator_is_the_residual_operator(drv, ctrl):
+    tg, xg = desk_grids(n_t=20, n_x=101)
+    surf, _ = dp_value(tg, xg, drv, UTILITY, ctrl)
+    k, i = 10, 50
+    resid, _ = valuegrid.residual_slice(surf, drv, k)
+    lv, _ = lv_operator(surf, drv, tg.t(k), float(xg.x[i]))
+    assert np.abs(surf.v_t[k, i] + lv).tobytes() == resid[i].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["interval", "homogeneous"])
+@pytest.mark.parametrize("z_scale", [0.0, -0.0, math.inf, math.nan])
+def test_control_refuses_a_zero_or_non_finite_unit_integrand(kind, z_scale):
+    with pytest.raises(InvalidArgument, match="z_scale"):
+        ControlSpec(kind=kind, z_scale=z_scale)
 
 
 def test_lv_operator_zero_driver():
