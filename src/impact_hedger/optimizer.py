@@ -195,11 +195,10 @@ def solve_h(
     m: float,
 ) -> float:
     """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0: the
-    one-node case of ``_h_level_general``."""
-    if not driver.is_differentiable:
-        raise ContractViolation("solve_h requires a differentiable driver")
+    one-node case of ``_h_level_general``, which checks a non-affine driver
+    and U''; its affine closed form needs U'' < 0 checked here."""
     w = x + zeta
-    if float(utility.u2(np.asarray(w))) >= 0:
+    if driver.affine_grad is not None and float(utility.u2(np.asarray(w))) >= 0:
         raise InvalidArgument("U'' must be negative at x + zeta")
     return float(_h_level_general(driver, utility, t, np.array([w]), np.array([float(m)]))[0])
 
@@ -283,9 +282,10 @@ def _h_level_general(
         return (psi1 * b - m) / (1.0 - a * psi1)
     if not driver.is_differentiable:
         raise ContractViolation("the first-order condition requires a differentiable driver")
-    _, first, inverse = np.unique(
-        np.stack((w, m), axis=1).view(np.int64), axis=0, return_index=True, return_inverse=True
-    )
+    # one 16-byte key per node: its (w, m) bits, so -0.0 and 0.0 stay apart
+    key = np.stack((w, m), axis=1).view(np.dtype((np.void, 16))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    gz0 = float(driver.grad(t, 0.0))
     roots = np.empty(first.size)
     for j in np.argsort(first):
         wj, mj = float(w[first[j]]), float(m[first[j]])
@@ -293,7 +293,6 @@ def _h_level_general(
         if u2 >= 0:
             raise InvalidArgument("U'' must be negative at x + zeta")
         psi1 = float(utility.psi1(np.asarray(wj)))
-        gz0 = float(driver.grad(t, 0.0))
         radius = abs(mj) + abs(psi1 * gz0) + 1.0
         u1 = float(utility.u1(np.asarray(wj)))
 
@@ -307,7 +306,7 @@ def _h_level_general(
                 f"first-order root {h:.6g} violates the linear-growth bound {bound:.6g}"
             )
         roots[j] = h
-    return roots[inverse.ravel()]
+    return roots[inverse]
 
 
 def solve_fbsde_cara(

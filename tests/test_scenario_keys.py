@@ -31,17 +31,19 @@ def _grid(lo, hi):
 
 
 _WORD = st.sampled_from(["warp", "crra", "xml", "theta_minus"])
+_HUGE = ["1e6", "-1e6", "1e300", "-1e300"]
 # a value of a key with no rule: it may run, fail or be refused
-_WILD = st.sampled_from(["1e6", "-1e6", "1e300", "-1e300", "0.0"])
+_WILD = st.sampled_from([*_HUGE, "0.0"])
 
 # (section, key) -> (valid, out of range); every out-of-range value but
-# _WILD breaks a rule, a grid check or a driver constructor
+# _WILD and a huge payoff_a breaks a rule, a grid check or a driver constructor
 _VALUES = {
     ("driver", "kind"): (st.sampled_from(sorted(cli._DRIVERS)), _WORD),
     ("utility", "kind"): (st.just("cara"), _WORD),
     ("utility", "gamma_a"): (_floats(0.5, 3.0), _floats(-3.0, 0.0)),
     ("market", "payoff"): (st.sampled_from(["brownian", "affine", "markov_linear"]), _WORD),
-    ("market", "payoff_a"): (_floats(0.5, 1.5), st.sampled_from(["0", "0.0", "-0.0"])),
+    # a zero slope is refused; a huge one passes the rule and may run, fail or be refused
+    ("market", "payoff_a"): (_floats(0.5, 1.5), st.sampled_from(["0", "0.0", "-0.0", *_HUGE])),
     ("market", "payoff_b"): (_floats(-0.5, 0.5), _WILD),
     ("market", "h_m"): (st.sampled_from(["zero", "markov_square"]), _WORD),
     ("market", "eta"): (_floats(0.0, 0.5), _WILD),
@@ -106,7 +108,7 @@ def scenarios(draw):
             value = kind if (section, key) == ("driver", "kind") else draw(valid)
         else:
             value = draw(out_of_range if how == "out" else _BAD[how])
-            if how == "out" and out_of_range is _WILD:
+            if how == "out" and (out_of_range is _WILD or value in _HUGE):
                 wild = True
             else:
                 refused = True
