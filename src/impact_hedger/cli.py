@@ -27,37 +27,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import (
-    ControlSpec,
-    MarketSpec,
-    PositionCurve,
-    TimeGrid,
-    WealthGrid,
-    bspde_residual,
-    budget_lambda,
-    build_binomial,
-    cara_utility,
-    dp_value,
+# the solver modules are imported by the commands that call them, so
+# `--help` and each command compile only the code they run
+from .driver import (
     drifted_quadratic_driver,
     entropic_driver,
-    exponential_triple,
-    fbsde_from_surface,
-    girsanov_density,
     homogeneous_driver,
-    inverse_marginal_f,
     linear_driver,
-    no_trade_solution,
-    optimal_terminal_wealth,
     quadratic_driver,
-    quote_grid,
-    simulate_state,
-    solve_bsde,
-    solve_fbsde_cara,
-    solve_fbsde_picard,
     zero_driver,
 )
 from .errors import ImpactHedgerError, InvalidArgument
-from .lattice import StateSde
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,6 +193,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise InvalidArgument(f"unknown config key(s): {', '.join(unread)}")
     # every grid is checked here, so a bad one fails every command and not
     # only the command that builds it
+    from .lattice import ControlSpec, WealthGrid
+
     WealthGrid(cfg.x_min, cfg.x_max, cfg.n_x)
     ControlSpec(kind="interval", z_lo=cfg.z_lo, z_hi=cfg.z_hi)
     return cfg
@@ -222,8 +204,16 @@ def _build_driver(cfg: ScenarioConfig):
     return _DRIVERS[cfg.driver_kind][0](**cfg.driver_params)
 
 
+def _build_lattice(cfg: ScenarioConfig):
+    from .lattice import build_binomial
+
+    return build_binomial(cfg.horizon, cfg.n_steps)
+
+
 def _build_payoff(cfg: ScenarioConfig, lattice):
     """Payoff S and book H_M (None if zero); the Markov presets share one state."""
+    from .lattice import StateSde, simulate_state
+
     if cfg.payoff == "markov_linear" or cfg.h_m == "markov_square":
         state = simulate_state(lattice, StateSde(drift=0.0, sigma=1.0, r0=cfg.r0)).terminal
     if cfg.payoff == "brownian":
@@ -360,7 +350,9 @@ def _report_residuals(rep) -> dict:
 
 
 def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
-    lattice = build_binomial(cfg.horizon, cfg.n_steps)
+    from .gexpect import solve_bsde
+
+    lattice = _build_lattice(cfg)
     driver = _build_driver(cfg)
     s, book = _build_payoff(cfg, lattice)
     terminal = s if book is None else book - s
@@ -381,7 +373,9 @@ def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
-    lattice = build_binomial(cfg.horizon, cfg.n_steps)
+    from .market import quote_grid
+
+    lattice = _build_lattice(cfg)
     driver = _build_driver(cfg)
     s, book = _build_payoff(cfg, lattice)
     prices = quote_grid(lattice, driver, s, (0, 0), cfg.price_z, cfg.price_y, h_m=book)
@@ -397,6 +391,9 @@ def _solve_routes(cfg, lattice, driver, s, curve=None, cara_holdings=True):
     ``curve`` is the scenario's position curve, built here if not given.
     The CARA route recovers its holdings only if ``cara_holdings`` is set.
     """
+    from .gexpect import PositionCurve
+    from .optimizer import cara_utility, solve_fbsde_cara, solve_fbsde_picard
+
     utility = cara_utility(cfg.gamma_a)
     if curve is None:
         curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
@@ -419,7 +416,7 @@ def _solve_routes(cfg, lattice, driver, s, curve=None, cara_holdings=True):
 
 
 def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
-    lattice = build_binomial(cfg.horizon, cfg.n_steps)
+    lattice = _build_lattice(cfg)
     driver = _build_driver(cfg)
     s, _ = _build_payoff(cfg, lattice)
     # only the CARA wealth is read here (cara_route_gap)
@@ -444,7 +441,18 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
-    lattice = build_binomial(cfg.horizon, cfg.n_steps)
+    from .closedform import (
+        MarketSpec,
+        budget_lambda,
+        exponential_triple,
+        girsanov_density,
+        inverse_marginal_f,
+        no_trade_solution,
+        optimal_terminal_wealth,
+    )
+    from .optimizer import cara_utility
+
+    lattice = _build_lattice(cfg)
     driver = _build_driver(cfg)
     utility = cara_utility(cfg.gamma_a)
     market = MarketSpec(gamma=cfg.gamma, eta=cfg.eta, utility=utility, x0=cfg.x0)
@@ -472,6 +480,10 @@ def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
+    from .lattice import ControlSpec, TimeGrid, WealthGrid
+    from .optimizer import cara_utility
+    from .valuegrid import bspde_residual, dp_value, fbsde_from_surface
+
     tgrid = TimeGrid(cfg.horizon, cfg.n_steps)
     xgrid = WealthGrid(cfg.x_min, cfg.x_max, cfg.n_x)
     driver = _build_driver(cfg)
@@ -483,7 +495,7 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     control = ControlSpec(kind=kind, z_lo=cfg.z_lo, z_hi=cfg.z_hi, z_scale=payoff_slope)
     surface, policy = dp_value(tgrid, xgrid, driver, utility, control)
     resid = bspde_residual(surface, driver)
-    lattice = build_binomial(cfg.horizon, cfg.n_steps)
+    lattice = _build_lattice(cfg)
     bridge = fbsde_from_surface(surface, policy, lattice, utility, cfg.x0, driver)
 
     x = xgrid.x
@@ -515,7 +527,11 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
-    lattice = build_binomial(cfg.horizon, cfg.n_steps)
+    from .closedform import MarketSpec, exponential_triple
+    from .gexpect import PositionCurve
+    from .optimizer import cara_utility
+
+    lattice = _build_lattice(cfg)
     driver = _build_driver(cfg)
     utility = cara_utility(cfg.gamma_a)
     market = MarketSpec(gamma=cfg.gamma, eta=cfg.eta, utility=utility, x0=cfg.x0)

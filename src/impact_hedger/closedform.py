@@ -51,7 +51,15 @@ class MarketSpec:
         """eta(t_i)^2 dt for each step i of the grid."""
         grid = lattice.grid
         fn = self.eta_fn()
-        return [fn(grid.t(i)) ** 2 * grid.dt for i in range(lattice.n_steps)]
+        terms = []
+        for i in range(lattice.n_steps):
+            eta = fn(grid.t(i))
+            try:  # a Python float raises on overflow where numpy returns inf
+                terms.append(eta**2 * grid.dt)
+            except OverflowError:
+                msg = f"measure drift eta = {eta!r} overflows eta^2 dt at step {i}"
+                raise NumericOverflow(msg, level=i) from None
+        return terms
 
     def eta_squared_integral(self, lattice: Lattice, from_level: int = 0) -> float:
         """int_{t_k}^T eta(s)^2 ds for piecewise-constant eta on the grid."""

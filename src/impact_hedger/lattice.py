@@ -5,6 +5,9 @@ nodes, node ``(k, j)`` carries the Brownian value ``(2j - k) * sqrt(dt)`` where
 ``j`` counts up-moves, and both branches have probability one half.  A
 non-recombining ("full-binary") variant supports state-dependent coefficients
 and path-dependent wealth accounting; it is capped at 22 steps.
+
+The time and wealth grids and the control spec of the value surface live
+here too, so a scenario's grids are checked without loading a solver.
 """
 from __future__ import annotations
 
@@ -49,6 +52,61 @@ class TimeGrid:
 
     def t(self, k: int) -> float:
         return k * self.dt
+
+
+# stencil-safe interior margin, in grid cells per side
+_EDGE_CELLS = 3
+
+
+@dataclass(frozen=True)
+class WealthGrid:
+    """Uniform wealth grid [x_min, x_max] with n_x points."""
+
+    x_min: float
+    x_max: float
+    n_x: int
+
+    def __post_init__(self) -> None:
+        if not self.x_max > self.x_min:
+            raise InvalidArgument("x_max must exceed x_min")
+        if self.n_x < 2 * _EDGE_CELLS + 3:
+            raise InvalidArgument("wealth grid too coarse for interior stencils")
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.linspace(self.x_min, self.x_max, self.n_x)
+
+    @property
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / (self.n_x - 1)
+
+    @property
+    def interior(self) -> slice:
+        return slice(_EDGE_CELLS, self.n_x - _EDGE_CELLS)
+
+
+@dataclass(frozen=True)
+class ControlSpec:
+    """Attainable-integrand description for the pointwise maximization.
+
+    ``interval``: integrands range over [z_lo, z_hi] (complete market).
+    ``homogeneous``: integrands are theta * z_scale with theta >= 0.
+    ``z_scale`` is the traded payoff's unit integrand under either kind:
+    the holdings of an integrand are integrand / z_scale.
+    """
+
+    kind: str = "interval"
+    z_lo: float = -1.0
+    z_hi: float = 1.0
+    z_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("interval", "homogeneous"):
+            raise InvalidArgument(f"unknown control kind {self.kind!r}")
+        if self.kind == "interval" and not self.z_hi > self.z_lo:
+            raise InvalidArgument("z_hi must exceed z_lo")
+        if not (np.isfinite(self.z_scale) and self.z_scale != 0):
+            raise InvalidArgument(f"z_scale must be finite and nonzero, got {self.z_scale!r}")
 
 
 class Lattice:

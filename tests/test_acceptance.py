@@ -319,7 +319,9 @@ def test_c14_determinism(tmp_path):
     for threads in (1, 4):
         for rep in (0, 1):
             out = tmp_path / f"t{threads}_r{rep}"
-            env = dict(os.environ, THREADS=str(threads))
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
             proc = subprocess.run(
                 [
                     sys.executable,

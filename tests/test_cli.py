@@ -217,9 +217,8 @@ def test_config_error_inside_command_reports_exit_2(tmp_path):
 
 @pytest.mark.parametrize("command", ["closedform", "verify"])
 def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
-    # the closed forms square [market] eta as a Python float, which raises
-    # OverflowError rather than returning inf; closedform's density pass
-    # meets the overflow first and names the drift and the level
+    # closedform's density pass meets the overflow first and names the drift
+    # and the level; verify meets it where the closed forms square eta
     cfg = _small_desk(tmp_path)
     market = "payoff = brownian\neta = 0.3\n"
     cfg.write_text(cfg.read_text().replace(market, "payoff = brownian\neta = 1e160\n"))
@@ -231,6 +230,8 @@ def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
     assert "numeric error" in err
     if command == "closedform":
         assert "measure drift eta = 1e+160" in err and "level 1" in err
+    else:
+        assert "eta" in err and "measure drift eta = 1e+160" in err and "step 0" in err
     assert json.loads((out / "report.json").read_text())["exit_code"] == 4
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import PchipInterpolator
 
-from impact_hedger import cli
+from impact_hedger import market
 from impact_hedger.cli import EXIT_NUMERIC, _write_csv, main
 from impact_hedger.errors import ImpactHedgerError, NumericOverflow
 from impact_hedger.valuegrid import _pchip
@@ -302,7 +302,7 @@ def test_write_csv_refuses_a_non_finite_cell_before_opening_the_file(table, bad,
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_quote_exits_4_without_a_csv(tmp_path, monkeypatch, bad):
     monkeypatch.setattr(
-        cli, "quote_grid", lambda lattice, driver, s, node, z, y, h_m=None: np.full((z.size, y.size), bad)
+        market, "quote_grid", lambda lattice, driver, s, node, z, y, h_m=None: np.full((z.size, y.size), bad)
     )
     out = tmp_path / "o"
     assert main(["price", "--config", str(SCENARIOS / "no_trade.ini"), "--out", str(out)]) == EXIT_NUMERIC

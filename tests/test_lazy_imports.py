@@ -1,0 +1,135 @@
+"""The package loads each module on first use.
+
+``import impact_hedger`` runs no solver module, ``--help`` loads only the
+CLI, its errors and the driver constructors, and each command loads only
+the modules it calls.  The package's names stay the ones it exported
+before its exports were made lazy, each bound to the same object.
+"""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import impact_hedger
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+EXPORTS = [
+    "BsdeSolution", "BspdeResidualReport", "ControlSpec", "Driver", "DzDyResult", "FbsdeSolution",
+    "Lattice", "MarketSpec", "NodeProcess", "OptimalityReport", "PolicySlice", "PositionCurve",
+    "StateSde", "Strategy", "TimeGrid", "UtilitySpec", "ValueSurface", "WealthGrid", "WealthPath",
+    "bspde_residual", "budget_lambda", "build_binomial", "build_full_binary",
+    "cara_closed_form_surface", "cara_utility", "closedform", "constant_strategy", "custom_driver",
+    "custom_utility", "dp_value", "drifted_quadratic_driver", "driver", "dz_dy", "dz_dy_variational",
+    "entropic_driver", "entropic_exact", "errors", "expected_terminal_utility", "exponential_triple",
+    "fbsde_from_surface", "gexpect", "girsanov_density", "homogeneous_driver", "inverse_marginal_f",
+    "lattice", "linear_driver", "lv_operator", "market", "no_trade_solution",
+    "optimal_terminal_wealth", "optimizer", "piecewise_constant_strategy", "pnl_process",
+    "price_curve", "quadratic_driver", "quote_grid", "recover_theta", "residual_slice",
+    "simple_strategy_pnl", "simulate_state", "solve_bsde", "solve_fbsde_cara", "solve_fbsde_picard",
+    "solve_h", "solve_h_homogeneous", "valuegrid", "verify_optimality", "wealth_by_conditional_route",
+    "z_homogeneous", "z_of_position", "zero_driver",
+]
+SUBMODULES = {"closedform", "driver", "errors", "gexpect", "lattice", "market", "optimizer", "valuegrid"}
+
+# solver modules each command must not load
+NOT_LOADED = {
+    "gexp": {"optimizer", "closedform", "valuegrid"},
+    "price": {"optimizer", "closedform", "valuegrid"},
+    "solve": {"market", "closedform", "valuegrid"},
+    "verify": {"market", "valuegrid"},
+    "closedform": {"market", "valuegrid"},
+    "value": {"market", "closedform"},
+}
+
+
+def _python(script: str, *args: str) -> list:
+    """Run ``script`` in a fresh interpreter; its last stdout line, as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOADED = (
+    "print(json.dumps([sorted(m for m in sys.modules if m.startswith('impact_hedger')),"
+    " sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')),"
+    " 'numpy' in sys.modules]))\n"
+)
+
+
+def test_the_package_exports_the_same_names():
+    assert impact_hedger.__all__ == EXPORTS
+    assert len(EXPORTS) == 71 and SUBMODULES <= set(EXPORTS)
+    for name in EXPORTS:
+        value = getattr(impact_hedger, name)
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"impact_hedger.{name}")
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
+    assert set(EXPORTS) <= set(dir(impact_hedger))
+    with pytest.raises(AttributeError, match="no attribute 'warp_drive'"):
+        impact_hedger.warp_drive
+    with pytest.raises(ImportError):
+        from impact_hedger import warp_drive  # noqa: F401
+
+
+def test_the_grid_classes_are_the_ones_valuegrid_uses():
+    from impact_hedger import lattice, valuegrid
+
+    assert valuegrid.WealthGrid is lattice.WealthGrid is impact_hedger.WealthGrid
+    assert valuegrid.ControlSpec is lattice.ControlSpec is impact_hedger.ControlSpec
+
+
+def test_import_loads_no_solver_and_star_import_binds_every_name():
+    script = (
+        "import json, sys\n"
+        "import impact_hedger\n"
+        "before = sorted(m for m in sys.modules if m.startswith('impact_hedger'))\n"
+        "names = {}\n"
+        "exec('from impact_hedger import *', names)\n"
+        "print(json.dumps([before, sorted(k for k in names if k != '__builtins__')]))\n"
+    )
+    before, names = _python(script)
+    assert before == ["impact_hedger"]
+    assert names == EXPORTS
+
+
+def test_help_loads_only_the_cli_errors_and_driver():
+    script = (
+        "import json, sys\n"
+        "from impact_hedger import cli\n"
+        "try:\n"
+        "    cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n" + _LOADED
+    )
+    loaded, scipy, numpy = _python(script)
+    assert loaded == ["impact_hedger", "impact_hedger.cli", "impact_hedger.driver", "impact_hedger.errors"]
+    assert scipy == [] and numpy
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_each_command_loads_only_its_modules(tmp_path, command):
+    # one interpreter runs the command on every shipped scenario, so the
+    # modules of any scenario's path are counted
+    script = (
+        "import json, sys\n"
+        "from impact_hedger import cli\n"
+        "command, out, *configs = sys.argv[1:]\n"
+        "for i, config in enumerate(configs):\n"
+        "    assert cli.main([command, '--config', config, '--out', f'{out}/{i}']) == 0, config\n"
+        + _LOADED
+    )
+    configs = [str(p) for p in sorted(SCENARIOS.glob("*.ini"))]
+    assert len(configs) == 4
+    loaded, scipy, _ = _python(script, command, str(tmp_path), *configs)
+    assert "impact_hedger.cli" in loaded
+    assert not {f"impact_hedger.{m}" for m in NOT_LOADED[command]} & set(loaded)
+    assert scipy == []
