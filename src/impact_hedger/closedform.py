@@ -14,19 +14,14 @@ from typing import Callable
 import numpy as np
 
 from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver, quadratic_driver
-from .errors import (
-    ContractViolation,
-    DomainError,
-    InvalidArgument,
-    NumericOverflow,
-)
+from .errors import ContractViolation, DomainError, InvalidArgument, NumericOverflow
 from .gexpect import PositionCurve
 from .lattice import Lattice, NodeProcess, _forward_wealth
 from .optimizer import (
     FbsdeSolution,
     UtilitySpec,
     _decreasing_root,
-    _invert_scalar_decreasing,
+    _invert_decreasing,
     verify_optimality,
 )
 
@@ -112,15 +107,10 @@ def inverse_marginal_f(utility: UtilitySpec, gamma: float) -> Callable[[np.ndarr
 
         return f_cara
 
-    def forward(x: float) -> float:
-        return float(utility.u1(np.asarray(x))) * np.exp(-gamma * x) / gamma
+    def forward(x: np.ndarray) -> np.ndarray:
+        return np.asarray(utility.u1(x)) * np.exp(-gamma * x) / gamma
 
-    def f_generic(v):
-        if np.any(np.asarray(v, dtype=float) <= 0):
-            raise DomainError("inverse marginal defined for positive arguments only")
-        return _invert_scalar_decreasing(forward, v, xtol=1e-13)
-
-    return f_generic
+    return lambda v: _invert_decreasing(forward, v, xtol=1e-13)
 
 
 def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
@@ -128,7 +118,7 @@ def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
 
     CARA investors admit the explicit inversion of the budget identity;
     the generic path integrates over the Gaussian law of the density
-    exponent by Gauss-Hermite quadrature and bisects on log lambda.
+    exponent by Gauss-Hermite quadrature and searches on log lambda.
     """
     gamma = market.gamma
     x0 = market.x0
@@ -142,22 +132,25 @@ def budget_lambda(lattice: Lattice, market: MarketSpec) -> float:
             raise NumericOverflow(f"budget multiplier lambda = {lam!r} is out of float range")
         return lam
 
-    from scipy.special import roots_hermitenorm
-
+    with np.errstate(over="ignore"):
+        target = np.exp(gamma * x0)
+    if not (math.isfinite(target) and target > 0):
+        raise NumericOverflow(
+            f"budget target exp(gamma x0) is out of float range at x0 = {x0!r}, gamma = {gamma!r}"
+        )
     f = inverse_marginal_f(market.utility, gamma)
-    nodes, weights = roots_hermitenorm(160)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
     weights = weights / np.sqrt(2.0 * np.pi)
     # density exponent: xi_T = exp(-v/2 - sqrt(v) G) with G standard normal
     xi = np.exp(-0.5 * v - np.sqrt(v) * nodes)
-    target = np.exp(gamma * x0)
 
-    def budget_gap(log_lam: float) -> float:
-        lam = np.exp(log_lam)
-        xt = f(lam * xi)
-        return float(np.sum(weights * np.exp(gamma * xt) * xi)) - target
+    def budget_gap(log_lam: np.ndarray) -> np.ndarray:
+        xt = f(np.exp(log_lam) * xi)
+        return np.sum(weights * np.exp(gamma * xt) * xi, keepdims=True) - target
 
     widen = lambda lo, hi: (lo - 1.0, hi + 1.0)  # noqa: E731
-    return float(np.exp(_decreasing_root(budget_gap, -1.0, 1.0, 1e-13, widen, 200)))
+    log_lam = _decreasing_root(budget_gap, -np.ones(1), np.ones(1), 1e-13, widen, 200)
+    return float(np.exp(log_lam[0]))
 
 
 def optimal_terminal_wealth(

@@ -19,11 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .driver import Driver
-from .errors import (
-    ContractViolation,
-    InvalidArgument,
-    RootNotFound,
-)
+from .errors import ContractViolation, DomainError, InvalidArgument, NumericOverflow, RootNotFound
 from .gexpect import (  # noqa: F401  (solve_bsde re-exported)
     PositionCurve,
     _stack_levels,
@@ -54,7 +50,8 @@ class UtilitySpec:
         """U''' / U''."""
         return np.asarray(self.u3(x)) / np.asarray(self.u2(x))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Every spec is checked on [-2, 2] when it is built."""
         xs = np.linspace(-2.0, 2.0, 41)
         u1 = np.asarray(self.u1(xs))
         u2 = np.asarray(self.u2(xs))
@@ -72,7 +69,7 @@ def cara_utility(gamma_a: float) -> UtilitySpec:
     if not gamma_a > 0:
         raise InvalidArgument("gamma_a must be positive")
     g = float(gamma_a)
-    spec = UtilitySpec(
+    return UtilitySpec(
         kind="cara",
         u=lambda x: -np.exp(-g * x),
         u1=lambda x: g * np.exp(-g * x),
@@ -81,72 +78,80 @@ def cara_utility(gamma_a: float) -> UtilitySpec:
         inverse_marginal=lambda v: -np.log(np.asarray(v) / g) / g,
         gamma_a=g,
     )
-    spec.validate()
-    return spec
 
 
 def custom_utility(
-    u: Callable,
-    u1: Callable,
-    u2: Callable,
-    u3: Callable,
-    inverse_marginal: Callable | None = None,
+    u: Callable, u1: Callable, u2: Callable, u3: Callable, inverse_marginal: Callable | None = None
 ) -> UtilitySpec:
     """Wrap user callables; the inverse marginal falls back to a root search."""
     if inverse_marginal is None:
-
-        def inverse_marginal(v):
-            return _invert_scalar_decreasing(lambda x: float(u1(x)), v)
-
-    spec = UtilitySpec(
-        kind="custom", u=u, u1=u1, u2=u2, u3=u3,
-        inverse_marginal=inverse_marginal,
-    )
-    spec.validate()
-    return spec
+        inverse_marginal = lambda v: _invert_decreasing(u1, v)  # noqa: E731
+    return UtilitySpec(kind="custom", u=u, u1=u1, u2=u2, u3=u3, inverse_marginal=inverse_marginal)
 
 
-def _invert_scalar_decreasing(
-    fn: Callable[[float], float], v, xtol: float = 1e-14
-) -> np.ndarray | float:
-    """Solve fn(x) = v for a strictly decreasing scalar fn, element by element
-    of ``v``, on a bracket that starts at [-1, 1] and doubles."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    out = np.empty_like(arr)
-    for i, vi in enumerate(arr):
-        out[i] = _decreasing_root(lambda x: fn(x) - vi, -1.0, 1.0, xtol, _double, 200)
-    return out if np.ndim(v) else float(out[0])
+def _invert_decreasing(fn: Callable[[np.ndarray], np.ndarray], v, xtol: float = 1e-14):
+    """Solve fn(x) = v for a strictly decreasing fn, all of ``v`` (finite and
+    positive, the range of a marginal utility) in one search from [-1, 1]."""
+    arr = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise DomainError("inverse marginal defined for finite positive arguments only")
+    one = np.ones(arr.shape)
+    out = _decreasing_root(lambda x: fn(x) - arr, -one, one, xtol, _double, 200)
+    return out if np.ndim(v) else float(out)
 
 
-def _double(lo: float, hi: float) -> tuple[float, float]:
+def _double(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo * 2.0, hi * 2.0
 
 
-def _decreasing_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float,
-    widen: Callable[[float, float], tuple[float, float]],
-    tries: int,
-) -> float:
-    """Root of a decreasing scalar fn by Brent's method with tolerance ``xtol``.
-
-    The bracket is widened by ``widen(lo, hi)`` until fn(lo) >= 0 >= fn(hi),
-    trying at most ``tries`` brackets; ``RootNotFound`` carries the last one.
-    """
-    from scipy.optimize import brentq
-
+def _decreasing_root(fn: Callable, lo, hi, xtol: float, widen: Callable, tries: int) -> np.ndarray:
+    """Roots of a decreasing fn, which maps an array of candidates to its
+    values elementwise, on the brackets ``lo``, ``hi``.  Each bracket widens
+    by ``widen`` until fn(lo) >= 0 >= fn(hi), in at most ``tries`` brackets;
+    ``RootNotFound`` carries the last bracket of the first element, in C
+    order, that never brackets.  Illinois steps, each at least tol = xtol +
+    4 eps |b| long, and a bisection when two steps have not halved [a, b]
+    stop an element at fn(x) == 0 or at brentq's test |b - a| <= 2 tol(x).
+    A stopped element never moves, so a batch gives its one-element roots."""
+    rtol = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    open_ = np.ones(lo.shape, dtype=bool)
     for attempt in range(tries):
         if attempt:
-            lo, hi = widen(lo, hi)
-        if fn(lo) >= 0.0 >= fn(hi):
-            return brentq(fn, lo, hi, xtol=xtol)
-    raise RootNotFound(
-        f"no sign change of a decreasing function in {tries} brackets, "
-        f"the last [{lo!r}, {hi!r}]",
-        bracket=(lo, hi),
-    )
+            lo[open_], hi[open_] = widen(lo[open_], hi[open_])
+        fa, fb = np.asarray(fn(lo), dtype=float), np.asarray(fn(hi), dtype=float)
+        open_ &= ~((fa >= 0.0) & (fb <= 0.0))
+        if not open_.any():
+            break
+    else:
+        i = int(np.flatnonzero(open_)[0])
+        last = (float(lo.flat[i]), float(hi.flat[i]))
+        raise RootNotFound(
+            f"no sign change of a decreasing function in {tries} brackets, "
+            f"the last [{last[0]!r}, {last[1]!r}]",
+            bracket=last,
+        )
+    # (a, fa) is the end kept from the last step, (b, fb) the newest point
+    a, b, root = lo, hi, np.where(fa == 0.0, lo, hi)
+    done = (fa == 0.0) | (fb == 0.0)
+    width, older, last_width = np.abs(b - a), np.inf, np.inf
+    while not done.all():
+        with np.errstate(all="ignore"):
+            x = b - fb * (b - a) / (fb - fa)  # regula falsi; NaN at an infinite end
+        tol = xtol + rtol * np.abs(b)
+        x = np.where(np.abs(x - b) < tol, b + np.copysign(tol, a - b), x)
+        falsi = (x > np.minimum(a, b)) & (x < np.maximum(a, b)) & (width <= 0.5 * older)
+        x = np.where(done, root, np.where(falsi, x, 0.5 * a + 0.5 * b))
+        fx = np.asarray(fn(x), dtype=float)
+        # Illinois: past a sign change b is the other end, else a's value halves
+        flip = (fx > 0.0) != (fb > 0.0)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = x, fx
+        older, last_width, width = last_width, width, np.abs(b - a)
+        stop = ~done & ((fx == 0.0) | (width <= 2.0 * (xtol + rtol * np.abs(x))))
+        root = np.where(stop, x, root)
+        done |= stop
+    return root
 
 
 @dataclass
@@ -187,16 +192,10 @@ class FbsdeSolution:
 
 
 def solve_h(
-    driver: Driver,
-    utility: UtilitySpec,
-    t: float,
-    x: float,
-    zeta: float,
-    m: float,
+    driver: Driver, utility: UtilitySpec, t: float, x: float, zeta: float, m: float
 ) -> float:
-    """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0: the
-    one-node case of ``_h_level_general``, which checks a non-affine driver
-    and U''; its affine closed form needs U'' < 0 checked here."""
+    """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0: the one-node
+    case of ``_h_level_general``, whose affine closed form checks no U''."""
     w = x + zeta
     if driver.affine_grad is not None and float(utility.u2(np.asarray(w))) >= 0:
         raise InvalidArgument("U'' must be negative at x + zeta")
@@ -253,27 +252,22 @@ def _h_level_cara(driver: Driver, utility: UtilitySpec, t: float, m: np.ndarray)
         a, b = coeffs
         return (-b - gamma_a * m) / (gamma_a + a)
     if driver.kinked:
-        slope_pos = float(driver.eval(t, 1.0))   # right slope at 0
-        slope_neg = float(driver.eval(t, -1.0))  # minus the left slope at 0
-        h_pos = -m - slope_pos / gamma_a
-        h_neg = -m + slope_neg / gamma_a
-        out = np.zeros_like(m)
-        out = np.where(h_pos > 0, h_pos, out)
-        out = np.where(h_neg < 0, h_neg, out)
-        return out
+        # driver.eval(t, 1.0) is the right slope at 0, driver.eval(t, -1.0) minus the left one
+        h_pos = -m - float(driver.eval(t, 1.0)) / gamma_a
+        h_neg = -m + float(driver.eval(t, -1.0)) / gamma_a
+        return np.where(h_neg < 0, h_neg, np.where(h_pos > 0, h_pos, 0.0))
     return _h_level_general(driver, utility, t, np.zeros_like(m), m)
 
 
 def _h_level_general(
-    driver: Driver, utility: UtilitySpec, t: float,
-    w: np.ndarray, m: np.ndarray,
+    driver: Driver, utility: UtilitySpec, t: float, w: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
     """Vectorized H at a level for wealth-plus-zeta w and projection m.
 
-    Affine gradients have a closed form.  Otherwise each distinct (w, m)
-    bit pattern is searched once, in node order (so the first error is the
-    first node's), from |H| <= |m| + |psi1 g_z(t, 0)| + 1, which holds the
-    root of a convex driver; the root must keep the linear-growth bound.
+    Affine gradients have a closed form.  Otherwise the distinct (w, m) bit
+    patterns are searched as one array, each from |H| <= |m| + |psi1 g_z(t,
+    0)| + 1, which holds the root of a convex driver; the root must keep the
+    linear-growth bound.  The first node's error is raised.
     """
     coeffs = driver.affine_grad_coeffs(t)
     if coeffs is not None:
@@ -285,28 +279,41 @@ def _h_level_general(
     # one 16-byte key per node: its (w, m) bits, so -0.0 and 0.0 stay apart
     key = np.stack((w, m), axis=1).view(np.dtype((np.void, 16))).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    gz0 = float(driver.grad(t, 0.0))
-    roots = np.empty(first.size)
-    for j in np.argsort(first):
-        wj, mj = float(w[first[j]]), float(m[first[j]])
-        u2 = float(utility.u2(np.asarray(wj)))
-        if u2 >= 0:
+    order = np.argsort(first)
+    wp, mp = w[first[order]], m[first[order]]  # each pattern once, in node order
+    u1, u2, psi1 = (np.asarray(f(wp), dtype=float) for f in (utility.u1, utility.u2, utility.psi1))
+    reach = np.abs(mp) + np.abs(psi1 * float(driver.grad(t, 0.0)))
+    # a pattern's checks, in order: U'' < 0, a finite node, a bracket, the
+    # linear-growth bound; the patterns before the first to fail one are searched
+    bad = (u2 >= 0) | ~(np.isfinite(wp) & np.isfinite(mp) & np.isfinite(psi1))
+    count = int(np.argmax(bad)) if bad.any() else bad.size
+
+    def search(s: slice) -> np.ndarray:
+        roots = _decreasing_root(
+            lambda h: -u1[s] * driver.grad(t, h) + u2[s] * (h + mp[s]),
+            -reach[s] - 1.0, reach[s] + 1.0, 1e-14, _double, 60,
+        )
+        bound = reach[s] + 1e-9 * (1.0 + np.abs(mp[s]))
+        over = np.abs(roots) > bound
+        if over.any():
+            h, b = roots[over][0], bound[over][0]
+            raise RootNotFound(f"first-order root {h:.6g} violates the linear-growth bound {b:.6g}")
+        return roots
+
+    try:
+        roots = search(slice(0, count)) if count else np.empty(0)
+    except RootNotFound:  # the first pattern to fail raises its own error
+        for j in range(count):
+            search(slice(j, j + 1))
+        raise
+    if count < bad.size:
+        if u2[count] >= 0:
             raise InvalidArgument("U'' must be negative at x + zeta")
-        psi1 = float(utility.psi1(np.asarray(wj)))
-        radius = abs(mj) + abs(psi1 * gz0) + 1.0
-        u1 = float(utility.u1(np.asarray(wj)))
-
-        def foc(hh: float) -> float:
-            return -u1 * float(driver.grad(t, hh)) + u2 * (hh + mj)
-
-        h = _decreasing_root(foc, -radius, radius, 1e-14, _double, 60)
-        bound = abs(mj) + abs(psi1 * gz0) + 1e-9 * (1.0 + abs(mj))
-        if abs(h) > bound:
-            raise RootNotFound(
-                f"first-order root {h:.6g} violates the linear-growth bound {bound:.6g}"
-            )
-        roots[j] = h
-    return roots[inverse]
+        raise NumericOverflow(
+            f"first-order condition at a non-finite node: x + zeta = {wp[count]:.6g}, "
+            f"M = {mp[count]:.6g}, psi1 = {psi1[count]:.6g}"
+        )
+    return roots[np.argsort(order)[inverse]]
 
 
 def solve_fbsde_cara(
@@ -388,9 +395,7 @@ def _homogeneous_h_level(
     ambiguous = False
     if not theta_plus:
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand_short = np.where(
-                zp != 0.0, -(-zp * m + psi1 * gp) / (zp * zp), np.nan
-            )
+            cand_short = np.where(zp != 0.0, -(-zp * m + psi1 * gp) / (zp * zp), np.nan)
         short_on = ~long_on & (cand_short < 0)
         theta = np.where(short_on, cand_short, theta)
         h = np.where(short_on, np.abs(cand_short) * zp, h)

@@ -133,3 +133,40 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     assert "impact_hedger.cli" in loaded
     assert not {f"impact_hedger.{m}" for m in NOT_LOADED[command]} & set(loaded)
     assert scipy == []
+
+
+def test_every_command_and_root_search_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test-only dependency: no route of the package may import it
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import json\n"
+        "import numpy as np\n"
+        "import impact_hedger as ih\n"
+        "from impact_hedger import cli\n"
+        "out, *configs = sys.argv[1:]\n"
+        "for command in ('gexp', 'price', 'solve', 'verify', 'closedform', 'value'):\n"
+        "    for i, config in enumerate(configs):\n"
+        "        assert cli.main([command, '--config', config, '--out', f'{out}/{command}{i}']) == 0\n"
+        "exp_mix = ih.custom_utility(\n"
+        "    u=lambda x: -(np.exp(-x) + np.exp(-3.0 * x)) / 2.0,\n"
+        "    u1=lambda x: (np.exp(-x) + 3.0 * np.exp(-3.0 * x)) / 2.0,\n"
+        "    u2=lambda x: -(np.exp(-x) + 9.0 * np.exp(-3.0 * x)) / 2.0,\n"
+        "    u3=lambda x: (np.exp(-x) + 27.0 * np.exp(-3.0 * x)) / 2.0,\n"
+        ")\n"
+        "drv = ih.custom_driver(\n"
+        "    lambda t, z: z * z / 2.0 + 0.1 * (np.sqrt(1.0 + z * z) - 1.0) - 0.3 * z,\n"
+        "    lambda t, z: z + 0.1 * z / np.sqrt(1.0 + z * z) - 0.3,\n"
+        ")\n"
+        "lat = ih.build_binomial(1.0, 20)\n"
+        "market = ih.MarketSpec(gamma=1.0, eta=0.3, utility=exp_mix, x0=0.0)\n"
+        "sol = ih.solve_fbsde_picard(lat, drv, exp_mix, 0.0, tol=1e-12, max_iter=50)\n"
+        "assert sol.converged\n"
+        "found = [exp_mix.inverse_marginal(0.7), ih.budget_lambda(lat, market),\n"
+        "         ih.solve_h(drv, exp_mix, 0.5, 0.1, 0.0, 0.2)]\n"
+        "assert all(np.isfinite(found))\n" + _LOADED
+    )
+    configs = [str(p) for p in sorted(SCENARIOS.glob("*.ini"))]
+    assert len(configs) == 4
+    _, scipy, _ = _python(script, str(tmp_path), *configs)
+    assert scipy == ["scipy"]  # the blocking entry alone: an import of scipy raises

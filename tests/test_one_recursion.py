@@ -3,8 +3,12 @@
 CARA and Picard run on the shared backward sweep (``_sweep_levels``), every
 wealth-like forward pass on ``lattice._forward_wealth`` and every bracketed
 root search on ``_decreasing_root``.  The loops they replaced are kept here
-as the reference: the shared code must give their numbers bit for bit.
+as the reference: the shared code must give their numbers bit for bit.  The
+reference root searches keep their own per-node bracketing and call the
+array solver on one element; ``tests/test_array_root.py`` ties that solver
+to scipy's ``brentq``.
 """
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +46,7 @@ from impact_hedger import (
     solve_h_homogeneous,
 )
 from impact_hedger.errors import (
+    DomainError,
     ExtrapolationRefused,
     InvalidArgument,
     NumericOverflow,
@@ -49,9 +54,11 @@ from impact_hedger.errors import (
 )
 from impact_hedger.gexpect import _unit_integrands
 from impact_hedger.optimizer import (
+    _decreasing_root,
+    _double,
     _h_level_general,
     _homogeneous_h_level,
-    _invert_scalar_decreasing,
+    _invert_decreasing,
     _picard_pass,
 )
 
@@ -120,9 +127,16 @@ utilities = st.one_of(st.floats(0.5, 3.0).map(cara_utility), st.just(EXP_MIX))
 # -- reference copies of the replaced loops -----------------------------------
 
 
-def ref_solve_h(driver, utility, t, x, zeta, m):
-    from scipy.optimize import brentq
+def one_root(fn, lo, hi, xtol):
+    """The array solver on one element, on a bracket the caller found;
+    ``fn`` takes and returns Python floats."""
+    root = _decreasing_root(
+        lambda x: np.array([fn(float(x[0]))]), np.array([lo]), np.array([hi]), xtol, _double, 1
+    )
+    return float(root[0])
 
+
+def ref_solve_h(driver, utility, t, x, zeta, m):
     w = x + zeta
     u2 = float(utility.u2(np.asarray(w)))
     psi1 = float(utility.psi1(np.asarray(w)))
@@ -130,6 +144,8 @@ def ref_solve_h(driver, utility, t, x, zeta, m):
     if coeffs is not None:
         a, b = coeffs
         return float((psi1 * b - m) / (1.0 - a * psi1))
+    if not (math.isfinite(w) and math.isfinite(m) and math.isfinite(psi1)):
+        raise NumericOverflow("first-order condition at a non-finite node")
     gz0 = float(driver.grad(t, 0.0))
     radius = abs(m) + abs(psi1 * gz0) + 1.0
     u1 = float(utility.u1(np.asarray(w)))
@@ -145,7 +161,7 @@ def ref_solve_h(driver, utility, t, x, zeta, m):
         if fhi == 0.0:
             return hi
         if flo * fhi < 0:
-            h = brentq(foc, lo, hi, xtol=1e-14)
+            h = one_root(foc, lo, hi, 1e-14)
             bound = abs(m) + abs(psi1 * gz0) + 1e-9 * (1.0 + abs(m))
             if abs(h) > bound:
                 raise RootNotFound("linear-growth bound")
@@ -155,26 +171,21 @@ def ref_solve_h(driver, utility, t, x, zeta, m):
     raise RootNotFound("no sign change", bracket=(lo, hi))
 
 
-def ref_invert_scalar_decreasing(fn, target, xtol=1e-14):
-    from scipy.optimize import brentq
-
+def ref_invert_decreasing(fn, target, xtol=1e-14):
     lo, hi = -1.0, 1.0
     for _ in range(200):
         if fn(lo) >= target >= fn(hi):
-            return brentq(lambda x: fn(x) - target, lo, hi, xtol=xtol)
+            return one_root(lambda x: fn(x) - target, lo, hi, xtol)
         lo *= 2.0
         hi *= 2.0
     raise RootNotFound("could not bracket", bracket=(lo, hi))
 
 
 def ref_budget_lambda(lattice, market):
-    from scipy.optimize import brentq
-    from scipy.special import roots_hermitenorm
-
     gamma = market.gamma
     v = market.eta_squared_integral(lattice)
     f = inverse_marginal_f(market.utility, gamma)
-    nodes, weights = roots_hermitenorm(160)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
     weights = weights / np.sqrt(2.0 * np.pi)
     xi = np.exp(-0.5 * v - np.sqrt(v) * nodes)
     target = np.exp(gamma * market.x0)
@@ -186,7 +197,7 @@ def ref_budget_lambda(lattice, market):
     lo, hi = -1.0, 1.0
     for _ in range(200):
         if budget_gap(lo) >= 0.0 >= budget_gap(hi):
-            return float(np.exp(brentq(budget_gap, lo, hi, xtol=1e-13)))
+            return float(np.exp(one_root(budget_gap, lo, hi, 1e-13)))
         lo -= 1.0
         hi += 1.0
     raise RootNotFound("could not bracket the budget multiplier", bracket=(lo, hi))
@@ -525,17 +536,17 @@ def test_solve_h_root_search_matches_its_bracket_loop(driver, utility, x, m, t):
 @given(v=st.floats(1e-3, 50.0), gamma=st.floats(0.2, 3.0))
 def test_inverse_marginals_match_their_bracket_loops(v, gamma):
     u1 = lambda x: float(EXP_MIX.u1(x))  # noqa: E731
-    assert _bits(EXP_MIX.inverse_marginal(v)) == _bits(ref_invert_scalar_decreasing(u1, v))
-    assert _bits(_invert_scalar_decreasing(u1, v)) == _bits(ref_invert_scalar_decreasing(u1, v))
+    assert _bits(EXP_MIX.inverse_marginal(v)) == _bits(ref_invert_decreasing(u1, v))
+    assert _bits(_invert_decreasing(EXP_MIX.u1, v)) == _bits(ref_invert_decreasing(u1, v))
 
     def forward(x):
         return float(EXP_MIX.u1(np.asarray(x))) * np.exp(-gamma * x) / gamma
 
     f = inverse_marginal_f(EXP_MIX, gamma)
-    want = ref_invert_scalar_decreasing(forward, v, xtol=1e-13)
+    want = ref_invert_decreasing(forward, v, xtol=1e-13)
     assert _bits(f(v)) == _bits(want)
     assert _bits(f(np.array([v, 2.0 * v]))) == _bits(
-        [want, ref_invert_scalar_decreasing(forward, 2.0 * v, xtol=1e-13)]
+        [want, ref_invert_decreasing(forward, 2.0 * v, xtol=1e-13)]
     )
 
 
@@ -632,6 +643,108 @@ def test_cara_searches_one_root_per_level(monkeypatch):
     )
     solve_fbsde_cara(build_binomial(1.0, 200), driver, 2.0, 0.0)
     assert len(calls) == 200
+
+
+# -- the array root finder ------------------------------------------------------
+
+
+def _cubic(r, a, s, c):
+    """a (r - x)^3 + s (r - x) + c tanh(r - x): decreasing, with its computed
+    sign change exactly at x = r, since every term has the sign of r - x."""
+    return lambda x: a * (r - x) ** 3 + s * (r - x) + c * np.tanh(r - x)
+
+
+cubics = st.tuples(
+    st.sampled_from([1.0, -2.0, 0.0]) | st.floats(-50.0, 50.0),
+    st.floats(0.0, 2.0),
+    st.floats(1e-3, 3.0),
+    st.floats(0.0, 2.0),
+    st.sampled_from([1.0, 2.0]) | st.floats(1e-3, 10.0),
+)
+
+
+@SETTINGS
+@given(cases=st.lists(cubics, min_size=1, max_size=8), xtol=st.sampled_from([1e-14, 1e-13, 1e-10, 1e-6]))
+def test_array_roots_equal_their_one_element_searches_and_brentq(cases, xtol):
+    from scipy.optimize import brentq
+
+    r, a, s, c, half = (np.array(col) for col in zip(*cases))
+    roots = _decreasing_root(_cubic(r, a, s, c), -half, half, xtol, _double, 60)
+    for i, case in enumerate(cases):
+        fn = _cubic(*case[:4])
+        one = _decreasing_root(fn, -half[i : i + 1], half[i : i + 1], xtol, _double, 60)
+        assert _bits(one) == _bits(roots[i])
+        lo, hi = -half[i], half[i]
+        while not fn(lo) >= 0.0 >= fn(hi):
+            lo, hi = 2.0 * lo, 2.0 * hi
+        want = brentq(fn, lo, hi, xtol=xtol)
+        assert abs(roots[i] - want) <= 4.0 * (xtol + 4.0 * np.finfo(float).eps * abs(roots[i]))
+
+
+def test_an_unbracketed_element_reports_the_first_in_c_order():
+    # elements (0, 2) and (1, 0) are positive everywhere, so never bracketed
+    shift = np.zeros((2, 3))
+    shift[0, 2] = shift[1, 0] = np.inf
+    half = np.arange(1.0, 7.0).reshape(2, 3)
+    with pytest.raises(RootNotFound) as err:
+        _decreasing_root(lambda x: shift - x, -half, half, 1e-14, _double, 5)
+    assert err.value.bracket == (-3.0 * 2.0**4, 3.0 * 2.0**4)  # element (0, 2)
+
+
+def test_hermite_nodes_agree_with_scipy():
+    from scipy.special import roots_hermitenorm
+
+    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
+    want_nodes, want_weights = roots_hermitenorm(160)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1.5e-14
+    assert np.max(np.abs(weights - want_weights) / want_weights) <= 1.1e-13
+
+
+@pytest.mark.parametrize("v", [0.0, -1.0, np.nan, np.inf])
+def test_inverse_marginals_refuse_values_outside_the_range_of_u1(v, recwarn):
+    # U' of EXP_MIX underflows to 0.0 at x = 1024; 0.0 is still not in its range
+    with pytest.raises(DomainError):
+        EXP_MIX.inverse_marginal(v)
+    with pytest.raises(DomainError):
+        inverse_marginal_f(EXP_MIX, 1.0)(np.array([1.0, v]))
+    assert not recwarn.list
+
+
+def _no_search(monkeypatch, *modules):
+    def refuse(*args):
+        raise AssertionError("the root search ran")
+
+    for module in modules:
+        monkeypatch.setattr(module, "_decreasing_root", refuse)
+
+
+@pytest.mark.parametrize("x, m", [(np.nan, 0.1), (0.0, np.nan), (0.0, np.inf), (-800.0, 0.1)])
+def test_a_non_finite_node_is_refused_before_any_bracket(monkeypatch, x, m):
+    from impact_hedger import optimizer
+
+    _no_search(monkeypatch, optimizer)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflow, match="non-finite"):
+        solve_h(_smooth_driver(0.1), EXP_MIX, 0.0, x, 0.0, m)
+
+
+def test_a_level_with_one_non_finite_node_raises_its_overflow():
+    w = np.array([0.1, 0.2, np.nan, 0.3])
+    with pytest.raises(NumericOverflow, match="x \\+ zeta = nan"):
+        _h_level_general(_smooth_driver(0.1), EXP_MIX, 0.0, w, np.zeros(4))
+    # an earlier node's failed check comes first
+    w[0] = 3.5
+    with pytest.raises(InvalidArgument):
+        _h_level_general(_smooth_driver(0.1), BENT, 0.0, w, np.zeros(4))
+
+
+@pytest.mark.parametrize("x0", [1e3, -1e3])
+def test_budget_target_out_of_float_range_is_refused_before_the_search(monkeypatch, x0):
+    from impact_hedger import closedform, optimizer
+
+    _no_search(monkeypatch, closedform, optimizer)
+    market = MarketSpec(gamma=1.0, eta=0.3, utility=EXP_MIX, x0=x0)
+    with pytest.raises(NumericOverflow, match="x0 = .*gamma = 1.0"):
+        budget_lambda(build_binomial(1.0, 20), market)
 
 
 # -- one kinked first-order condition --------------------------------------------
