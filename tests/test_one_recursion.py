@@ -650,15 +650,16 @@ def test_cara_searches_one_root_per_level(monkeypatch):
 
 def _cubic(r, a, s, c):
     """a (r - x)^3 + s (r - x) + c tanh(r - x): decreasing, with its computed
-    sign change exactly at x = r, since every term has the sign of r - x."""
+    sign change exactly at x = r, since every term has the sign of r - x.
+    With s = 0 it is flat at the root, where regula falsi is slow."""
     return lambda x: a * (r - x) ** 3 + s * (r - x) + c * np.tanh(r - x)
 
 
 cubics = st.tuples(
     st.sampled_from([1.0, -2.0, 0.0]) | st.floats(-50.0, 50.0),
-    st.floats(0.0, 2.0),
-    st.floats(1e-3, 3.0),
-    st.floats(0.0, 2.0),
+    st.floats(1e-3, 2.0),
+    st.sampled_from([0.0]) | st.floats(1e-3, 3.0),
+    st.sampled_from([0.0]) | st.floats(0.0, 2.0),
     st.sampled_from([1.0, 2.0]) | st.floats(1e-3, 10.0),
 )
 
@@ -677,7 +678,7 @@ def test_array_roots_equal_their_one_element_searches_and_brentq(cases, xtol):
         lo, hi = -half[i], half[i]
         while not fn(lo) >= 0.0 >= fn(hi):
             lo, hi = 2.0 * lo, 2.0 * hi
-        want = brentq(fn, lo, hi, xtol=xtol)
+        want = brentq(fn, lo, hi, xtol=xtol, maxiter=1000)
         assert abs(roots[i] - want) <= 4.0 * (xtol + 4.0 * np.finfo(float).eps * abs(roots[i]))
 
 
