@@ -5,8 +5,8 @@ wealth-like forward pass on ``lattice._forward_wealth`` and every bracketed
 root search on ``_decreasing_root``.  The loops they replaced are kept here
 as the reference: the shared code must give their numbers bit for bit.  The
 reference root searches keep their own per-node bracketing and call the
-array solver on one element; ``tests/test_array_root.py`` ties that solver
-to scipy's ``brentq``.
+array solver on one element; the array root finder's own tests, further
+down, tie that solver to scipy's ``brentq``.
 """
 import math
 from functools import lru_cache
