@@ -14,13 +14,14 @@ from typing import Callable
 import numpy as np
 
 from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver, quadratic_driver
-from .errors import ContractViolation, DomainError, InvalidArgument, NumericOverflow
+from .errors import ContractViolation, InvalidArgument, NumericOverflow
 from .gexpect import PositionCurve
 from .lattice import Lattice, NodeProcess, _forward_wealth
 from .optimizer import (
     FbsdeSolution,
     UtilitySpec,
     _decreasing_root,
+    _in_marginal_range,
     _invert_decreasing,
     verify_optimality,
 )
@@ -99,10 +100,7 @@ def inverse_marginal_f(utility: UtilitySpec, gamma: float) -> Callable[[np.ndarr
         ga = utility.gamma_a
 
         def f_cara(v):
-            arr = np.asarray(v, dtype=float)
-            if np.any(arr <= 0):
-                raise DomainError("inverse marginal defined for positive arguments only")
-            out = -np.log(gamma * arr / ga) / (gamma + ga)
+            out = -np.log(gamma * _in_marginal_range(v) / ga) / (gamma + ga)
             return out if np.ndim(v) else float(out)
 
         return f_cara

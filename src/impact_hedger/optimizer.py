@@ -75,7 +75,7 @@ def cara_utility(gamma_a: float) -> UtilitySpec:
         u1=lambda x: g * np.exp(-g * x),
         u2=lambda x: -g * g * np.exp(-g * x),
         u3=lambda x: g**3 * np.exp(-g * x),
-        inverse_marginal=lambda v: -np.log(np.asarray(v) / g) / g,
+        inverse_marginal=lambda v: -np.log(_in_marginal_range(v) / g) / g,
         gamma_a=g,
     )
 
@@ -89,12 +89,18 @@ def custom_utility(
     return UtilitySpec(kind="custom", u=u, u1=u1, u2=u2, u3=u3, inverse_marginal=inverse_marginal)
 
 
-def _invert_decreasing(fn: Callable[[np.ndarray], np.ndarray], v, xtol: float = 1e-14):
-    """Solve fn(x) = v for a strictly decreasing fn, all of ``v`` (finite and
-    positive, the range of a marginal utility) in one search from [-1, 1]."""
+def _in_marginal_range(v) -> np.ndarray:
+    """``v`` as floats if finite and positive, the range of a marginal utility."""
     arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr) & (arr > 0)):
         raise DomainError("inverse marginal defined for finite positive arguments only")
+    return arr
+
+
+def _invert_decreasing(fn: Callable[[np.ndarray], np.ndarray], v, xtol: float = 1e-14):
+    """Solve fn(x) = v for a strictly decreasing fn, all of ``v`` in one
+    search from [-1, 1]."""
+    arr = _in_marginal_range(v)
     one = np.ones(arr.shape)
     out = _decreasing_root(lambda x: fn(x) - arr, -one, one, xtol, _double, 200)
     return out if np.ndim(v) else float(out)

@@ -19,9 +19,10 @@ from .errors import (
     InvalidArgument,
     InverseDomainError,
     NumericOverflow,
+    RootNotFound,
 )
 from .lattice import ControlSpec, Lattice, NodeProcess, TimeGrid, WealthGrid, _forward_wealth
-from .optimizer import FbsdeSolution, UtilitySpec, verify_optimality
+from .optimizer import FbsdeSolution, UtilitySpec, _decreasing_root, verify_optimality
 
 
 @dataclass
@@ -151,9 +152,12 @@ def _maximizer_row(
     """Pointwise maximizer of -g(t,z) V_x + z^2 V_xx / 2 per x.
 
     Returns (upsilon, theta_hat).  Closed forms cover the quadratic family
-    (every driver with an affine gradient) and the homogeneous cone;
-    anything else is bracketed by golden-section search on the control
-    interval.
+    (every driver with an affine gradient) and the homogeneous cone; for
+    anything else the maximizer is the root of the decreasing first-order
+    condition -g_z(t, z) V_x + z V_xx = 0 on [z_lo, z_hi], searched for
+    the whole row at once.  That needs the driver's gradient (at a kink,
+    its subgradient selection); a row with no sign change on the interval
+    has its maximizer at or past an end.
     """
     if np.any(vxx >= 0):
         raise ConcavityViolation("V_xx must be negative where the operator is evaluated")
@@ -172,9 +176,15 @@ def _maximizer_row(
         a, b = coeffs
         ups = -(0.0 - b * vx) / (vxx - a * vx)
     else:
-        ups = _golden_max_rows(driver, t, vx, vxx, control.z_lo, control.z_hi)
+        try:
+            ups = _decreasing_root(
+                lambda z: -driver.grad(t, z) * vx + z * vxx,
+                np.full_like(vx, control.z_lo), np.full_like(vx, control.z_hi), 1e-14, None, 1,
+            )
+        except RootNotFound:
+            ups = None
     edge = 1e-9 * (control.z_hi - control.z_lo)
-    if np.any(ups <= control.z_lo + edge) or np.any(ups >= control.z_hi - edge):
+    if ups is None or np.any(ups <= control.z_lo + edge) or np.any(ups >= control.z_hi - edge):
         raise ControlBracketExhausted(
             "control maximizer reached the search boundary; widen [z_lo, z_hi]"
         )
@@ -188,35 +198,6 @@ def _operator(
     return -np.asarray(driver.g(t, z)) * vx + 0.5 * z * z * vxx
 
 
-def _golden_max_rows(
-    driver: Driver,
-    t: float,
-    vx: np.ndarray,
-    vxx: np.ndarray,
-    lo: float,
-    hi: float,
-) -> np.ndarray:
-    """Vectorized golden-section maximization of the operator integrand
-    (80 iterations)."""
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = np.full_like(vx, lo)
-    b = np.full_like(vx, hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = _operator(driver, t, c, vx, vxx)
-    fd = _operator(driver, t, d, vx, vxx)
-    for _ in range(80):
-        take_left = fc >= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc = _operator(driver, t, c, vx, vxx)
-        fd = _operator(driver, t, d, vx, vxx)
-    return 0.5 * (a + b)
-
-
 def dp_value(
     tgrid: TimeGrid,
     xgrid: WealthGrid,
@@ -228,7 +209,9 @@ def dp_value(
 
     Each slice maximizes the two-branch continuation
     (V(t+dt, x - g dt + Z sqrt(dt)) + V(t+dt, x - g dt - Z sqrt(dt))) / 2
-    at the first-order maximizer of the operator integrand; off-grid
+    at the maximizer Z of the operator integrand (``_maximizer_row``: a
+    closed form on the homogeneous cone or for an affine gradient, else the
+    root of the first-order condition, which needs ``g_z``); off-grid
     continuation values use monotone cubic interpolation.
 
     The sweep runs on a ghost-padded grid so the scheme's own boundary

@@ -703,11 +703,13 @@ def test_hermite_nodes_agree_with_scipy():
 
 @pytest.mark.parametrize("v", [0.0, -1.0, np.nan, np.inf])
 def test_inverse_marginals_refuse_values_outside_the_range_of_u1(v, recwarn):
-    # U' of EXP_MIX underflows to 0.0 at x = 1024; 0.0 is still not in its range
-    with pytest.raises(DomainError):
-        EXP_MIX.inverse_marginal(v)
-    with pytest.raises(DomainError):
-        inverse_marginal_f(EXP_MIX, 1.0)(np.array([1.0, v]))
+    # U' of EXP_MIX underflows to 0.0 at x = 1024; 0.0 is still not in its
+    # range.  The CARA closed forms refuse the same values, without warnings.
+    for utility in (EXP_MIX, cara_utility(2.0)):
+        with pytest.raises(DomainError):
+            utility.inverse_marginal(v)
+        with pytest.raises(DomainError):
+            inverse_marginal_f(utility, 1.0)(np.array([1.0, v]))
     assert not recwarn.list
 
 

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from impact_hedger import (
     ControlSpec,
@@ -24,7 +28,7 @@ from impact_hedger import (
     zero_driver,
 )
 from impact_hedger import valuegrid
-from impact_hedger.errors import ControlBracketExhausted, InvalidArgument
+from impact_hedger.errors import ControlBracketExhausted, InvalidArgument, UnsupportedOperation
 
 DRIVER = drifted_quadratic_driver(1.0, 0.3)
 UTILITY = cara_utility(2.0)
@@ -51,16 +55,46 @@ def test_lv_operator_closed_form_on_injected_surface():
             assert ups == pytest.approx(0.1, abs=1e-10)
 
 
-def test_lv_operator_golden_section_agrees():
+def test_lv_operator_searched_control_agrees():
     tg, xg = desk_grids(n_t=50)
     surf = cara_closed_form_surface(tg, xg, 1.0, 0.3, 2.0)
     lv_c, ups_c = lv_operator(surf, DRIVER, 0.5, 0.0)
     # the same g without its affine-gradient coefficients takes the search
     searched = custom_driver(DRIVER.g, DRIVER.g_z)
     assert searched.affine_grad_coeffs(0.5) is None
-    lv_g, ups_g = lv_operator(surf, searched, 0.5, 0.0)
-    assert ups_g == pytest.approx(ups_c, abs=1e-6)
-    assert lv_g == pytest.approx(lv_c, abs=1e-6)
+    lv_s, ups_s = lv_operator(surf, searched, 0.5, 0.0)
+    assert ups_s == pytest.approx(ups_c, abs=1e-12)
+    assert lv_s == pytest.approx(lv_c, abs=1e-12)
+
+
+def _smooth_driver(gamma, c, eta):
+    """g = gamma z^2 / 2 + c (sqrt(1 + z^2) - 1) - eta z: convex, gradient not affine."""
+    return custom_driver(
+        lambda t, z: 0.5 * gamma * z * z + c * (np.sqrt(1.0 + z * z) - 1.0) - eta * z,
+        lambda t, z: gamma * z + c * z / np.sqrt(1.0 + z * z) - eta,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+    rows=st.integers(1, 64).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(float, n, elements=st.floats(0.5, 2.0)),
+            hnp.arrays(float, n, elements=st.floats(-4.0, -0.5)),
+        )
+    ),
+)
+def test_searched_control_is_the_root_of_the_first_order_condition(coeffs, rows):
+    # |z*| <= |eta| V_x / |V_xx| <= 4, so [-10, 10] brackets every row
+    drv, (vx, vxx) = _smooth_driver(*coeffs), rows
+    ups, th = valuegrid._maximizer_row(drv, ControlSpec("interval", -10.0, 10.0), 0.0, vx, vxx)
+    ref = [
+        brentq(lambda z: -drv.grad(0.0, z) * a + z * b, -10.0, 10.0, xtol=1e-15)
+        for a, b in zip(vx, vxx)
+    ]
+    assert np.max(np.abs(ups - ref)) <= 1e-12
+    assert th.tobytes() == ups.tobytes()  # z_scale 1
 
 
 @pytest.mark.parametrize(
@@ -70,7 +104,7 @@ def test_lv_operator_golden_section_agrees():
         (custom_driver(DRIVER.g, DRIVER.g_z), INTERVAL),
         (homogeneous_driver(0.02), ControlSpec(kind="homogeneous", z_scale=1.3)),
     ],
-    ids=["closed_form", "golden", "homogeneous"],
+    ids=["closed_form", "searched", "homogeneous"],
 )
 def test_lv_operator_is_the_residual_operator(drv, ctrl):
     tg, xg = desk_grids(n_t=20, n_x=101)
@@ -205,8 +239,27 @@ def test_dp_surface_shape_checks():
 def test_dp_control_bracket_exhausted():
     tg, xg = desk_grids(n_t=10)
     tight = ControlSpec(kind="interval", z_lo=-0.01, z_hi=0.05)
-    with pytest.raises(ControlBracketExhausted):
-        dp_value(tg, xg, DRIVER, UTILITY, tight)
+    # the maximizer 0.1 lies past z_hi, in closed form and searched alike
+    for drv in (DRIVER, custom_driver(DRIVER.g, DRIVER.g_z)):
+        with pytest.raises(ControlBracketExhausted, match="widen \\[z_lo, z_hi\\]"):
+            dp_value(tg, xg, drv, UTILITY, tight)
+
+
+def test_dp_kinked_driver_under_interval_control_never_trades():
+    # the subgradient selection 0 makes the first-order condition exactly 0
+    # at z = 0, so the searched control is the no-trade point itself
+    tg, xg = desk_grids(n_t=50)
+    surf, pol = dp_value(tg, xg, homogeneous_driver(0.1), UTILITY, INTERVAL)
+    u_row = np.asarray(UTILITY.u(xg.x))
+    for k in range(51):
+        np.testing.assert_allclose(surf.v[k], u_row, rtol=1e-13, atol=0.0)
+    assert not np.any(pol.upsilon) and not np.any(np.signbit(pol.upsilon))
+
+
+def test_interval_control_needs_the_driver_gradient():
+    tg, xg = desk_grids(n_t=10)
+    with pytest.raises(UnsupportedOperation, match="gradient"):
+        dp_value(tg, xg, custom_driver(DRIVER.g), UTILITY, INTERVAL)
 
 
 def test_bspde_residual_decreases_with_time_refinement():
