@@ -385,21 +385,20 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
     report.results["n_quotes"] = int(prices.size)
 
 
-def _solve_routes(cfg, lattice, driver, s, curve=None, cara_holdings=True):
-    """The CARA and Picard routes for payoff ``s``, sharing one position curve.
+def _solve_routes(cfg, lattice, driver, s):
+    """The CARA and Picard routes for payoff ``s``, without holdings.
 
-    ``curve`` is the scenario's position curve, built here if not given.
-    The CARA route recovers its holdings only if ``cara_holdings`` is set.
+    A kinked driver's Picard pass finds its holdings itself, on the cone of
+    the unit integrands.  That cone, the position curve of a homogeneous
+    driver, is built once here and returned for the other routes'
+    recovery; it is None for a driver whose curve needs the y-grid.
     """
     from .gexpect import PositionCurve
     from .optimizer import cara_utility, solve_fbsde_cara, solve_fbsde_picard
 
     utility = cara_utility(cfg.gamma_a)
-    if curve is None:
-        curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
-    cara = solve_fbsde_cara(
-        lattice, driver, cfg.gamma_a, cfg.x0, s_terminal=s if cara_holdings else None, curve=curve
-    )
+    curve = PositionCurve(lattice, driver, s) if driver.is_homogeneous else None
+    cara = solve_fbsde_cara(lattice, driver, cfg.gamma_a, cfg.x0)
     picard = solve_fbsde_picard(
         lattice,
         driver,
@@ -408,11 +407,26 @@ def _solve_routes(cfg, lattice, driver, s, curve=None, cara_holdings=True):
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         damping=cfg.damping,
-        s_terminal=s,
+        s_terminal=s if driver.kinked else None,
         theta_plus=(cfg.mode == "theta_plus") if driver.is_homogeneous else None,
         curve=curve,
     )
-    return cara, picard
+    return cara, picard, curve
+
+
+def _recover_holdings(cfg, lattice, driver, s, routes, curve=None):
+    """Holdings of every route in ``routes`` that has none, all on ``driver``'s
+    position curve: ``curve`` if given, else one streamed y-grid sweep.
+    The first route that fails raises."""
+    from .optimizer import recover_theta
+
+    todo = [sol for sol in routes if sol.theta is None]
+    if todo:
+        thetas = recover_theta(
+            lattice, driver, s, [sol.h for sol in todo], y_grid=cfg.y_grid, curve=curve
+        )
+        for sol, theta in zip(todo, thetas):
+            sol.theta = theta
 
 
 def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
@@ -420,7 +434,8 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
     driver = _build_driver(cfg)
     s, _ = _build_payoff(cfg, lattice)
     # only the CARA wealth is read here (cara_route_gap)
-    cara, picard = _solve_routes(cfg, lattice, driver, s, cara_holdings=False)
+    cara, picard, curve = _solve_routes(cfg, lattice, driver, s)
+    _recover_holdings(cfg, lattice, driver, s, [picard], curve)
     sol = picard
     _emit(cfg, out_dir, report, "solve.csv", _SOLUTION_HEADER, _solution_rows(lattice, sol))
     report.results.update(
@@ -528,7 +543,6 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
 
 def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
     from .closedform import MarketSpec, exponential_triple
-    from .gexpect import PositionCurve
     from .optimizer import cara_utility
 
     lattice = _build_lattice(cfg)
@@ -537,19 +551,21 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
     market = MarketSpec(gamma=cfg.gamma, eta=cfg.eta, utility=utility, x0=cfg.x0)
 
     s, _ = _build_payoff(cfg, lattice)
-    # the explicit triple always lives in the quadratic family, so holdings
-    # recovery needs the y-grid even when the scenario driver is kinked.  When
+    # every route is solved first, then its holdings are recovered.  The
+    # explicit triple always lives in the quadratic family, so its recovery
+    # needs the y-grid even when the scenario driver is kinked.  When
     # [market] gamma/eta are the scenario driver bit for bit (-0.0 and 0.0
-    # give different g_z at z = -0.0), one position curve serves all routes.
+    # give different g_z at z = -0.0), one sweep serves all three routes.
+    triple = exponential_triple(lattice, market)
+    cara, picard, curve = _solve_routes(cfg, lattice, driver, s)
     p = cfg.driver_params
-    curve = None
     if cfg.driver_kind == "drifted_quadratic" and (
         np.array([p["gamma"], p["eta"]]).tobytes() == np.array([cfg.gamma, cfg.eta]).tobytes()
     ):
-        curve = PositionCurve(lattice, driver, s, y_grid=cfg.y_grid)
-    triple = exponential_triple(lattice, market, s_terminal=s, y_grid=cfg.y_grid, curve=curve)
-    cara, picard = _solve_routes(cfg, lattice, driver, s, curve=curve)
-    del curve  # the tables do not need it: free its (n_y, nodes) buffer before writing them
+        _recover_holdings(cfg, lattice, driver, s, [triple, cara, picard], curve)
+    else:
+        _recover_holdings(cfg, lattice, market.driver(), s, [triple])
+        _recover_holdings(cfg, lattice, driver, s, [cara, picard], curve)
 
     routes = {"closedform": triple, "cara": cara, "picard": picard}
     for name, sol in routes.items():

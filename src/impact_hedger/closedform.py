@@ -175,7 +175,7 @@ def exponential_triple(
     part vanishes.  Wealth accumulates forward with the standard drift.
     Holdings are recovered when ``s_terminal`` is given, from ``curve`` if
     supplied (it must be the position curve of ``market.driver()``), else
-    from one built on ``y_grid``.
+    from one streamed sweep of ``y_grid``.
     """
     if market.utility.kind != "cara":
         raise ContractViolation("the explicit triple requires CARA utility")

@@ -11,6 +11,7 @@ runtime).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -365,8 +366,9 @@ class PositionCurve:
     precomputed grid solutions and refuse any lookup outside the hull.
     The grid solutions are one ``(n_y, nodes)`` buffer over the flat
     layout of levels 0..n-1; ``_stacks[k]`` is level k's ``(n_y, k + 1)``
-    view.  Inversion needs each level monotone in y; the direction of
-    every level is found once, at the first inversion.
+    view.  The buffer is kept for lookups; a recovery that only inverts
+    (``optimizer.recover_theta`` without a curve) streams the same sweep
+    through ``_invert_streamed`` instead and never holds it.
     """
 
     def __init__(
@@ -384,19 +386,11 @@ class PositionCurve:
             self.z_minus, self.z_plus = _unit_integrands(lattice, driver, s_terminal)
             self.y_grid = None
         else:
-            if y_grid is None:
-                raise InvalidArgument(
-                    "a y-grid is required for non-homogeneous drivers"
-                )
-            yg = np.asarray(y_grid, dtype=float)
-            if yg.ndim != 1 or yg.size < 2 or np.any(np.diff(yg) <= 0):
-                raise InvalidArgument("y_grid must be sorted with at least 2 points")
-            self.y_grid = yg
+            yg = self.y_grid = _checked_y_grid(y_grid)
             # one batched sweep, one row per grid position
             books = _position_terminals(lattice, s_terminal, yg, h_m)
             self._slab = _driver_z(lattice, driver, books)
             self._stacks = lattice.split_levels(self._slab)
-            self._monotone = self._decreasing = None
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -469,59 +463,137 @@ class PositionCurve:
             out[take_pos] = cand_pos[take_pos]
             out[take_neg] = cand_neg[take_neg]
             return out
-        monotone, decreasing = self._directions()
-        dec = decreasing[a:b]
-        slab = self._slab
-        # a strictly monotone column has its extremes in its first and last rows
-        first_row, last_row = slab[0, a:b], slab[-1, a:b]
-        bad = t < np.where(dec, last_row, first_row) - 1e-12
-        bad |= t > np.where(dec, first_row, last_row) + 1e-12
-        failed = ~monotone[first:stop] | np.logical_or.reduceat(bad, off[first:stop] - a)
-        if np.any(failed):
-            k = first + int(np.argmax(failed))
-            if not monotone[k]:
-                raise InversionUnavailable(
-                    f"position curve is not monotone in y at level {k}"
-                )
-            raise ImageViolation("integrand target outside the attainable image")
-        # a decreasing column is inverted as the increasing -Z against -target;
-        # blocks of columns bound the scratch memory
-        out = np.empty_like(t)
-        for c in range(0, b - a, _INVERT_BLOCK_NODES):
-            cols = slice(c, min(c + _INVERT_BLOCK_NODES, b - a))
-            sign = np.where(dec[cols], -1.0, 1.0)
-            out[cols] = _interp_columns(
-                t[cols] * sign, slab[:, a + cols.start : a + cols.stop], self.y_grid, sign
-            )
+        (out,) = _invert_block(self.lattice, first, stop, self._slab[:, a:b], self.y_grid, [t])
+        if isinstance(out, Exception):
+            raise out
         return out
 
-    def _directions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each level is strictly monotone in y, and whether each node's
-        column decreases, found once, one pair of grid rows at a time.
 
-        ``a > b`` is ``a - b > 0`` for every pair of doubles, so this is the
-        sign of the differences along y.
-        """
-        if self._monotone is None:
-            slab = self._slab
-            rising = np.ones(slab.shape[1], dtype=bool)
-            falling = np.ones(slab.shape[1], dtype=bool)
-            step = np.empty(slab.shape[1], dtype=bool)
-            for i in range(slab.shape[0] - 1):
-                rising &= np.greater(slab[i + 1], slab[i], out=step)
-                falling &= np.less(slab[i + 1], slab[i], out=step)
-            starts = self.lattice.offsets[: self.lattice.n_steps]
-            level_rising = np.logical_and.reduceat(rising, starts)
-            level_falling = np.logical_and.reduceat(falling, starts)
-            self._monotone = level_rising | level_falling
-            self._decreasing = np.repeat(
-                ~level_rising & level_falling, np.diff(self.lattice.offsets[:-1])
-            )
-        return self._monotone, self._decreasing
-
-
-# nodes the inversion works on at a time: bounds its scratch memory
+# nodes one inversion pass works on, and the most nodes a streamed block of
+# several levels holds: bounds the scratch memory
 _INVERT_BLOCK_NODES = 1 << 12
+
+
+def _checked_y_grid(y_grid) -> np.ndarray:
+    """The y-grid as a float array: finite, strictly increasing, 2 points or more."""
+    if y_grid is None:
+        raise InvalidArgument("a y-grid is required for non-homogeneous drivers")
+    yg = np.asarray(y_grid, dtype=float)
+    if yg.ndim != 1 or yg.size < 2:
+        raise InvalidArgument("y_grid must be sorted with at least 2 points")
+    if not np.all(np.isfinite(yg)):
+        raise InvalidArgument("y_grid entries must be finite")
+    if np.any(np.diff(yg) <= 0):
+        raise InvalidArgument("y_grid must be sorted with at least 2 points")
+    return yg
+
+
+def _invert_block(
+    lattice: Lattice,
+    first: int,
+    stop: int,
+    z: np.ndarray,
+    y_grid: np.ndarray,
+    targets: list[np.ndarray],
+) -> list:
+    """Positions y with Z^y = t at the nodes of levels ``first .. stop-1``.
+
+    ``z`` holds the grid solutions at those nodes, ``(n_y, nodes)`` in the
+    flat layout, and each target ``t`` one value per node.  Every level
+    must be strictly monotone in y, all its columns the same way, and a
+    target must lie in the level's attainable image up to 1e-12.  For
+    each target comes back its positions or the error of its lowest
+    failing level: a level that is not monotone before a target outside
+    its image.  ``a > b`` is ``a - b > 0`` for every pair of doubles, so
+    the direction is the sign of the differences along y, found one pair
+    of grid rows at a time.
+    """
+    off = lattice.offsets
+    starts = off[first:stop] - off[first]
+    rising = np.ones(z.shape[1], dtype=bool)
+    falling = np.ones(z.shape[1], dtype=bool)
+    step = np.empty(z.shape[1], dtype=bool)
+    for i in range(z.shape[0] - 1):
+        rising &= np.greater(z[i + 1], z[i], out=step)
+        falling &= np.less(z[i + 1], z[i], out=step)
+    level_rising = np.logical_and.reduceat(rising, starts)
+    level_falling = np.logical_and.reduceat(falling, starts)
+    monotone = level_rising | level_falling
+    dec = np.repeat(~level_rising & level_falling, np.diff(off[first : stop + 1]))
+    # a strictly monotone column has its extremes in its first and last rows
+    first_row, last_row = z[0], z[-1]
+    results = []
+    for t in targets:
+        bad = t < np.where(dec, last_row, first_row) - 1e-12
+        bad |= t > np.where(dec, first_row, last_row) + 1e-12
+        failed = ~monotone | np.logical_or.reduceat(bad, starts)
+        if np.any(failed):
+            k = int(np.argmax(failed))
+            if not monotone[k]:
+                results.append(
+                    InversionUnavailable(
+                        f"position curve is not monotone in y at level {first + k}"
+                    )
+                )
+            else:
+                results.append(ImageViolation("integrand target outside the attainable image"))
+            continue
+        # a decreasing column is inverted as the increasing -Z against
+        # -target; blocks of columns bound the scratch memory
+        out = np.empty_like(t)
+        for c in range(0, t.size, _INVERT_BLOCK_NODES):
+            cols = slice(c, c + _INVERT_BLOCK_NODES)
+            sign = np.where(dec[cols], -1.0, 1.0)
+            out[cols] = _interp_columns(t[cols] * sign, z[:, cols], y_grid, sign)
+        results.append(out)
+    return results
+
+
+def _invert_streamed(
+    lattice: Lattice, driver: Driver, s_terminal, y_grid, targets: list[np.ndarray]
+) -> list[np.ndarray]:
+    """``PositionCurve(lattice, driver, s_terminal, y_grid).invert`` of each
+    flat target over levels 0..n-1, bit for bit, without the curve's
+    ``(n_y, nodes)`` buffer.
+
+    The batched y-grid sweep hands its levels, top first, to one scratch
+    block of whole levels, at most ``_INVERT_BLOCK_NODES`` nodes unless it
+    is one larger level; each full block is inverted for every target and
+    then overwritten.  The sweep's own errors raise as it meets them.
+    After it, the first target that failed raises the error of its lowest
+    failing level.
+    """
+    yg = _checked_y_grid(y_grid)
+    off = lattice.offsets
+    nodes = off[lattice.n_steps]
+    flats = [np.asarray(t, dtype=float) for t in targets]
+    if any(t.shape != (nodes,) for t in flats):
+        raise InvalidArgument("a holdings target needs one value per node of levels 0..n-1")
+    outs = [np.empty(nodes) for _ in flats]
+    errors = [None] * len(flats)
+    levels = _driver_levels(lattice, driver, _position_terminals(lattice, s_terminal, yg))
+    scratch = np.empty(yg.size * min(_INVERT_BLOCK_NODES, nodes))
+    stop = lattice.n_steps
+    while stop > 0:
+        first = min(int(np.searchsorted(off, off[stop] - _INVERT_BLOCK_NODES)), stop - 1)
+        a, b = off[first], off[stop]
+        block = scratch[: yg.size * (b - a)].reshape(yg.size, b - a) if first + 1 < stop else None
+        for k, _, z in itertools.islice(levels, stop - first):
+            if block is None:
+                block = z
+            else:
+                block[:, off[k] - a : off[k + 1] - a] = z
+        got_block = _invert_block(lattice, first, stop, block, yg, [t[a:b] for t in flats])
+        for i, got in enumerate(got_block):
+            if isinstance(got, Exception):
+                errors[i] = got  # the blocks go down the levels: the last error is the lowest
+            else:
+                outs[i][a:b] = got
+        stop = first
+    for err in errors:
+        if err is not None:
+            raise err
+    return outs
 
 
 def _interp_columns(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .driver import Driver
 from .errors import ContractViolation, DomainError, InvalidArgument, NumericOverflow, RootNotFound
 from .gexpect import (  # noqa: F401  (solve_bsde re-exported)
     PositionCurve,
+    _invert_streamed,
     _stack_levels,
     _sweep_levels,
     _unit_integrands,
@@ -337,7 +338,7 @@ def solve_fbsde_cara(
     f(t, M) = (gamma_a / 2) |H + M|^2 + g(t, H) and zero terminal value, in
     one backward sweep; wealth then accumulates forward with H(t, M).  The
     optimal holdings are recovered from the position curve (``curve``, or
-    one built from ``y_grid``) when the traded payoff is supplied.
+    one streamed sweep of ``y_grid``) when the traded payoff is supplied.
     """
     utility = cara_utility(gamma_a)
     grid = lattice.grid
@@ -703,16 +704,28 @@ def recover_theta(
     lattice: Lattice,
     driver: Driver,
     s_terminal,
-    h: NodeProcess,
+    h: NodeProcess | Sequence[NodeProcess],
     y_grid=None,
     curve: PositionCurve | None = None,
-) -> NodeProcess:
+) -> NodeProcess | list[NodeProcess]:
     """Holdings theta with Z^theta = h, by inverting the position curve.
 
-    Homogeneous drivers invert the scaling cone directly; otherwise the
-    piecewise-linear interpolated curve is inverted node by node, which
-    requires it to be monotone in the position.
+    ``h`` is one integrand process, or a sequence of them for which a list
+    comes back.  Homogeneous drivers invert the scaling cone directly;
+    otherwise the piecewise-linear interpolated curve is inverted node by
+    node, which requires it to be monotone in the position.  Without
+    ``curve``, one batched sweep of the y-grid serves every target and the
+    curve is inverted block by block as its levels come out, so its
+    ``(n_y, nodes)`` buffer is never held.  The first target that fails
+    raises, at its lowest failing level.
     """
-    if curve is None:
-        curve = PositionCurve(lattice, driver, s_terminal, y_grid=y_grid)
-    return curve.invert(h)
+    many = not isinstance(h, NodeProcess)
+    targets = list(h) if many else [h]
+    if curve is None and driver.is_homogeneous:
+        curve = PositionCurve(lattice, driver, s_terminal)
+    if curve is not None:
+        thetas = [curve.invert(target) for target in targets]
+    else:
+        flats = _invert_streamed(lattice, driver, s_terminal, y_grid, [t.flat for t in targets])
+        thetas = [NodeProcess.from_flat(lattice, flat) for flat in flats]
+    return thetas if many else thetas[0]

@@ -11,8 +11,10 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,9 +36,15 @@ from impact_hedger import (
     solve_fbsde_cara,
     verify_optimality,
 )
-from impact_hedger import optimizer
+from impact_hedger import gexpect, optimizer
 from impact_hedger.cli import load_config, run
-from impact_hedger.errors import ExtrapolationRefused, ImageViolation, InversionUnavailable
+from impact_hedger.errors import (
+    ExtrapolationRefused,
+    ImageViolation,
+    ImpactHedgerError,
+    InvalidArgument,
+    InversionUnavailable,
+)
 from impact_hedger.gexpect import _unit_integrands
 from impact_hedger.optimizer import FbsdeSolution, recover_theta
 
@@ -359,6 +367,128 @@ def test_recover_theta_scratch_memory_is_bounded():
         assert peak <= 1.0e6
 
 
+
+def test_streamed_recovery_memory_is_bounded():
+    # the same desk without a curve: one batched sweep inverted block by
+    # block, never the 19.5 MB (n_y, nodes) buffer of a built curve
+    cfg = load_config(SCENARIOS / "exponential.ini")
+    lat = build_binomial(cfg.horizon, cfg.n_steps)
+    driver = drifted_quadratic_driver(cfg.driver_params["gamma"], cfg.driver_params["eta"])
+    s = lat.w_values(lat.n_steps)
+    assert cfg.y_grid.size == 121 and lat.n_steps == 200
+    h = solve_fbsde_cara(lat, driver, cfg.gamma_a, cfg.x0).h
+    tracemalloc.start()
+    try:
+        recover_theta(lat, driver, s, h, y_grid=cfg.y_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0e6
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [-1.0, 0.0, np.inf], [np.nan, np.nan]])
+def test_a_non_finite_y_grid_is_refused_before_any_sweep(grid):
+    lat = build_binomial(1.0, 10)
+    driver = drifted_quadratic_driver(1.0, 0.3)
+    s = lat.w_values(10)
+    h = NodeProcess.constant(lat, 0.1, n_levels=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="y_grid entries must be finite"):
+            PositionCurve(lat, driver, s, y_grid=grid)
+        with pytest.raises(InvalidArgument, match="y_grid entries must be finite"):
+            recover_theta(lat, driver, s, h, y_grid=grid)
+
+
+def _raised(fn, *args):
+    """A call's result, or the class and message of the library error it raised."""
+    try:
+        return fn(*args)
+    except ImpactHedgerError as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def streamed_cases(draw):
+    """A payoff, driver and y-grid with 1-3 integrand targets: on the grid
+    solutions, between them and just outside the hull of each node's
+    column, and (rarely) one target outside the attainable image."""
+    lat = draw(lattices())
+    n = lat.n_steps
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y_grid = np.cumsum(rng.uniform(0.05, 0.4, draw(st.integers(2, 9)))) - draw(st.floats(0.0, 1.5))
+    driver = draw(
+        st.one_of(
+            st.tuples(st.floats(0.2, 2.0), st.floats(-0.5, 0.5)).map(lambda p: drifted_quadratic_driver(*p)),
+            st.floats(0.1, 1.0).map(quadratic_driver),
+            st.floats(0.2, 1.5).map(entropic_driver),
+        )
+    )
+    w = lat.w_values(n)
+    # a kink steeper than the slope turns some columns of a level the other way
+    s = draw(st.floats(0.3, 1.5)) * w + draw(st.floats(-2.0, 0.5)) * np.maximum(w, 0.0)
+    return lat, driver, s, y_grid, rng, draw(st.integers(1, 3)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=streamed_cases(), block=st.integers(1, 40))
+def test_streamed_recovery_matches_the_curve_inversion(case, block):
+    # small blocks make several blocks, and single levels larger than a block
+    lat, driver, s, y_grid, rng, n_targets, outside = case
+    with mock.patch.object(gexpect, "_INVERT_BLOCK_NODES", block):
+        curve = _raised(PositionCurve, lat, driver, s, y_grid)
+        if isinstance(curve, tuple):  # the sweep itself fails: the same error streams
+            h = NodeProcess.constant(lat, 0.0, n_levels=lat.n_steps)
+            assert _raised(recover_theta, lat, driver, s, [h], y_grid) == curve
+            return
+        slab = curve._slab
+        n_y, size = slab.shape
+        lo, hi = slab.min(axis=0), slab.max(axis=0)
+        targets = []
+        for i in range(n_targets):
+            kinds = rng.integers(0, 4, size)
+            r = rng.integers(0, n_y, size)
+            r1 = np.minimum(r + 1, n_y - 1)
+            j = np.arange(size)
+            between = slab[r, j] + rng.uniform(0.0, 1.0, size) * (slab[r1, j] - slab[r, j])
+            t = np.where(kinds == 0, slab[r, j], between)
+            t = np.where(kinds == 2, lo - rng.uniform(0.0, 1e-12, size), t)
+            t = np.where(kinds == 3, hi + rng.uniform(0.0, 1e-12, size), t)
+            if outside == i:  # at a node of a level drawn evenly, often below a broken one
+                k = rng.integers(lat.n_steps)
+                t[lat.offsets[k] + rng.integers(lat.level_size(k))] = hi.max() + 1e-9
+            targets.append(NodeProcess.from_flat(lat, t))
+        want = [_raised(curve.invert, t) for t in targets]
+        got = _raised(recover_theta, lat, driver, s, targets, y_grid)
+    errors = [w for w in want if isinstance(w, tuple)]
+    if errors:
+        assert got == errors[0]  # the first failing target, at its lowest failing level
+    else:
+        assert [_bits(g.flat) for g in got] == [_bits(w.flat) for w in want]
+
+
+
+def test_streamed_recovery_raises_for_the_first_failing_target():
+    # the kinked payoff turns columns of levels 2..5 both ways; a target on
+    # the grid fails at level 2, one outside the image at level 1 below it
+    lat = build_binomial(1.0, 6)
+    driver = drifted_quadratic_driver(1.0, 0.3)
+    w = lat.w_values(6)
+    s = w - 1.5 * np.maximum(w, 0.0)
+    y_grid = np.linspace(-1.0, 1.0, 5)
+    curve = PositionCurve(lat, driver, s, y_grid=y_grid)
+    on_grid = NodeProcess.from_flat(lat, curve._slab[2].copy())
+    outside = NodeProcess.from_flat(lat, curve._slab[2].copy())
+    outside.flat[lat.offsets[1]] = curve._slab[:, lat.offsets[1]].max() + 1.0
+    not_monotone = (InversionUnavailable, "position curve is not monotone in y at level 2")
+    off_image = (ImageViolation, "integrand target outside the attainable image")
+    assert _raised(curve.invert, on_grid) == not_monotone
+    assert _raised(curve.invert, outside) == off_image
+    with mock.patch.object(gexpect, "_INVERT_BLOCK_NODES", 3):  # a block per level or two
+        assert _raised(recover_theta, lat, driver, s, [on_grid, outside], y_grid) == not_monotone
+        assert _raised(recover_theta, lat, driver, s, [outside, on_grid], y_grid) == off_image
+
+
 # -- the optimality check --------------------------------------------------
 
 
@@ -494,12 +624,15 @@ def test_value_names_the_level_where_wealth_leaves_the_surface(tmp_path):
 
 @pytest.mark.parametrize(("command", "calls"), [("solve", 1), ("verify", 3)])
 def test_holdings_are_recovered_only_for_written_routes(tmp_path, monkeypatch, command, calls):
-    # solve writes only the Picard route; verify writes all three
+    # solve writes only the Picard route; verify writes all three, and
+    # one call recovers them all from one sweep
     seen = []
+    recoveries = []
 
-    def counting(*args, **kwargs):
-        seen.append(1)
-        return recover_theta(*args, **kwargs)
+    def counting(lattice, driver, s, h, **kwargs):
+        recoveries.append(1)
+        seen.extend([h] if isinstance(h, NodeProcess) else h)
+        return recover_theta(lattice, driver, s, h, **kwargs)
 
     monkeypatch.setattr(optimizer, "recover_theta", counting)
     cfg = tmp_path / "desk.ini"
@@ -509,3 +642,4 @@ def test_holdings_are_recovered_only_for_written_routes(tmp_path, monkeypatch, c
     report = run(command, cfg, tmp_path)
     assert report.exit_code == 0
     assert len(seen) == calls
+    assert len(recoveries) == 1

@@ -5,6 +5,7 @@ bit for bit what ``price_curve`` quotes one pair at a time; the Picard loop
 is Anderson-accelerated, keeps its safeguard and does not depend on the
 BLAS thread count; the CARA and Picard routes share one position curve.
 """
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import impact_hedger as ih
-from impact_hedger import cli, optimizer
+from impact_hedger import cli, gexpect, optimizer
 from impact_hedger.errors import ImpactHedgerError, InvalidArgument
 from impact_hedger.lattice import StateSde
 
@@ -215,48 +216,67 @@ def test_solve_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 @pytest.mark.parametrize("driver", ["drifted_quadratic", "homogeneous"])
 def test_solve_routes_build_one_position_curve(monkeypatch, tmp_path, driver):
-    builds = []
-    build = ih.PositionCurve.__init__
+    # one driver sweep of the position curve serves both routes: the
+    # streamed y-grid sweep of a drifted quadratic driver, the unit-payoff
+    # cone of a homogeneous one
+    sweeps = []
+    driver_levels = gexpect._driver_levels
 
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        build(self, *args, **kwargs)
+    def counting(*args, **kwargs):
+        sweeps.append(args)
+        return driver_levels(*args, **kwargs)
 
     def no_second_sweep(*args, **kwargs):
         raise AssertionError("the kinked Picard route swept the unit payoffs again")
 
-    monkeypatch.setattr(ih.PositionCurve, "__init__", counting)
+    monkeypatch.setattr(gexpect, "_driver_levels", counting)
     monkeypatch.setattr(optimizer, "_unit_integrands", no_second_sweep)
     cfg = cli.load_config(_desk(tmp_path, n_steps=40))
     if driver == "homogeneous":
         cfg.driver_kind, cfg.driver_params, cfg.mode = "homogeneous", {"kappa": 0.1}, "theta_plus"
     lattice = ih.build_binomial(cfg.horizon, cfg.n_steps)
     s, _ = cli._build_payoff(cfg, lattice)
-    cara, picard = cli._solve_routes(cfg, lattice, cli._build_driver(cfg), s)
-    assert len(builds) == 1
+    drv = cli._build_driver(cfg)
+    cara, picard, curve = cli._solve_routes(cfg, lattice, drv, s)
+    cli._recover_holdings(cfg, lattice, drv, s, [cara, picard], curve)
+    assert len(sweeps) == 1
     assert cara.theta is not None and picard.theta is not None
     assert picard.converged
 
 
-@pytest.mark.parametrize("market_eta, builds_expected", [("0.35", 1), ("0.2", 2)])
+@pytest.mark.parametrize("market_eta, sweeps_expected", [("0.35", 1), ("0.2", 2)])
 def test_verify_shares_the_scenario_curve_with_the_closed_form_route(
-    monkeypatch, tmp_path, market_eta, builds_expected
+    monkeypatch, tmp_path, market_eta, sweeps_expected
 ):
-    # [market] gamma/eta equal to the scenario driver: one curve serves all
-    # three routes; a different market drift needs its own curve
+    # [market] gamma/eta equal to the scenario driver: one batched y-grid
+    # sweep serves all three routes; a different market drift needs its own
     cfg = _desk(tmp_path, n_steps=40)
     text = cfg.read_text().replace("eta = 0.35\nx0", f"eta = {market_eta}\nx0")
     cfg.write_text(text)
-    builds = []
-    build = ih.PositionCurve.__init__
+    sweeps = []
+    books = gexpect._position_terminals
 
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        build(self, *args, **kwargs)
+    def counting(*args, **kwargs):
+        sweeps.append(args)
+        return books(*args, **kwargs)
 
-    monkeypatch.setattr(ih.PositionCurve, "__init__", counting)
+    monkeypatch.setattr(gexpect, "_position_terminals", counting)
     assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert len(builds) == builds_expected
+    assert len(sweeps) == sweeps_expected
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_holdings_outside_the_attainable_image_exit_4_without_tables(tmp_path, capsys, command):
+    # a 3-point y-grid on [-0.01, 0.01] cannot reach the routes' integrands
+    cfg = _desk(tmp_path, n_steps=40)
+    cfg.write_text(cfg.read_text().replace("y_grid = -1.5:1.5:121", "y_grid = -0.01:0.01:3"))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric error: integrand target outside the attainable image" in err
+    assert "Traceback" not in err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+    assert not list(out.glob("*.csv"))
 
 
 def test_closed_form_holdings_from_the_scenario_curve_are_bit_identical():
