@@ -479,11 +479,9 @@ def _checked_y_grid(y_grid) -> np.ndarray:
     if y_grid is None:
         raise InvalidArgument("a y-grid is required for non-homogeneous drivers")
     yg = np.asarray(y_grid, dtype=float)
-    if yg.ndim != 1 or yg.size < 2:
-        raise InvalidArgument("y_grid must be sorted with at least 2 points")
     if not np.all(np.isfinite(yg)):
         raise InvalidArgument("y_grid entries must be finite")
-    if np.any(np.diff(yg) <= 0):
+    if yg.ndim != 1 or yg.size < 2 or np.any(np.diff(yg) <= 0):
         raise InvalidArgument("y_grid must be sorted with at least 2 points")
     return yg
 
@@ -529,14 +527,13 @@ def _invert_block(
         failed = ~monotone | np.logical_or.reduceat(bad, starts)
         if np.any(failed):
             k = int(np.argmax(failed))
-            if not monotone[k]:
-                results.append(
-                    InversionUnavailable(
-                        f"position curve is not monotone in y at level {first + k}"
-                    )
+            results.append(
+                ImageViolation("integrand target outside the attainable image")
+                if monotone[k]
+                else InversionUnavailable(
+                    f"position curve is not monotone in y at level {first + k}"
                 )
-            else:
-                results.append(ImageViolation("integrand target outside the attainable image"))
+            )
             continue
         # a decreasing column is inverted as the increasing -Z against
         # -target; blocks of columns bound the scratch memory
