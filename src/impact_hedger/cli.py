@@ -416,15 +416,13 @@ def _solve_routes(cfg, lattice, driver, s):
 
 def _recover_holdings(cfg, lattice, driver, s, routes, curve=None):
     """Holdings of every route in ``routes`` that has none, all on ``driver``'s
-    position curve: ``curve`` if given, else one streamed y-grid sweep.
-    The first route that fails raises."""
+    position curve: the cone ``curve`` of a homogeneous driver, else one
+    streamed y-grid sweep.  The first route that fails raises."""
     from .optimizer import recover_theta
 
     todo = [sol for sol in routes if sol.theta is None]
     if todo:
-        thetas = recover_theta(
-            lattice, driver, s, [sol.h for sol in todo], y_grid=cfg.y_grid, curve=curve
-        )
+        thetas = recover_theta(lattice, driver, s, [sol.h for sol in todo], cfg.y_grid, curve)
         for sol, theta in zip(todo, thetas):
             sol.theta = theta
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver, quadratic_driver
 from .errors import ContractViolation, InvalidArgument, NumericOverflow
-from .gexpect import PositionCurve
 from .lattice import Lattice, NodeProcess, _forward_wealth
 from .optimizer import (
     FbsdeSolution,
@@ -166,16 +165,14 @@ def exponential_triple(
     market: MarketSpec,
     s_terminal=None,
     y_grid=None,
-    curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
     """Explicit optimal triple for a CARA investor.
 
     The optimal integrand is eta_t / (gamma + gamma_a); the backward value
     is the deterministic remaining-variance integral and its martingale
     part vanishes.  Wealth accumulates forward with the standard drift.
-    Holdings are recovered when ``s_terminal`` is given, from ``curve`` if
-    supplied (it must be the position curve of ``market.driver()``), else
-    from one streamed sweep of ``y_grid``.
+    Holdings are recovered when ``s_terminal`` is given, from the position
+    curve of ``market.driver()`` on ``y_grid``.
     """
     if market.utility.kind != "cara":
         raise ContractViolation("the explicit triple requires CARA utility")
@@ -202,7 +199,7 @@ def exponential_triple(
         # bound at call time, so a patched optimizer.recover_theta is the one called
         from .optimizer import recover_theta
 
-        theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
+        (theta,) = recover_theta(lattice, driver, s_terminal, [h], y_grid=y_grid)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,

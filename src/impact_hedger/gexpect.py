@@ -366,9 +366,10 @@ class PositionCurve:
     precomputed grid solutions and refuse any lookup outside the hull.
     The grid solutions are one ``(n_y, nodes)`` buffer over the flat
     layout of levels 0..n-1; ``_stacks[k]`` is level k's ``(n_y, k + 1)``
-    view.  The buffer is kept for lookups; a recovery that only inverts
-    (``optimizer.recover_theta`` without a curve) streams the same sweep
-    through ``_invert_streamed`` instead and never holds it.
+    view.  Inversion needs each level monotone in y; the direction of
+    every level is found once, at the first inversion.  The buffer is kept
+    for lookups; ``optimizer.recover_theta`` streams the same sweep through
+    ``_invert_streamed`` instead and never holds it.
     """
 
     def __init__(
@@ -391,6 +392,7 @@ class PositionCurve:
             books = _position_terminals(lattice, s_terminal, yg, h_m)
             self._slab = _driver_z(lattice, driver, books)
             self._stacks = lattice.split_levels(self._slab)
+            self._monotone = self._decreasing = None
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -463,7 +465,18 @@ class PositionCurve:
             out[take_pos] = cand_pos[take_pos]
             out[take_neg] = cand_neg[take_neg]
             return out
-        (out,) = _invert_block(self.lattice, first, stop, self._slab[:, a:b], self.y_grid, [t])
+        if self._monotone is None:
+            bounds = off[: self.lattice.n_steps + 1]
+            self._monotone, self._decreasing = _level_directions(bounds, self._slab)
+        (out,) = _invert_block(
+            first,
+            off[first : stop + 1] - a,
+            self._slab[:, a:b],
+            self.y_grid,
+            self._monotone[first:stop],
+            self._decreasing[a:b],
+            [t],
+        )
         if isinstance(out, Exception):
             raise out
         return out
@@ -486,45 +499,52 @@ def _checked_y_grid(y_grid) -> np.ndarray:
     return yg
 
 
-def _invert_block(
-    lattice: Lattice,
-    first: int,
-    stop: int,
-    z: np.ndarray,
-    y_grid: np.ndarray,
-    targets: list[np.ndarray],
-) -> list:
-    """Positions y with Z^y = t at the nodes of levels ``first .. stop-1``.
+def _level_directions(bounds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each level of ``z`` is strictly monotone in y, and whether
+    each node's column decreases.
 
-    ``z`` holds the grid solutions at those nodes, ``(n_y, nodes)`` in the
-    flat layout, and each target ``t`` one value per node.  Every level
-    must be strictly monotone in y, all its columns the same way, and a
-    target must lie in the level's attainable image up to 1e-12.  For
-    each target comes back its positions or the error of its lowest
-    failing level: a level that is not monotone before a target outside
-    its image.  ``a > b`` is ``a - b > 0`` for every pair of doubles, so
-    the direction is the sign of the differences along y, found one pair
-    of grid rows at a time.
+    ``z`` holds grid solutions, ``(n_y, nodes)`` in the flat layout, and
+    level i spans its columns ``bounds[i] .. bounds[i+1]-1``.  ``a > b`` is
+    ``a - b > 0`` for every pair of doubles, so the direction is the sign
+    of the differences along y, found one pair of grid rows at a time.
     """
-    off = lattice.offsets
-    starts = off[first:stop] - off[first]
     rising = np.ones(z.shape[1], dtype=bool)
     falling = np.ones(z.shape[1], dtype=bool)
     step = np.empty(z.shape[1], dtype=bool)
     for i in range(z.shape[0] - 1):
         rising &= np.greater(z[i + 1], z[i], out=step)
         falling &= np.less(z[i + 1], z[i], out=step)
-    level_rising = np.logical_and.reduceat(rising, starts)
-    level_falling = np.logical_and.reduceat(falling, starts)
-    monotone = level_rising | level_falling
-    dec = np.repeat(~level_rising & level_falling, np.diff(off[first : stop + 1]))
+    level_rising = np.logical_and.reduceat(rising, bounds[:-1])
+    level_falling = np.logical_and.reduceat(falling, bounds[:-1])
+    return level_rising | level_falling, np.repeat(~level_rising & level_falling, np.diff(bounds))
+
+
+def _invert_block(
+    first: int,
+    bounds: np.ndarray,
+    z: np.ndarray,
+    y_grid: np.ndarray,
+    monotone: np.ndarray,
+    dec: np.ndarray,
+    targets: list[np.ndarray],
+) -> list:
+    """Positions y with Z^y = t at the nodes of levels ``first, first+1, ...``.
+
+    ``z``, ``bounds``, ``monotone`` and ``dec`` are those levels'
+    grid solutions and their ``_level_directions``; each target ``t`` has
+    one value per node.  Every level must be strictly monotone in y, all
+    its columns the same way, and a target must lie in the level's
+    attainable image up to 1e-12.  For each target comes back its
+    positions or the error of its lowest failing level: a level that is
+    not monotone before a target outside its image.
+    """
     # a strictly monotone column has its extremes in its first and last rows
     first_row, last_row = z[0], z[-1]
     results = []
     for t in targets:
         bad = t < np.where(dec, last_row, first_row) - 1e-12
         bad |= t > np.where(dec, first_row, last_row) + 1e-12
-        failed = ~monotone | np.logical_or.reduceat(bad, starts)
+        failed = ~monotone | np.logical_or.reduceat(bad, bounds[:-1])
         if np.any(failed):
             k = int(np.argmax(failed))
             results.append(
@@ -580,7 +600,10 @@ def _invert_streamed(
                 block = z
             else:
                 block[:, off[k] - a : off[k + 1] - a] = z
-        got_block = _invert_block(lattice, first, stop, block, yg, [t[a:b] for t in flats])
+        bounds = off[first : stop + 1] - a
+        got_block = _invert_block(
+            first, bounds, block, yg, *_level_directions(bounds, block), [t[a:b] for t in flats]
+        )
         for i, got in enumerate(got_block):
             if isinstance(got, Exception):
                 errors[i] = got  # the blocks go down the levels: the last error is the lowest

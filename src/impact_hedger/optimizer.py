@@ -330,15 +330,14 @@ def solve_fbsde_cara(
     x0: float,
     s_terminal=None,
     y_grid=None,
-    curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
     """Decoupled solve for CARA utility.
 
     The backward pair solves zeta_k = E_k[zeta_{k+1}] - f(t_k, M_k) dt with
     f(t, M) = (gamma_a / 2) |H + M|^2 + g(t, H) and zero terminal value, in
     one backward sweep; wealth then accumulates forward with H(t, M).  The
-    optimal holdings are recovered from the position curve (``curve``, or
-    one streamed sweep of ``y_grid``) when the traded payoff is supplied.
+    optimal holdings are recovered from the position curve on ``y_grid``
+    when the traded payoff is supplied.
     """
     utility = cara_utility(gamma_a)
     grid = lattice.grid
@@ -357,7 +356,7 @@ def solve_fbsde_cara(
 
     theta = None
     if s_terminal is not None:
-        theta = recover_theta(lattice, driver, s_terminal, h, y_grid=y_grid, curve=curve)
+        (theta,) = recover_theta(lattice, driver, s_terminal, [h], y_grid=y_grid)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,
@@ -468,9 +467,9 @@ def solve_fbsde_picard(
 
     Kinked homogeneous drivers require the traded payoff (for the unit
     integrands) and default to the long-only mode, where the kinked
-    first-order condition always has a unique root.  A homogeneous
-    ``curve`` supplies those integrands, and any ``curve`` is used for the
-    holdings recovery.
+    first-order condition always has a unique root.  ``curve``, the
+    driver's cone (a ``PositionCurve`` without a y-grid), supplies those
+    integrands and serves the holdings recovery.
     """
     if not tol > 0:
         raise InvalidArgument("tol must be positive")
@@ -532,7 +531,7 @@ def solve_fbsde_picard(
         x_iter = step
 
     if kink is None and s_terminal is not None:
-        theta = recover_theta(lattice, driver, s_terminal, h, curve=curve)
+        (theta,) = recover_theta(lattice, driver, s_terminal, [h], curve=curve)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,
@@ -704,28 +703,27 @@ def recover_theta(
     lattice: Lattice,
     driver: Driver,
     s_terminal,
-    h: NodeProcess | Sequence[NodeProcess],
+    hs: Sequence[NodeProcess],
     y_grid=None,
     curve: PositionCurve | None = None,
-) -> NodeProcess | list[NodeProcess]:
-    """Holdings theta with Z^theta = h, by inverting the position curve.
+) -> list[NodeProcess]:
+    """Holdings theta with Z^theta = h for each h in ``hs``, by inverting
+    the position curve.
 
-    ``h`` is one integrand process, or a sequence of them for which a list
-    comes back.  Homogeneous drivers invert the scaling cone directly;
-    otherwise the piecewise-linear interpolated curve is inverted node by
-    node, which requires it to be monotone in the position.  Without
-    ``curve``, one batched sweep of the y-grid serves every target and the
-    curve is inverted block by block as its levels come out, so its
+    Homogeneous drivers invert the scaling cone directly, ``curve`` if
+    given (the driver's ``PositionCurve`` without a y-grid), else one built
+    here.  Otherwise the piecewise-linear interpolated curve on ``y_grid``
+    is inverted node by node, which requires it to be monotone in the
+    position: one batched sweep of the y-grid serves every target, and
+    the curve is inverted block by block as its levels come out, so its
     ``(n_y, nodes)`` buffer is never held.  The first target that fails
     raises, at its lowest failing level.
     """
-    many = not isinstance(h, NodeProcess)
-    targets = list(h) if many else [h]
-    if curve is None and driver.is_homogeneous:
+    if curve is not None and curve.y_grid is not None:
+        raise InvalidArgument("recover_theta takes only a homogeneous driver's cone as its curve")
+    if not driver.is_homogeneous:
+        flats = _invert_streamed(lattice, driver, s_terminal, y_grid, [h.flat for h in hs])
+        return [NodeProcess.from_flat(lattice, flat) for flat in flats]
+    if curve is None:
         curve = PositionCurve(lattice, driver, s_terminal)
-    if curve is not None:
-        thetas = [curve.invert(target) for target in targets]
-    else:
-        flats = _invert_streamed(lattice, driver, s_terminal, y_grid, [t.flat for t in targets])
-        thetas = [NodeProcess.from_flat(lattice, flat) for flat in flats]
-    return thetas if many else thetas[0]
+    return [curve.invert(h) for h in hs]

@@ -360,12 +360,11 @@ def test_recover_theta_scratch_memory_is_bounded():
     for _ in range(2):  # the first call also finds the level directions
         tracemalloc.start()
         try:
-            recover_theta(lat, driver, s, h, curve=curve)
+            curve.invert(h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.0e6
-
 
 
 def test_streamed_recovery_memory_is_bounded():
@@ -379,7 +378,7 @@ def test_streamed_recovery_memory_is_bounded():
     h = solve_fbsde_cara(lat, driver, cfg.gamma_a, cfg.x0).h
     tracemalloc.start()
     try:
-        recover_theta(lat, driver, s, h, y_grid=cfg.y_grid)
+        recover_theta(lat, driver, s, [h], y_grid=cfg.y_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,7 +396,19 @@ def test_a_non_finite_y_grid_is_refused_before_any_sweep(grid):
         with pytest.raises(InvalidArgument, match="y_grid entries must be finite"):
             PositionCurve(lat, driver, s, y_grid=grid)
         with pytest.raises(InvalidArgument, match="y_grid entries must be finite"):
-            recover_theta(lat, driver, s, h, y_grid=grid)
+            recover_theta(lat, driver, s, [h], y_grid=grid)
+
+
+def test_recover_theta_takes_only_a_cone_as_its_curve():
+    # a y-grid curve is not inverted here: those holdings come from the streamed sweep
+    lat = build_binomial(1.0, 6)
+    driver = drifted_quadratic_driver(1.0, 0.3)
+    s = lat.w_values(6)
+    y_grid = np.linspace(-1.0, 1.0, 5)
+    curve = PositionCurve(lat, driver, s, y_grid=y_grid)
+    h = NodeProcess.constant(lat, 0.1, n_levels=6)
+    with pytest.raises(InvalidArgument, match="only a homogeneous driver's cone"):
+        recover_theta(lat, driver, s, [h], y_grid, curve)
 
 
 def _raised(fn, *args):
@@ -465,7 +476,6 @@ def test_streamed_recovery_matches_the_curve_inversion(case, block):
         assert got == errors[0]  # the first failing target, at its lowest failing level
     else:
         assert [_bits(g.flat) for g in got] == [_bits(w.flat) for w in want]
-
 
 
 def test_streamed_recovery_raises_for_the_first_failing_target():
@@ -629,10 +639,10 @@ def test_holdings_are_recovered_only_for_written_routes(tmp_path, monkeypatch, c
     seen = []
     recoveries = []
 
-    def counting(lattice, driver, s, h, **kwargs):
+    def counting(lattice, driver, s, hs, *args, **kwargs):
         recoveries.append(1)
-        seen.extend([h] if isinstance(h, NodeProcess) else h)
-        return recover_theta(lattice, driver, s, h, **kwargs)
+        seen.extend(hs)
+        return recover_theta(lattice, driver, s, hs, *args, **kwargs)
 
     monkeypatch.setattr(optimizer, "recover_theta", counting)
     cfg = tmp_path / "desk.ini"

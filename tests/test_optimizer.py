@@ -305,7 +305,7 @@ def test_recover_theta_zero():
     lat = build_binomial(1.0, 10)
     drv = homogeneous_driver(0.1)
     h = NodeProcess(lat, [np.zeros(k + 1) for k in range(10)])
-    theta = recover_theta(lat, drv, lat.w_values(10), h)
+    (theta,) = recover_theta(lat, drv, lat.w_values(10), [h])
     assert theta.sup_abs() == 0.0
 
 
@@ -314,7 +314,7 @@ def test_recover_theta_homogeneous_scaling():
     drv = homogeneous_driver(0.1)
     # Z(-S) = 1 for the Brownian payoff, so holdings equal the integrand
     h = NodeProcess(lat, [np.full(k + 1, 0.15) for k in range(10)])
-    theta = recover_theta(lat, drv, lat.w_values(10), h)
+    (theta,) = recover_theta(lat, drv, lat.w_values(10), [h])
     for k in range(10):
         np.testing.assert_allclose(theta.values(k), 0.15, atol=1e-14)
 
@@ -323,8 +323,8 @@ def test_recover_theta_linear_curve():
     lat = build_binomial(1.0, 10)
     drv = drifted_quadratic_driver(1.0, 0.3)
     h = NodeProcess(lat, [np.full(k + 1, 0.1) for k in range(10)])
-    theta = recover_theta(
-        lat, drv, lat.w_values(10), h, y_grid=np.linspace(-1.0, 1.0, 21)
+    (theta,) = recover_theta(
+        lat, drv, lat.w_values(10), [h], y_grid=np.linspace(-1.0, 1.0, 21)
     )
     for k in range(10):
         np.testing.assert_allclose(theta.values(k), 0.1, atol=1e-12)
@@ -335,7 +335,7 @@ def test_recover_theta_image_violation():
     drv = drifted_quadratic_driver(1.0, 0.3)
     h = NodeProcess(lat, [np.full(k + 1, 9.0) for k in range(6)])
     with pytest.raises(ImageViolation):
-        recover_theta(lat, drv, lat.w_values(6), h, y_grid=np.linspace(-1, 1, 11))
+        recover_theta(lat, drv, lat.w_values(6), [h], y_grid=np.linspace(-1, 1, 11))
 
 
 def test_utility_improvement_soundness():
