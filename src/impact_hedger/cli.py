@@ -408,7 +408,7 @@ def _solve_routes(cfg, lattice, driver, s):
         max_iter=cfg.max_iter,
         damping=cfg.damping,
         s_terminal=s if driver.kinked else None,
-        theta_plus=(cfg.mode == "theta_plus") if driver.is_homogeneous else None,
+        theta_plus=cfg.mode == "theta_plus",
         curve=curve,
     )
     return cara, picard, curve
@@ -421,10 +421,9 @@ def _recover_holdings(cfg, lattice, driver, s, routes, curve=None):
     from .optimizer import recover_theta
 
     todo = [sol for sol in routes if sol.theta is None]
-    if todo:
-        thetas = recover_theta(lattice, driver, s, [sol.h for sol in todo], cfg.y_grid, curve)
-        for sol, theta in zip(todo, thetas):
-            sol.theta = theta
+    thetas = recover_theta(lattice, driver, s, [sol.h for sol in todo], cfg.y_grid, curve)
+    for sol, theta in zip(todo, thetas):
+        sol.theta = theta
 
 
 def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:

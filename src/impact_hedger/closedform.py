@@ -160,19 +160,13 @@ def optimal_terminal_wealth(
     return np.asarray(f(lam * xi), dtype=float)
 
 
-def exponential_triple(
-    lattice: Lattice,
-    market: MarketSpec,
-    s_terminal=None,
-    y_grid=None,
-) -> FbsdeSolution:
+def exponential_triple(lattice: Lattice, market: MarketSpec) -> FbsdeSolution:
     """Explicit optimal triple for a CARA investor.
 
     The optimal integrand is eta_t / (gamma + gamma_a); the backward value
     is the deterministic remaining-variance integral and its martingale
     part vanishes.  Wealth accumulates forward with the standard drift.
-    Holdings are recovered when ``s_terminal`` is given, from the position
-    curve of ``market.driver()`` on ``y_grid``.
+    The holdings are left to ``recover_theta`` on ``market.driver()``.
     """
     if market.utility.kind != "cara":
         raise ContractViolation("the explicit triple requires CARA utility")
@@ -193,20 +187,11 @@ def exponential_triple(
 
     driver = market.driver()
     x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], market.x0)
-
-    theta = None
-    if s_terminal is not None:
-        # bound at call time, so a patched optimizer.recover_theta is the one called
-        from .optimizer import recover_theta
-
-        (theta,) = recover_theta(lattice, driver, s_terminal, [h], y_grid=y_grid)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,
         m=NodeProcess.constant(lattice, 0.0, n_levels=n),
         h=h,
-        theta=theta,
-        residuals=None,
         forward_consistency=consistency,
     )
     sol.residuals = verify_optimality(sol, driver, market.utility)
@@ -269,5 +254,4 @@ def no_trade_solution(lattice: Lattice, driver, x0: float) -> FbsdeSolution | No
         m=NodeProcess.constant(lattice, 0.0, n_levels=n),
         h=NodeProcess.constant(lattice, 0.0, n_levels=n),
         theta=NodeProcess.constant(lattice, 0.0, n_levels=n),
-        residuals=None,
     )

@@ -181,8 +181,8 @@ class FbsdeSolution:
     zeta: NodeProcess
     m: NodeProcess
     h: NodeProcess
-    theta: NodeProcess | None
-    residuals: OptimalityReport | None
+    theta: NodeProcess | None = None
+    residuals: OptimalityReport | None = None
     converged: bool = True
     iterations: int = 0
     forward_consistency: float = 0.0
@@ -323,21 +323,13 @@ def _h_level_general(
     return roots[np.argsort(order)[inverse]]
 
 
-def solve_fbsde_cara(
-    lattice: Lattice,
-    driver: Driver,
-    gamma_a: float,
-    x0: float,
-    s_terminal=None,
-    y_grid=None,
-) -> FbsdeSolution:
+def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float) -> FbsdeSolution:
     """Decoupled solve for CARA utility.
 
     The backward pair solves zeta_k = E_k[zeta_{k+1}] - f(t_k, M_k) dt with
     f(t, M) = (gamma_a / 2) |H + M|^2 + g(t, H) and zero terminal value, in
     one backward sweep; wealth then accumulates forward with H(t, M).  The
-    optimal holdings are recovered from the position curve on ``y_grid``
-    when the traded payoff is supplied.
+    holdings are left to ``recover_theta``.
     """
     utility = cara_utility(gamma_a)
     grid = lattice.grid
@@ -353,19 +345,7 @@ def solve_fbsde_cara(
 
     zeta, m = _backward_pair(lattice, f_of_level)
     x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], x0)
-
-    theta = None
-    if s_terminal is not None:
-        (theta,) = recover_theta(lattice, driver, s_terminal, [h], y_grid=y_grid)
-    sol = FbsdeSolution(
-        x=x,
-        zeta=zeta,
-        m=m,
-        h=h,
-        theta=theta,
-        residuals=None,
-        forward_consistency=consistency,
-    )
+    sol = FbsdeSolution(x=x, zeta=zeta, m=m, h=h, forward_consistency=consistency)
     sol.residuals = verify_optimality(sol, driver, utility)
     return sol
 
@@ -467,9 +447,10 @@ def solve_fbsde_picard(
 
     Kinked homogeneous drivers require the traded payoff (for the unit
     integrands) and default to the long-only mode, where the kinked
-    first-order condition always has a unique root.  ``curve``, the
-    driver's cone (a ``PositionCurve`` without a y-grid), supplies those
-    integrands and serves the holdings recovery.
+    first-order condition always has a unique root and gives the holdings
+    too.  ``curve``, the driver's cone (a ``PositionCurve`` without a
+    y-grid), supplies those integrands.  Any other driver takes no payoff:
+    its holdings are left to ``recover_theta``.
     """
     if not tol > 0:
         raise InvalidArgument("tol must be positive")
@@ -488,6 +469,10 @@ def solve_fbsde_picard(
         else:
             z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
         kink = (z_minus, z_plus, True if theta_plus is None else theta_plus)
+    elif s_terminal is not None:
+        raise InvalidArgument(
+            "s_terminal is read only by a kinked driver; recover the holdings with recover_theta"
+        )
 
     x_iter = np.full(lattice.offsets[-1], float(x0))
     converged = False
@@ -530,15 +515,12 @@ def solve_fbsde_picard(
         x_prev, f_prev = x_iter, resid
         x_iter = step
 
-    if kink is None and s_terminal is not None:
-        (theta,) = recover_theta(lattice, driver, s_terminal, [h], curve=curve)
     sol = FbsdeSolution(
         x=x,
         zeta=zeta,
         m=m,
         h=h,
         theta=theta,
-        residuals=None,
         converged=converged,
         iterations=iterations,
         forward_consistency=consistency,
@@ -630,6 +612,11 @@ def verify_optimality(
     gap -= u1
     mart = float(np.max(np.abs(gap, out=gap)))
     u2 = np.asarray(utility.u2(w))
+    zero = np.flatnonzero(u2 == 0.0)
+    if zero.size:  # psi2 divides by U'', which has underflowed there
+        i = int(zero[0])
+        msg = f"U'' underflows to 0 at X + zeta = {w[i]:.6g}; the optimality check divides by it"
+        raise NumericOverflow(msg, level=int(lattice.level_index[i]))
     h = sol.h.flat
     m = sol.m.flat
     hm = h + m
@@ -717,10 +704,12 @@ def recover_theta(
     position: one batched sweep of the y-grid serves every target, and
     the curve is inverted block by block as its levels come out, so its
     ``(n_y, nodes)`` buffer is never held.  The first target that fails
-    raises, at its lowest failing level.
+    raises, at its lowest failing level.  No target, no sweep.
     """
     if curve is not None and curve.y_grid is not None:
         raise InvalidArgument("recover_theta takes only a homogeneous driver's cone as its curve")
+    if not hs:
+        return []
     if not driver.is_homogeneous:
         flats = _invert_streamed(lattice, driver, s_terminal, y_grid, [h.flat for h in hs])
         return [NodeProcess.from_flat(lattice, flat) for flat in flats]

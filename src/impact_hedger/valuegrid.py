@@ -183,8 +183,10 @@ def _maximizer_row(
             )
         except RootNotFound:
             ups = None
-    edge = 1e-9 * (control.z_hi - control.z_lo)
-    if ups is None or np.any(ups <= control.z_lo + edge) or np.any(ups >= control.z_hi - edge):
+    # each end has its own tolerance, so a far end never reaches a maximizer near 0
+    lo, hi = control.z_lo, control.z_hi
+    lo_edge, hi_edge = lo + 1e-9 * (1.0 + abs(lo)), hi - 1e-9 * (1.0 + abs(hi))
+    if ups is None or np.any(ups <= lo_edge) or np.any(ups >= hi_edge):
         raise ControlBracketExhausted(
             "control maximizer reached the search boundary; widen [z_lo, z_hi]"
         )
@@ -404,7 +406,6 @@ def fbsde_from_surface(
         m=m,
         h=h,
         theta=theta,
-        residuals=None,
         forward_consistency=consistency,
     )
     sol.residuals = verify_optimality(sol, driver, utility)

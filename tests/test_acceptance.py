@@ -299,7 +299,8 @@ def test_c13_perturbation_soundness():
     utility = ih.cara_utility(2.0)
     s = lat.w_values(200)
     y_grid = np.linspace(-1.5, 1.5, 121)
-    sol = ih.solve_fbsde_cara(lat, drv, 2.0, 0.0, s_terminal=s, y_grid=y_grid)
+    sol = ih.solve_fbsde_cara(lat, drv, 2.0, 0.0)
+    (theta,) = ih.recover_theta(lat, drv, s, [sol.h], y_grid=y_grid)
     curve = ih.PositionCurve(lat, drv, s, y_grid=y_grid)
     base = ih.expected_terminal_utility(lat, drv, sol.h, 0.0, utility)
 
@@ -308,7 +309,7 @@ def test_c13_perturbation_soundness():
         levels = []
         for k in range(200):
             bump = rng.integers(-1, 2, size=k + 1).astype(float)
-            levels.append(curve.z_level(k, sol.theta.values(k) + 0.01 * bump))
+            levels.append(curve.z_level(k, theta.values(k) + 0.01 * bump))
         perturbed = ih.expected_terminal_utility(lat, drv, levels, 0.0, utility)
         assert perturbed <= base + 1e-6
 

@@ -263,6 +263,27 @@ def test_value_holdings_are_the_integrand_over_the_payoff_slope(tmp_path):
     assert (upsilon / 1.3).tobytes() == theta.tobytes()
 
 
+def test_an_underflowing_utility_curvature_exits_4_by_name(tmp_path, capsys):
+    # the CARA solve's zeta is about 1e11 here, where U'' = -4 exp(-2 w) is 0.0
+    cfg = _small_desk(tmp_path, n_steps="1")
+    cfg.write_text(cfg.read_text().replace("gamma = 1.0\neta = 0.3\n", "gamma = 1.0\neta = 1e6\n"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "numeric error: U'' underflows to 0" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+
+
+def test_a_far_control_end_is_no_search_boundary(tmp_path):
+    # the maximizer, about 0.1, is far from both ends of [-1, 1e10]
+    tables = []
+    for z_hi in ("1", "1e10"):
+        cfg = _small_desk(tmp_path, numerics_extra=f"n_x = 101\nz_lo = -1\nz_hi = {z_hi}\n")
+        out = tmp_path / f"z_hi_{z_hi}"
+        assert main(["value", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append((out / "value.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("command", ["gexp", "price", "solve", "verify"])
 def test_an_overflowing_payoff_is_refused_by_name(tmp_path, capsys, command):
     # 1e308 W overflows at the lattice edge: the run ends on the payoff,

@@ -411,6 +411,17 @@ def test_recover_theta_takes_only_a_cone_as_its_curve():
         recover_theta(lat, driver, s, [h], y_grid, curve)
 
 
+@pytest.mark.parametrize("driver", [homogeneous_driver(0.1), drifted_quadratic_driver(1.0, 0.3)])
+def test_an_empty_target_list_sweeps_nothing(driver, monkeypatch):
+    lat = build_binomial(1.0, 10)
+
+    def refuse(*args):
+        raise AssertionError("a position-curve sweep for no target")
+
+    monkeypatch.setattr(gexpect, "_driver_levels", refuse)
+    assert recover_theta(lat, driver, lat.w_values(10), [], np.linspace(-1.0, 1.0, 21)) == []
+
+
 def _raised(fn, *args):
     """A call's result, or the class and message of the library error it raised."""
     try:

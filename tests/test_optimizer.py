@@ -22,6 +22,7 @@ from impact_hedger import (
     verify_optimality,
     zero_driver,
 )
+from impact_hedger import optimizer
 from impact_hedger.errors import ContractViolation, ImageViolation, InvalidArgument
 from impact_hedger.lattice import _forward_wealth
 
@@ -222,6 +223,18 @@ def test_picard_homogeneous_requires_payoff():
         solve_fbsde_picard(lat, homogeneous_driver(0.1), CARA2, 0.0)
 
 
+@pytest.mark.parametrize("drv", [drifted_quadratic_driver(1.0, 0.3), linear_driver(0.2)])
+def test_picard_refuses_a_payoff_before_its_first_pass(drv, monkeypatch):
+    # only a kinked driver reads the payoff; other holdings come from recover_theta
+    def refuse(*args):
+        raise AssertionError("a Picard pass ran")
+
+    monkeypatch.setattr(optimizer, "_picard_pass", refuse)
+    lat = build_binomial(1.0, 10)
+    with pytest.raises(InvalidArgument, match="recover_theta"):
+        solve_fbsde_picard(lat, drv, CARA2, 0.0, s_terminal=lat.w_values(10))
+
+
 def test_picard_homogeneous_short_selling_mode():
     # a tiny friction with a strongly curved book is still a no-trade band in
     # long-only mode; the two-sided mode must agree when the band binds
@@ -342,7 +355,8 @@ def test_utility_improvement_soundness():
     lat, drv = cara_scenario()
     s = lat.w_values(lat.n_steps)
     y_grid = np.linspace(-1.5, 1.5, 121)
-    sol = solve_fbsde_cara(lat, drv, 2.0, 0.0, s_terminal=s, y_grid=y_grid)
+    sol = solve_fbsde_cara(lat, drv, 2.0, 0.0)
+    (theta,) = recover_theta(lat, drv, s, [sol.h], y_grid=y_grid)
     curve = PositionCurve(lat, drv, s, y_grid=y_grid)
     base = expected_terminal_utility(lat, drv, sol.h, 0.0, CARA2)
     rng = np.random.default_rng(42)
@@ -350,6 +364,6 @@ def test_utility_improvement_soundness():
         levels = []
         for k in range(lat.n_steps):
             bump = rng.integers(-1, 2, size=k + 1).astype(float)
-            levels.append(curve.z_level(k, sol.theta.values(k) + 0.01 * bump))
+            levels.append(curve.z_level(k, theta.values(k) + 0.01 * bump))
         perturbed = expected_terminal_utility(lat, drv, levels, 0.0, CARA2)
         assert perturbed <= base + 1e-6

@@ -285,7 +285,8 @@ def test_closed_form_holdings_from_the_scenario_curve_are_bit_identical():
     y_grid = np.linspace(-1.5, 1.5, 121)
     market = ih.MarketSpec(gamma=1.1, eta=0.35, utility=ih.cara_utility(1.7316), x0=0.2)
     scenario_curve = ih.PositionCurve(lat, ih.drifted_quadratic_driver(1.1, 0.35), s, y_grid=y_grid)
-    own = ih.exponential_triple(lat, market, s_terminal=s, y_grid=y_grid)
-    shared = scenario_curve.invert(own.h)
+    triple = ih.exponential_triple(lat, market)
+    (own,) = ih.recover_theta(lat, market.driver(), s, [triple.h], y_grid=y_grid)
+    shared = scenario_curve.invert(triple.h)
     for k in range(40):
-        assert _bits(shared.values(k)) == _bits(own.theta.values(k))
+        assert _bits(shared.values(k)) == _bits(own.values(k))
