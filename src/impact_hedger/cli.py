@@ -225,7 +225,11 @@ def _build_payoff(cfg: ScenarioConfig, lattice):
             s = cfg.payoff_a * lattice.w_values(lattice.n_steps) + cfg.payoff_b
     else:  # markov_linear
         s = state
-    book = None if cfg.h_m == "zero" else state**2
+    if cfg.h_m == "zero":
+        book = None
+    else:
+        with np.errstate(over="ignore"):  # refused, like the payoff, by the solvers
+            book = state**2
     return s, book
 
 

@@ -84,10 +84,11 @@ def _sweep_levels(
     pi = terminal
     for k in range(n - 1, -1, -1):
         down, up = lattice.split_children(pi)
-        z = -(up - down) / (2.0 * sq)
-        cond = 0.5 * (down + up)
-        g = np.asarray(g_of_level(k, z, cond), dtype=float)
-        pi = cond - g * dt
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            z = -(up - down) / (2.0 * sq)
+            cond = 0.5 * (down + up)
+            g = np.asarray(g_of_level(k, z, cond), dtype=float)
+            pi = cond - g * dt
         if not np.all(np.isfinite(pi)):
             raise NumericOverflow(
                 f"non-finite evaluation during backward sweep at level {k}", level=k

@@ -600,7 +600,7 @@ def verify_optimality(
     )
 
     w_all = sol.x.flat + sol.zeta.flat
-    u1_all = np.asarray(utility.u1(w_all), dtype=float)
+    u1_all = _in_float_range(lattice, w_all, "U'", utility.u1, w_all)
     w, u1 = w_all[:inner], u1_all[:inner]
     # in-place steps keep the scratch small; each is the operation, in the
     # order, of 0.5 * (down + up) - u1, 0.5 * beta**2 * u3 / u2**3 and
@@ -611,27 +611,24 @@ def verify_optimality(
     gap *= 0.5
     gap -= u1
     mart = float(np.max(np.abs(gap, out=gap)))
-    u2 = np.asarray(utility.u2(w))
-    zero = np.flatnonzero(u2 == 0.0)
-    if zero.size:  # psi2 divides by U'', which has underflowed there
-        i = int(zero[0])
-        msg = f"U'' underflows to 0 at X + zeta = {w[i]:.6g}; the optimality check divides by it"
-        raise NumericOverflow(msg, level=int(lattice.level_index[i]))
+    # the psi2 check divides by U'' and by its cube
+    u2 = _in_float_range(lattice, w, "U''", utility.u2, w, divisor=True)
+    cube = _in_float_range(lattice, w, "U''**3", np.power, u2, 3, divisor=True)
     h = sol.h.flat
     m = sol.m.flat
     hm = h + m
     beta = u2 * hm
-    u3 = np.asarray(utility.u3(w))
+    u3 = _in_float_range(lattice, w, "U'''", utility.u3, w)
     gap = np.square(beta)
     gap *= 0.5
     gap *= u3
-    gap /= u2**3
+    gap /= cube
     rhs = u3 / u2
     rhs *= 0.5
     rhs *= np.square(hm)
     gap -= rhs
     psi2_gap = float(np.max(np.abs(gap, out=gap)))
-    del gap, rhs, u3
+    del gap, rhs, u3, cube
 
     foc = None
     if driver.is_differentiable:
@@ -671,6 +668,31 @@ def verify_optimality(
         psi2_consistency=psi2_gap,
         beta=NodeProcess.from_flat(lattice, beta),
     )
+
+
+def _in_float_range(
+    lattice: Lattice, w: np.ndarray, name: str, fn: Callable, *args, divisor: bool = False
+) -> np.ndarray:
+    """``fn(*args)`` as floats, refused at its first node that is not finite
+    or, for a ``divisor``, that has underflowed to 0.0; ``w`` is the wealth
+    X + zeta the message names."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(fn(*args), dtype=float)
+    bad = ~np.isfinite(values)
+    if divisor:
+        bad |= values == 0.0
+    where = np.flatnonzero(bad)
+    if where.size:
+        i = int(where[0])
+        if values[i] == 0.0:
+            how = "underflows to 0"
+            why = "the optimality check divides by it"
+        else:
+            how = f"is {values[i]}"
+            why = "the optimality check cannot use it"
+        msg = f"{name} {how} at X + zeta = {w[i]:.6g}; {why}"
+        raise NumericOverflow(msg, level=int(lattice.level_index[i]))
+    return values
 
 
 def _by_level(lattice: Lattice, fn: Callable, values: np.ndarray) -> np.ndarray:

@@ -304,6 +304,32 @@ def test_an_overflowing_payoff_is_refused_by_name(tmp_path, capsys, command):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize(
+    ("command", "extra", "message"),
+    [
+        # U'(-1e6) = 2 exp(2e6) overflows in the optimality check
+        ("solve", "[market]\nx0 = -1e6\n", "U' is inf at X + zeta = -1e+06"),
+        # the Markov book r**2 overflows
+        ("gexp", "[market]\nh_m = markov_square\nr0 = 1e300\n", "non-finite terminal payoff or book"),
+        # the driver overflows on the integrand of a 1e300 position
+        ("price", "[price]\ny_values = 1e300\n", "non-finite evaluation during backward sweep"),
+    ],
+    ids=["wealth", "book", "position"],
+)
+def test_a_value_out_of_float_range_exits_4_by_name(tmp_path, capsys, command, extra, message):
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(
+        "[driver]\nkind = quadratic\nalpha = 0.5\n"
+        "[utility]\nkind = cara\ngamma_a = 2.0\n"
+        "[numerics]\nhorizon = 1\nn_steps = 2\n" + extra
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERIC
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eta", ["1e3", "1e10"])
 def test_budget_multiplier_out_of_float_range_exits_4(tmp_path, eta):
     # exp(-gamma_a v / (2 (gamma + gamma_a))) underflows to a zero multiplier
