@@ -57,7 +57,8 @@ def _parse_grid(text: str) -> np.ndarray:
     text = text.strip()
     if ":" in text:
         lo, hi, n = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(n))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            grid = np.linspace(float(lo), float(hi), int(n))
     else:
         grid = np.array([float(v) for v in text.split(",") if v.strip()])
     if not grid.size:

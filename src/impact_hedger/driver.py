@@ -7,18 +7,12 @@ guessed downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOperation
-
-# The entropic evaluation -(1/gamma) log E[exp(-gamma X)] is generated by a
-# quadratic driver; the prefactor below is the coefficient of gamma |z|^2
-# that makes the direct Ito computation come out right.  Kept as a named
-# constant so the alternative normalization is a one-line change.
-ENTROPIC_QUADRATIC_FACTOR = 0.5
 
 TimeFn = Callable[[float], float]
 
@@ -143,18 +137,11 @@ def quadratic_driver(alpha: float) -> Driver:
 
 
 def entropic_driver(gamma: float) -> Driver:
-    """Driver of the entropic evaluation with risk aversion gamma."""
+    """Driver of the entropic evaluation -(1/gamma) log E[exp(-gamma X)]
+    with risk aversion gamma: the quadratic driver (gamma / 2) z^2."""
     if not gamma > 0:
         raise InvalidArgument("gamma must be positive")
-    c = ENTROPIC_QUADRATIC_FACTOR * gamma
-    return Driver(
-        kind="entropic",
-        g=lambda t, z: c * z * z,
-        g_z=lambda t, z: 2.0 * c * z,
-        is_homogeneous=False,
-        is_differentiable=True,
-        affine_grad=(_as_time_fn(2.0 * c), _as_time_fn(0.0)),
-    )
+    return replace(quadratic_driver(0.5 * gamma), kind="entropic")
 
 
 def drifted_quadratic_driver(gamma: float, eta: float | TimeFn) -> Driver:

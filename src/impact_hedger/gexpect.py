@@ -155,10 +155,16 @@ def _driver_z(lattice: Lattice, driver: Driver, terminal: np.ndarray) -> np.ndar
 
 
 def _position_terminals(lattice: Lattice, s_terminal, ys, h_m=None) -> np.ndarray:
-    """Books H_M - y S stacked one row per position y."""
+    """Books H_M - y S stacked one row per position y, all finite."""
     s = _terminal_array(lattice, s_terminal)
     h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
-    return h[None, :] - np.asarray(ys, dtype=float)[:, None] * s[None, :]
+    y = np.asarray(ys, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        books = h[None, :] - y[:, None] * s[None, :]
+    bad = ~np.all(np.isfinite(books), axis=1)
+    if np.any(bad):
+        raise NumericOverflow(f"non-finite book H_M - y S at y = {float(y[np.argmax(bad)])!r}")
+    return books
 
 
 def _unit_integrands(
@@ -360,17 +366,17 @@ def dz_dy_variational(
 
 
 class PositionCurve:
-    """Cache of y -> Z^y on a user-set y-grid with linear interpolation.
+    """y -> Z^y: the exact scaling cone, or linear interpolation on a y-grid.
 
     Homogeneous drivers with zero book use the exact scaling identity for
-    every y instead; non-homogeneous drivers interpolate between the
-    precomputed grid solutions and refuse any lookup outside the hull.
-    The grid solutions are one ``(n_y, nodes)`` buffer over the flat
-    layout of levels 0..n-1; ``_stacks[k]`` is level k's ``(n_y, k + 1)``
-    view.  Inversion needs each level monotone in y; the direction of
-    every level is found once, at the first inversion.  The buffer is kept
-    for lookups; ``optimizer.recover_theta`` streams the same sweep through
-    ``_invert_streamed`` instead and never holds it.
+    every y, and only this cone inverts here.  Non-homogeneous drivers
+    interpolate between the precomputed grid solutions and refuse any
+    lookup outside the hull.  The grid solutions are one ``(n_y, nodes)``
+    buffer over the flat layout of levels 0..n-1, kept for the lookups
+    ``z_level`` and ``z_process``; ``_stacks[k]`` is level k's
+    ``(n_y, k + 1)`` view.  Holdings on a y-grid come from
+    ``optimizer.recover_theta``, which streams the same sweep through
+    ``_invert_streamed`` and never holds the buffer.
     """
 
     def __init__(
@@ -393,7 +399,6 @@ class PositionCurve:
             books = _position_terminals(lattice, s_terminal, yg, h_m)
             self._slab = _driver_z(lattice, driver, books)
             self._stacks = lattice.split_levels(self._slab)
-            self._monotone = self._decreasing = None
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -431,60 +436,43 @@ class PositionCurve:
         return NodeProcess(self.lattice, levels)
 
     def invert_level(self, k: int, targets: np.ndarray) -> np.ndarray:
-        """Positions y solving Z^y = target per node of level k (monotone curves only)."""
+        """Positions y solving Z^y = target per node of level k (the cone only)."""
         return self._invert(k, k + 1, targets)
 
     def invert(self, targets: NodeProcess) -> NodeProcess:
-        """Positions y solving Z^y = target at every node of ``targets``."""
+        """Positions y solving Z^y = target at every node of ``targets`` (the cone only)."""
         return NodeProcess.from_flat(
             self.lattice, self._invert(0, targets.n_levels, targets.flat)
         )
 
     def _invert(self, first: int, stop: int, targets: np.ndarray) -> np.ndarray:
-        """Inversion at the nodes of levels ``first .. stop-1``, laid out flat.
-
-        The lowest level that fails raises: a level that is not monotone in
-        y before a target outside its attainable image.
-        """
+        """Cone inversion at the nodes of levels ``first .. stop-1``, laid out flat."""
+        if not self._homogeneous:
+            raise ContractViolation(
+                "a y-grid position curve is not inverted here; "
+                "recover the holdings with optimizer.recover_theta"
+            )
         off = self.lattice.offsets
         a, b = off[first], off[stop]
         t = np.asarray(targets, dtype=float)
-        if self._homogeneous:
-            zm = self.z_minus.flat[a:b]
-            zp = self.z_plus.flat[a:b]
-            out = np.zeros_like(t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand_pos = np.where(zm != 0.0, t / zm, np.nan)
-                cand_neg = np.where(zp != 0.0, -t / zp, np.nan)
-            nonzero = t != 0.0
-            take_pos = nonzero & (cand_pos > 0)
-            take_neg = nonzero & ~take_pos & (cand_neg < 0)
-            if np.any(nonzero & ~take_pos & ~take_neg):
-                raise ImageViolation(
-                    "integrand target outside the homogeneous image cone"
-                )
-            out[take_pos] = cand_pos[take_pos]
-            out[take_neg] = cand_neg[take_neg]
-            return out
-        if self._monotone is None:
-            bounds = off[: self.lattice.n_steps + 1]
-            self._monotone, self._decreasing = _level_directions(bounds, self._slab)
-        (out,) = _invert_block(
-            first,
-            off[first : stop + 1] - a,
-            self._slab[:, a:b],
-            self.y_grid,
-            self._monotone[first:stop],
-            self._decreasing[a:b],
-            [t],
-        )
-        if isinstance(out, Exception):
-            raise out
+        zm = self.z_minus.flat[a:b]
+        zp = self.z_plus.flat[a:b]
+        out = np.zeros_like(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand_pos = np.where(zm != 0.0, t / zm, np.nan)
+            cand_neg = np.where(zp != 0.0, -t / zp, np.nan)
+        nonzero = t != 0.0
+        take_pos = nonzero & (cand_pos > 0)
+        take_neg = nonzero & ~take_pos & (cand_neg < 0)
+        if np.any(nonzero & ~take_pos & ~take_neg):
+            raise ImageViolation("integrand target outside the homogeneous image cone")
+        out[take_pos] = cand_pos[take_pos]
+        out[take_neg] = cand_neg[take_neg]
         return out
 
 
-# nodes one inversion pass works on, and the most nodes a streamed block of
-# several levels holds: bounds the scratch memory
+# the most nodes a streamed block of several levels holds: bounds the
+# scratch memory of the holdings recovery
 _INVERT_BLOCK_NODES = 1 << 12
 
 
@@ -521,26 +509,23 @@ def _level_directions(bounds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _invert_block(
-    first: int,
-    bounds: np.ndarray,
-    z: np.ndarray,
-    y_grid: np.ndarray,
-    monotone: np.ndarray,
-    dec: np.ndarray,
-    targets: list[np.ndarray],
+    first: int, bounds: np.ndarray, z: np.ndarray, y_grid: np.ndarray, targets: list[np.ndarray]
 ) -> list:
     """Positions y with Z^y = t at the nodes of levels ``first, first+1, ...``.
 
-    ``z``, ``bounds``, ``monotone`` and ``dec`` are those levels'
-    grid solutions and their ``_level_directions``; each target ``t`` has
-    one value per node.  Every level must be strictly monotone in y, all
-    its columns the same way, and a target must lie in the level's
-    attainable image up to 1e-12.  For each target comes back its
+    ``z`` holds those levels' grid solutions, ``(n_y, nodes)``, level
+    ``first + i`` in columns ``bounds[i] .. bounds[i+1]-1``; each target
+    ``t`` has one value per node.  Every level must be strictly monotone
+    in y, all its columns the same way, and a target must lie in the
+    level's attainable image up to 1e-12.  For each target comes back its
     positions or the error of its lowest failing level: a level that is
     not monotone before a target outside its image.
     """
+    monotone, dec = _level_directions(bounds, z)
     # a strictly monotone column has its extremes in its first and last rows
     first_row, last_row = z[0], z[-1]
+    # a decreasing column is inverted as the increasing -Z against -target
+    sign = np.where(dec, -1.0, 1.0)
     results = []
     for t in targets:
         bad = t < np.where(dec, last_row, first_row) - 1e-12
@@ -555,24 +540,17 @@ def _invert_block(
                     f"position curve is not monotone in y at level {first + k}"
                 )
             )
-            continue
-        # a decreasing column is inverted as the increasing -Z against
-        # -target; blocks of columns bound the scratch memory
-        out = np.empty_like(t)
-        for c in range(0, t.size, _INVERT_BLOCK_NODES):
-            cols = slice(c, c + _INVERT_BLOCK_NODES)
-            sign = np.where(dec[cols], -1.0, 1.0)
-            out[cols] = _interp_columns(t[cols] * sign, z[:, cols], y_grid, sign)
-        results.append(out)
+        else:
+            results.append(_interp_columns(t * sign, z, y_grid, sign))
     return results
 
 
 def _invert_streamed(
     lattice: Lattice, driver: Driver, s_terminal, y_grid, targets: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """``PositionCurve(lattice, driver, s_terminal, y_grid).invert`` of each
-    flat target over levels 0..n-1, bit for bit, without the curve's
-    ``(n_y, nodes)`` buffer.
+    """Positions y with Z^y = t for each flat target t over levels 0..n-1,
+    on the piecewise-linear curve of ``PositionCurve(lattice, driver,
+    s_terminal, y_grid)``, without that curve's ``(n_y, nodes)`` buffer.
 
     The batched y-grid sweep hands its levels, top first, to one scratch
     block of whole levels, at most ``_INVERT_BLOCK_NODES`` nodes unless it
@@ -602,9 +580,7 @@ def _invert_streamed(
             else:
                 block[:, off[k] - a : off[k + 1] - a] = z
         bounds = off[first : stop + 1] - a
-        got_block = _invert_block(
-            first, bounds, block, yg, *_level_directions(bounds, block), [t[a:b] for t in flats]
-        )
+        got_block = _invert_block(first, bounds, block, yg, [t[a:b] for t in flats])
         for i, got in enumerate(got_block):
             if isinstance(got, Exception):
                 errors[i] = got  # the blocks go down the levels: the last error is the lowest

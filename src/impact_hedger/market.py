@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import Driver
-from .errors import ContractViolation, InvalidArgument
+from .errors import ContractViolation, InvalidArgument, NumericOverflow
 from .gexpect import PositionCurve, _driver_levels, _driver_sweep, _terminal_array, solve_bsde
 from .lattice import FULL_BINARY, Lattice, NodeProcess, _forward_wealth
 
@@ -102,11 +102,32 @@ def price_curve(
     P = Pi(H_M + z S) - Pi(H_M + (z - y) S), both evaluated at ``node``.
     """
     k, j = _check_node(lattice, node)
+    hold, after = _quote_books(
+        lattice, s_terminal, np.array([z], dtype=float), np.array([y], dtype=float), h_m
+    )
+    pi_hold = solve_bsde(lattice, driver, hold).pi.values(k)[j]
+    pi_after = solve_bsde(lattice, driver, after).pi.values(k)[j]
+    return float(pi_hold - pi_after)
+
+
+def _quote_books(lattice: Lattice, s_terminal, z, y, h_m) -> np.ndarray:
+    """Books H_M + z S (one row per z), then H_M + (z - y) S (one row per
+    pair, z major), all finite."""
     s = _terminal_array(lattice, s_terminal)
     h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
-    pi_hold = solve_bsde(lattice, driver, h + z * s).pi.values(k)[j]
-    pi_after = solve_bsde(lattice, driver, h + (z - y) * s).pi.values(k)[j]
-    return float(pi_hold - pi_after)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        shifts = np.concatenate([z, (z[:, None] - y[None, :]).reshape(-1)])
+        books = h[None, :] + shifts[:, None] * s[None, :]
+    bad = ~np.all(np.isfinite(books), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if i < z.size:
+            raise NumericOverflow(f"non-finite book H_M + z S at z = {float(z[i])!r}")
+        zi, yi = divmod(i - z.size, y.size)
+        raise NumericOverflow(
+            f"non-finite book H_M + (z - y) S at z = {float(z[zi])!r}, y = {float(y[yi])!r}"
+        )
+    return books
 
 
 def quote_grid(
@@ -125,12 +146,9 @@ def quote_grid(
     kept.  Each quote is bit for bit the one :func:`price_curve` returns.
     """
     k, j = _check_node(lattice, node)
-    s = _terminal_array(lattice, s_terminal)
-    h = np.zeros_like(s) if h_m is None else _terminal_array(lattice, h_m)
     z = np.asarray(z_values, dtype=float).reshape(-1)
     y = np.asarray(y_values, dtype=float).reshape(-1)
-    shifts = np.concatenate([z, (z[:, None] - y[None, :]).reshape(-1)])
-    books = h[None, :] + shifts[:, None] * s[None, :]
+    books = _quote_books(lattice, s_terminal, z, y, h_m)
     quoted = books[:, j]
     for level, pi, _ in _driver_levels(lattice, driver, books):
         if level == k:

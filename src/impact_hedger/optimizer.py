@@ -426,7 +426,7 @@ def solve_fbsde_picard(
     max_iter: int = 50,
     damping: float = 0.5,
     s_terminal=None,
-    theta_plus: bool | None = None,
+    theta_plus: bool = True,
     curve: PositionCurve | None = None,
 ) -> FbsdeSolution:
     """Anderson-accelerated Picard iteration on the coupled system.
@@ -468,7 +468,7 @@ def solve_fbsde_picard(
             z_minus, z_plus = curve.z_minus, curve.z_plus
         else:
             z_minus, z_plus = _unit_integrands(lattice, driver, s_terminal)
-        kink = (z_minus, z_plus, True if theta_plus is None else theta_plus)
+        kink = (z_minus, z_plus, theta_plus)
     elif s_terminal is not None:
         raise InvalidArgument(
             "s_terminal is read only by a kinked driver; recover the holdings with recover_theta"

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from impact_hedger import (
+    NodeProcess,
     PositionCurve,
     build_binomial,
     build_full_binary,
@@ -20,6 +21,7 @@ from impact_hedger import (
     homogeneous_driver,
     linear_driver,
     quadratic_driver,
+    recover_theta,
     solve_bsde,
     z_of_position,
     zero_driver,
@@ -197,15 +199,19 @@ def test_invert_level_returns_grid_positions_on_curve_nodes(orientation):
     lat = build_binomial(1.0, 30)
     s = orientation * (0.8 * lat.w_values(30) + 0.3 * np.maximum(lat.w_values(30), 0.0))
     ys = np.linspace(-1.5, 1.5, 13)
-    curve = PositionCurve(lat, drifted_quadratic_driver(1.0, 0.3), s, y_grid=ys)
+    driver = drifted_quadratic_driver(1.0, 0.3)
+    curve = PositionCurve(lat, driver, s, y_grid=ys)
+    rows = [NodeProcess.from_flat(lat, row.copy()) for row in curve._slab]
+    for y, theta in zip(ys, recover_theta(lat, driver, s, rows, ys)):  # both ends of the hull included
+        np.testing.assert_array_equal(theta.flat, np.full(theta.flat.size, y))
+    mid = 0.5 * (curve._slab[3] + curve._slab[4])
+    (theta,) = recover_theta(lat, driver, s, [NodeProcess.from_flat(lat, mid)], ys)
     for k in (0, 7, 29):
         stack = curve._stacks[k]
-        for i, y in enumerate(ys):  # both ends of the hull included
-            np.testing.assert_array_equal(curve.invert_level(k, stack[i]), np.full(k + 1, y))
-        mid = 0.5 * (stack[3] + stack[4])
         sign = np.sign(stack[-1, 0] - stack[0, 0])  # np.interp needs increasing nodes
-        expected = [np.interp(sign * mid[j], sign * stack[:, j], ys) for j in range(k + 1)]
-        assert _bits(curve.invert_level(k, mid)) == _bits(np.array(expected))
+        level_mid = lat.split_levels(mid)[k]
+        expected = [np.interp(sign * level_mid[j], sign * stack[:, j], ys) for j in range(k + 1)]
+        assert _bits(theta.values(k)) == _bits(np.array(expected))
 
 
 @settings(max_examples=40, deadline=None)

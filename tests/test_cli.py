@@ -330,6 +330,33 @@ def test_a_value_out_of_float_range_exits_4_by_name(tmp_path, capsys, command, e
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "overrides", "code", "named"),
+    [
+        # -1e308 W overflows at the lattice edge in the position curve's books
+        ("solve", {"y_grid": "-1e308,0,1e308"}, EXIT_NUMERIC, "non-finite book H_M - y S at y = -1e+308"),
+        ("verify", {"y_grid": "-1e308,0,1e308"}, EXIT_NUMERIC, "non-finite book H_M - y S at y = -1e+308"),
+        # the quote grid's book H_M + z S overflows the same way
+        ("price", {"z_values": "1e308"}, EXIT_NUMERIC, "non-finite book H_M + z S at z = 1e+308"),
+        # hi - lo of the linspace form overflows
+        ("solve", {"y_grid": "-1e308:1e308:3"}, EXIT_CONFIG, "[numerics] y_grid = '-1e308:1e308:3'"),
+    ],
+    ids=["solve-y_grid", "verify-y_grid", "price-z_values", "linspace"],
+)
+def test_an_overflowing_book_or_grid_is_refused_by_name(tmp_path, capsys, command, overrides, code, named):
+    cfg = _small_desk(tmp_path, **overrides)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert "RuntimeWarning" not in err and "backward sweep" not in err
+    report = out / "report.json"
+    if report.exists():
+        assert json.loads(report.read_text())["exit_code"] == code
+
+
 @pytest.mark.parametrize("eta", ["1e3", "1e10"])
 def test_budget_multiplier_out_of_float_range_exits_4(tmp_path, eta):
     # exp(-gamma_a v / (2 (gamma + gamma_a))) underflows to a zero multiplier

@@ -39,13 +39,14 @@ from impact_hedger import (
 from impact_hedger import gexpect, optimizer
 from impact_hedger.cli import load_config, run
 from impact_hedger.errors import (
+    ContractViolation,
     ExtrapolationRefused,
     ImageViolation,
     ImpactHedgerError,
     InvalidArgument,
     InversionUnavailable,
 )
-from impact_hedger.gexpect import _unit_integrands
+from impact_hedger.gexpect import _invert_block, _unit_integrands
 from impact_hedger.optimizer import FbsdeSolution, recover_theta
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -96,6 +97,18 @@ def ref_invert_level(stack, y_grid, k, targets):
     s = stack if direction > 0 else -stack
     tt = t if direction > 0 else -t
     return ref_interp_columns(tt, s, y_grid)
+
+
+def ref_invert(lat, slab, y_grid, targets):
+    """``ref_invert_level`` over levels 0..n-1 of a ``(n_y, nodes)`` buffer:
+    the lowest failing level raises."""
+    off = lat.offsets
+    return np.concatenate(
+        [
+            ref_invert_level(slab[:, off[k] : off[k + 1]], y_grid, k, targets[off[k] : off[k + 1]])
+            for k in range(lat.n_steps)
+        ]
+    )
 
 
 def ref_invert_cone(zm, zp, targets):
@@ -239,16 +252,12 @@ def test_flat_children_are_the_split_of_the_next_level(lat):
 # -- holdings recovery ------------------------------------------------------
 
 
-def _curve_from_stacks(lat, slab, y_grid):
-    """A position curve over given grid solutions (one (n_y, nodes) buffer)."""
-    curve = PositionCurve.__new__(PositionCurve)
-    curve.lattice = lat
-    curve._homogeneous = False
-    curve.y_grid = y_grid
-    curve._slab = slab
-    curve._stacks = lat.split_levels(slab)
-    curve._monotone = curve._decreasing = None
-    return curve
+def _block_outcome(first, bounds, z, y_grid, targets):
+    """``_invert_block`` on one target, its error as ``_outcome`` gives it."""
+    (got,) = _invert_block(first, bounds, z, y_grid, [targets])
+    if isinstance(got, Exception):
+        return (type(got), str(got), getattr(got, "level", None))
+    return got
 
 
 @st.composite
@@ -295,25 +304,22 @@ def curve_cases(draw):
 @given(case=curve_cases())
 def test_flat_inversion_matches_the_per_level_inversion(case):
     lat, slab, y_grid, targets = case
-    curve = _curve_from_stacks(lat, slab, y_grid)
     off = lat.offsets
-    per_level = []
     for k in range(lat.n_steps):
         stack = slab[:, off[k] : off[k + 1]]
         t = targets[off[k] : off[k + 1]]
         want = _outcome(ref_invert_level, stack, y_grid, k, t)
-        got = _outcome(curve.invert_level, k, t)
+        got = _block_outcome(k, np.array([0, stack.shape[1]]), stack, y_grid, t)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert _bits(got) == _bits(want)
-        per_level.append(want)
-    errors = [w for w in per_level if isinstance(w, tuple)]
-    got = _outcome(lambda: curve.invert(NodeProcess.from_flat(lat, targets)).flat)
-    if errors:
-        assert got == errors[0]  # the lowest failing level raises
+    want = _outcome(ref_invert, lat, slab, y_grid, targets)  # the lowest failing level raises
+    got = _block_outcome(0, off[: lat.n_steps + 1], slab, y_grid, targets)
+    if isinstance(want, tuple):
+        assert got == want
     else:
-        assert _bits(got) == _bits(np.concatenate(per_level))
+        assert _bits(got) == _bits(want)
 
 
 @SETTINGS
@@ -347,29 +353,27 @@ def test_flat_cone_inversion_matches_the_per_level_inversion(lat, kappa, a, seed
         assert _bits(got) == _bits(np.concatenate(per_level))
 
 
-def test_recover_theta_scratch_memory_is_bounded():
-    # the n = 200 desk with a 121-point y-grid: a (n_y, nodes) scratch
-    # array would be 19.5 MB as float and 2.4 MB as bool
-    cfg = load_config(SCENARIOS / "exponential.ini")
-    lat = build_binomial(cfg.horizon, cfg.n_steps)
-    driver = drifted_quadratic_driver(cfg.driver_params["gamma"], cfg.driver_params["eta"])
-    s = lat.w_values(lat.n_steps)
-    curve = PositionCurve(lat, driver, s, y_grid=cfg.y_grid)
-    assert cfg.y_grid.size == 121 and lat.n_steps == 200
-    h = solve_fbsde_cara(lat, driver, cfg.gamma_a, cfg.x0).h
-    for _ in range(2):  # the first call also finds the level directions
-        tracemalloc.start()
-        try:
-            curve.invert(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.0e6
+def test_only_the_cone_inverts_on_a_position_curve():
+    # a y-grid curve keeps its buffer for lookups; its holdings come from recover_theta
+    lat = build_binomial(1.0, 6)
+    s = lat.w_values(6)
+    curve = PositionCurve(lat, drifted_quadratic_driver(1.0, 0.3), s, y_grid=np.linspace(-1.0, 1.0, 5))
+    h = NodeProcess.from_flat(lat, curve._slab[1].copy())
+    with pytest.raises(ContractViolation, match="recover_theta"):
+        curve.invert(h)
+    with pytest.raises(ContractViolation, match="recover_theta"):
+        curve.invert_level(3, h.values(3))
+    cone = PositionCurve(lat, homogeneous_driver(0.2), s)
+    targets = cone.z_process(0.7).flat
+    want = ref_invert_cone(cone.z_minus.flat, cone.z_plus.flat, targets)
+    assert _bits(cone.invert(NodeProcess.from_flat(lat, targets)).flat) == _bits(want)
+    off = lat.offsets
+    assert _bits(cone.invert_level(3, targets[off[3] : off[4]])) == _bits(want[off[3] : off[4]])
 
 
 def test_streamed_recovery_memory_is_bounded():
-    # the same desk without a curve: one batched sweep inverted block by
-    # block, never the 19.5 MB (n_y, nodes) buffer of a built curve
+    # the n = 200 desk with a 121-point y-grid: one batched sweep inverted
+    # block by block, never the 19.5 MB (n_y, nodes) buffer of a built curve
     cfg = load_config(SCENARIOS / "exponential.ini")
     lat = build_binomial(cfg.horizon, cfg.n_steps)
     driver = drifted_quadratic_driver(cfg.driver_params["gamma"], cfg.driver_params["eta"])
@@ -480,13 +484,13 @@ def test_streamed_recovery_matches_the_curve_inversion(case, block):
                 k = rng.integers(lat.n_steps)
                 t[lat.offsets[k] + rng.integers(lat.level_size(k))] = hi.max() + 1e-9
             targets.append(NodeProcess.from_flat(lat, t))
-        want = [_raised(curve.invert, t) for t in targets]
+        want = [_raised(ref_invert, lat, slab, y_grid, t.flat) for t in targets]
         got = _raised(recover_theta, lat, driver, s, targets, y_grid)
     errors = [w for w in want if isinstance(w, tuple)]
     if errors:
         assert got == errors[0]  # the first failing target, at its lowest failing level
     else:
-        assert [_bits(g.flat) for g in got] == [_bits(w.flat) for w in want]
+        assert [_bits(g.flat) for g in got] == [_bits(w) for w in want]
 
 
 def test_streamed_recovery_raises_for_the_first_failing_target():
@@ -503,8 +507,8 @@ def test_streamed_recovery_raises_for_the_first_failing_target():
     outside.flat[lat.offsets[1]] = curve._slab[:, lat.offsets[1]].max() + 1.0
     not_monotone = (InversionUnavailable, "position curve is not monotone in y at level 2")
     off_image = (ImageViolation, "integrand target outside the attainable image")
-    assert _raised(curve.invert, on_grid) == not_monotone
-    assert _raised(curve.invert, outside) == off_image
+    assert _raised(ref_invert, lat, curve._slab, y_grid, on_grid.flat) == not_monotone
+    assert _raised(ref_invert, lat, curve._slab, y_grid, outside.flat) == off_image
     with mock.patch.object(gexpect, "_INVERT_BLOCK_NODES", 3):  # a block per level or two
         assert _raised(recover_theta, lat, driver, s, [on_grid, outside], y_grid) == not_monotone
         assert _raised(recover_theta, lat, driver, s, [outside, on_grid], y_grid) == off_image

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,12 @@ from impact_hedger import (
     simple_strategy_pnl,
     zero_driver,
 )
-from impact_hedger.errors import ContractViolation, ExtrapolationRefused, InvalidArgument
+from impact_hedger.errors import (
+    ContractViolation,
+    ExtrapolationRefused,
+    InvalidArgument,
+    NumericOverflow,
+)
 
 
 def test_price_zero_volume_is_zero():
@@ -216,3 +224,26 @@ def test_quotes_refuse_a_node_off_the_lattice(node):
         price_curve(lat, drv, s, node, 0.0, 1.0)
     with pytest.raises(InvalidArgument, match="not on the lattice"):
         quote_grid(lat, drv, s, node, [0.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    ("scale", "z", "y", "named"),
+    [
+        (1.0, 1e308, 0.5, "H_M + z S at z = 1e+308"),
+        (1.0, 0.0, 1e308, "H_M + (z - y) S at z = 0.0, y = 1e+308"),
+        (1e-10, 1e308, -1e308, "H_M + (z - y) S at z = 1e+308, y = -1e+308"),  # z - y overflows
+    ],
+    ids=["held", "after", "shift"],
+)
+def test_quotes_refuse_an_overflowing_book_by_name(scale, z, y, named):
+    # 1e308 W overflows at the lattice edge: both quote routes refuse the
+    # same book before any sweep level, and without a numpy warning
+    lat = build_binomial(1.0, 10)
+    s = scale * lat.w_values(10)
+    drv = entropic_driver(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericOverflow, match=re.escape(named)):
+            price_curve(lat, drv, s, (0, 0), z, y)
+        with pytest.raises(NumericOverflow, match=re.escape(named)):
+            quote_grid(lat, drv, s, (0, 0), [z], [y])

@@ -284,9 +284,9 @@ def test_closed_form_holdings_from_the_scenario_curve_are_bit_identical():
     s = 1.2 * lat.w_values(40) + 0.1
     y_grid = np.linspace(-1.5, 1.5, 121)
     market = ih.MarketSpec(gamma=1.1, eta=0.35, utility=ih.cara_utility(1.7316), x0=0.2)
-    scenario_curve = ih.PositionCurve(lat, ih.drifted_quadratic_driver(1.1, 0.35), s, y_grid=y_grid)
+    scenario_driver = ih.drifted_quadratic_driver(1.1, 0.35)
     triple = ih.exponential_triple(lat, market)
     (own,) = ih.recover_theta(lat, market.driver(), s, [triple.h], y_grid=y_grid)
-    shared = scenario_curve.invert(triple.h)
+    (shared,) = ih.recover_theta(lat, scenario_driver, s, [triple.h], y_grid=y_grid)
     for k in range(40):
         assert _bits(shared.values(k)) == _bits(own.values(k))
