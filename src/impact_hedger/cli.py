@@ -234,46 +234,80 @@ def _build_payoff(cfg: ScenarioConfig, lattice):
     return s, book
 
 
-# cells formatted per block of rows: bounds the scratch memory of a write
+# cells formatted per block, and distinct values per formatting call: bounds
+# the scratch memory of a write
 _CSV_BLOCK_CELLS = 1 << 13
 
 
-def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write a 2-D float table, each cell in round-trip ``%.17g`` form.
+def _repeated_bits(col: np.ndarray, n_rows: int):
+    """A column's distinct values and, in the narrowest integer type, the
+    index of each cell among them; None if there are ``n_rows / 2`` or more.
+    Distinct means distinct bits, so ``-0.0`` and ``0.0`` stay apart."""
+    bits = col.view(np.int64)
+    # counted on a plain sort, which is cheaper than np.unique's: most
+    # columns of a surface are all distinct and need no index
+    ordered = np.sort(bits, axis=None)
+    if 2 * (ordered[:1].size + np.count_nonzero(ordered[1:] != ordered[:-1])) >= n_rows:
+        return None
+    del ordered
+    values, inverse = np.unique(bits, return_inverse=True)
+    inverse = inverse.reshape(col.shape).astype(np.min_scalar_type(values.size))
+    return values.view(np.float64), inverse
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a table given as its columns, each cell in round-trip ``%.17g`` form.
+
+    The columns are arrays that broadcast to one shape; the cells of that
+    shape, in C order, are the rows.  A column may so be a view such as
+    ``t[:, None]`` beside ``x`` and ``(n_t, n_x)`` fields, and the whole
+    table is never built.  A table of no columns has the rows of
+    ``np.shape(columns)[1:]`` (a ``(0, n_rows)`` array of columns).
 
     A non-finite cell is refused before the file is opened, so a failed
     write leaves no partial table behind.
 
     The text of a cell is a fixed-width slot from ``g17.g17_slots``.  A
-    column with fewer distinct bit patterns than half its rows (level,
-    node, ``t``, a zero or constant field) has each distinct value
-    formatted once, into a pool of slots; the other columns are formatted
-    a block of rows at a time, after the pool.  One take of the pool puts a
-    block in table order; it then gets its separators and is written
-    without its NUL padding.  Distinct means distinct bits, so ``-0.0`` and
-    ``0.0`` stay apart.
+    column whose own array has fewer distinct bit patterns than half the
+    rows (level, node, ``t``, ``x``, a zero or constant field) has each
+    distinct value formatted once, into a pool of slots, and keeps its
+    inverse index in the narrowest integer type; the other columns are
+    formatted a block at a time, after the pool.  A block is a run of the
+    leading axis of at most ``_CSV_BLOCK_CELLS`` cells (never less than one
+    index of that axis).  One take of the pool puts a block in table order;
+    it then gets its separators and is written without its NUL padding.
     """
-    table = np.asarray(table, dtype=float)
-    if not np.all(np.isfinite(table)):
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if not all(np.isfinite(c).all() for c in cols):
         raise ImpactHedgerError("non-finite value about to be written to disk")
     from .g17 import SLOT, g17_slots
 
-    n_rows, n_cols = table.shape
+    shape = np.broadcast_shapes(*(c.shape for c in cols)) if cols else np.shape(columns)[1:]
+    n_rows, n_cols = math.prod(shape), len(cols)
+    inner = math.prod(shape[1:])  # rows per index of the leading axis
+    lead = max(1, _CSV_BLOCK_CELLS // max(1, inner * n_cols))
     slot = np.dtype((np.void, SLOT))
-    pooled, direct, in_pool = [], [], {}
+    distinct, pooled, direct = [], {}, {}
     size = 0
-    for j, col in enumerate(table.T):
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * bits.size < n_rows:
-            pooled.append(g17_slots(bits.view(np.float64)).view(slot))
-            in_pool[j] = inverse + size
-            size += bits.size
+    for j, col in enumerate(cols):
+        found = _repeated_bits(col, n_rows)
+        if found is None:
+            direct[j] = np.broadcast_to(col, shape)
         else:
-            direct.append(j)
-    block = max(1, _CSV_BLOCK_CELLS // max(n_cols, 1))
-    pool = np.empty(size + min(block, n_rows) * len(direct), slot)
-    if pooled:
-        pool[:size] = np.concatenate(pooled).ravel()
+            values, inverse = found
+            pooled[j] = (size, np.broadcast_to(inverse, shape))
+            distinct.append(values)
+            size += values.size
+    n_block = min(lead, shape[0]) * inner
+    pool = np.empty(size + n_block * len(direct), slot)
+    if distinct:
+        values = np.concatenate(distinct)
+        del distinct
+        for start in range(0, size, _CSV_BLOCK_CELLS):
+            part = slice(start, min(start + _CSV_BLOCK_CELLS, size))
+            pool[part] = g17_slots(values[part]).view(slot).ravel()
+        del values
+    direct_at = size + np.arange(n_block * len(direct)).reshape(n_block, len(direct))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if not n_cols:  # no cells, but every row still ends its line
@@ -281,16 +315,21 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
             return
         ends = np.full(n_cols, ord(","), np.uint8)
         ends[-1] = ord("\n")
-        for start in range(0, n_rows, block):
-            rows = slice(start, min(start + block, n_rows))
-            n = rows.stop - start
+        for start in range(0, shape[0] if n_rows else 0, lead):
+            rows = slice(start, min(start + lead, shape[0]))
+            grid = (rows.stop - start, *shape[1:])
+            n = grid[0] * inner
             index = np.empty((n, n_cols), np.intp)
-            for j, at in in_pool.items():
-                index[:, j] = at[rows]
+            cells = index.reshape(*grid, n_cols)
+            for j, (offset, inverse) in pooled.items():
+                # added in intp, never in the narrow type of the inverse
+                np.add(inverse[rows], offset, out=cells[..., j], dtype=np.intp)
             if direct:
-                cells = g17_slots(table[rows, direct]).view(slot).ravel()
-                pool[size : size + cells.size] = cells
-                index[:, direct] = size + np.arange(cells.size).reshape(n, len(direct))
+                block = np.empty((*grid, len(direct)))
+                for i, col in enumerate(direct.values()):
+                    block[..., i] = col[rows]
+                pool[size : size + block.size] = g17_slots(block).view(slot).ravel()
+                index[:, list(direct)] = direct_at[:n]
             out = pool.take(index).view(np.uint8).reshape(n, n_cols, SLOT)
             out[:, :, -1] = ends
             fh.write(out.tobytes().translate(None, b"\0"))
@@ -299,29 +338,22 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
 _SOLUTION_HEADER = ["level", "node", "x", "zeta", "m", "theta", "h"]
 
 
-def _solution_rows(lattice, sol) -> np.ndarray:
-    """One row per node, level by level, written column by column from the
+def _solution_rows(lattice, sol) -> list:
+    """The columns of one row per node, level by level, from the
     whole-lattice buffers; m, theta and h read 0 on the terminal level, and
     theta reads 0 throughout when the route recovered no holdings."""
     level = lattice.level_index
-    inner = lattice.offsets[-2]  # the nodes of levels 0 .. n-1
-    table = np.zeros((level.size, len(_SOLUTION_HEADER)))
-    table[:, 0] = level
-    table[:, 1] = np.arange(level.size) - lattice.offsets[level]
-    table[:, 2] = sol.x.flat
-    table[:, 3] = sol.zeta.flat
-    for j, proc in ((4, sol.m), (5, sol.theta), (6, sol.h)):
-        if proc is not None:
-            table[:inner, j] = proc.flat
-    return table
+    terminal = np.zeros(level.size - lattice.offsets[-2])  # the nodes of level n
+    columns = [level, np.arange(level.size) - lattice.offsets[level], sol.x.flat, sol.zeta.flat]
+    for proc in (sol.m, sol.theta, sol.h):
+        columns.append(0.0 if proc is None else np.concatenate((proc.flat, terminal)))
+    return columns
 
 
-def _emit(
-    cfg, out_dir: Path, report: RunReport, name: str, header: list[str], table: np.ndarray
-) -> None:
-    """Write one CSV table, if ``csv`` is among the configured formats."""
+def _emit(cfg, out_dir: Path, report: RunReport, name: str, header: list[str], columns) -> None:
+    """Write one CSV table from its columns, if ``csv`` is among the configured formats."""
     if "csv" in cfg.formats:
-        _write_csv(out_dir / name, header, table)
+        _write_csv(out_dir / name, header, columns)
         report.files.append(name)
 
 
@@ -365,14 +397,11 @@ def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
     # one row per node, level by level; z reads 0 on the terminal level
     level = lattice.level_index
     node = np.arange(level.size) - lattice.offsets[level]
-    z = np.zeros(level.size)
-    z[: lattice.offsets[-2]] = sol.z.flat
+    z = np.concatenate((sol.z.flat, np.zeros(level.size - lattice.offsets[-2])))
     grid = lattice.grid
-    table = np.column_stack(
-        (level, node, level * grid.dt, (2.0 * node - level) * grid.sqrt_dt, sol.pi.flat, z)
-    )
+    columns = (level, node, level * grid.dt, (2.0 * node - level) * grid.sqrt_dt, sol.pi.flat, z)
     header = ["level", "node", "t", "W", "pi", "z"]
-    _emit(cfg, out_dir, report, "gexp.csv", header, table)
+    _emit(cfg, out_dir, report, "gexp.csv", header, columns)
     report.results["pi_root"] = sol.pi.root
     report.results["z_root"] = sol.z.root
 
@@ -384,9 +413,9 @@ def _cmd_price(cfg, out_dir: Path, report: RunReport) -> None:
     driver = _build_driver(cfg)
     s, book = _build_payoff(cfg, lattice)
     prices = quote_grid(lattice, driver, s, (0, 0), cfg.price_z, cfg.price_y, h_m=book)
-    z, y = np.meshgrid(cfg.price_z, cfg.price_y, indexing="ij")
-    table = np.column_stack((np.zeros(prices.size), z.ravel(), y.ravel(), prices.ravel()))
-    _emit(cfg, out_dir, report, "price.csv", ["t", "z", "y", "P"], table)
+    # one row per (z, y) pair, z major
+    columns = (0.0, cfg.price_z[:, None], cfg.price_y, prices)
+    _emit(cfg, out_dir, report, "price.csv", ["t", "z", "y", "P"], columns)
     report.results["n_quotes"] = int(prices.size)
 
 
@@ -481,8 +510,7 @@ def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
     triple = exponential_triple(lattice, market)
     flat = no_trade_solution(lattice, driver, cfg.x0)
 
-    table = _solution_rows(lattice, triple)
-    _emit(cfg, out_dir, report, "closedform.csv", _SOLUTION_HEADER, table)
+    _emit(cfg, out_dir, report, "closedform.csv", _SOLUTION_HEADER, _solution_rows(lattice, triple))
     report.results.update(
         {
             "lambda": lam,
@@ -517,19 +545,13 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
 
     x = xgrid.x
     n_t = tgrid.n_steps
-    # one row per slice k < n_t and interior wealth point, slice by slice
+    # one row per slice k < n_t and interior wealth point, slice by slice:
+    # the columns are views that broadcast to (n_t, interior points)
     cells = (slice(0, n_t), xgrid.interior)
-    xs = x[xgrid.interior]
     fields = (surface.v, surface.v_x, surface.v_xx, policy.upsilon, policy.theta_hat, resid.rows)
-    table = np.column_stack(
-        (
-            np.repeat(np.arange(n_t) * tgrid.dt, xs.size),
-            np.tile(xs, n_t),
-            *(a[cells].ravel() for a in fields),
-        )
-    )
+    columns = ((np.arange(n_t) * tgrid.dt)[:, None], x[xgrid.interior], *(a[cells] for a in fields))
     header = ["t", "x", "V", "Vx", "Vxx", "upsilon", "theta_hat", "residual"]
-    _emit(cfg, out_dir, report, "value.csv", header, table)
+    _emit(cfg, out_dir, report, "value.csv", header, columns)
     i0 = int(np.argmin(np.abs(x - cfg.x0)))
     report.results.update(
         {
@@ -571,8 +593,8 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
 
     routes = {"closedform": triple, "cara": cara, "picard": picard}
     for name, sol in routes.items():
-        table = _solution_rows(lattice, sol)
-        _emit(cfg, out_dir, report, f"verify_{name}.csv", _SOLUTION_HEADER, table)
+        columns = _solution_rows(lattice, sol)
+        _emit(cfg, out_dir, report, f"verify_{name}.csv", _SOLUTION_HEADER, columns)
 
     gaps = {
         f"{a}_vs_{b}": max(

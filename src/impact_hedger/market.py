@@ -215,7 +215,12 @@ def simple_strategy_pnl(
     total_cost = np.zeros(binary.level_size(n))
     jumps = strategy.jump_levels
     if jumps:  # the books held before and after each jump, swept as one batch
-        books = np.stack([-held[k + j] * s for k in jumps for j in (0, 1)])
+        positions = [held[k + j] for k in jumps for j in (0, 1)]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            books = np.stack([-y * s for y in positions])
+        bad = ~np.all(np.isfinite(books), axis=1)
+        if np.any(bad):
+            raise NumericOverflow(f"non-finite book -y S at y = {positions[np.argmax(bad)]!r}")
         pi_levels, _ = _driver_sweep(lattice, driver, books)
     for i, k in enumerate(jumps):
         price_nodes = pi_levels[k][2 * i] - pi_levels[k][2 * i + 1]

@@ -10,7 +10,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import PchipInterpolator
 
-from impact_hedger import market
+from impact_hedger import cli, market
 from impact_hedger.cli import EXIT_NUMERIC, _write_csv, main
 from impact_hedger.errors import ImpactHedgerError, NumericOverflow
 from impact_hedger.valuegrid import _pchip
@@ -148,7 +150,7 @@ def _assert_writes_old_bytes(table):
     header = [f"c{i}" for i in range(table.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        _write_csv(path, header, table)
+        _write_csv(path, header, table.T)  # the table's columns, as views
         assert path.read_bytes() == _old_csv(header, table.tolist()).encode()
 
 
@@ -209,6 +211,88 @@ edge_tables = {
 @pytest.mark.parametrize("name", sorted(edge_tables))
 def test_write_csv_edge_tables_match_the_per_cell_format(name):
     _assert_writes_old_bytes(edge_tables[name])
+
+
+def _column(draw, shape):
+    # repeated (a pool of 1 or 3 values) or all distinct; signed zeros and
+    # the other special cells come from ``cells``
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        pool = draw(st.lists(cells, min_size=1, max_size=draw(st.sampled_from([1, 3]))))
+        values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    else:
+        distinct_bits = lambda v: np.float64(v).tobytes()  # noqa: E731
+        values = draw(st.lists(cells, min_size=size, max_size=size, unique_by=distinct_bits))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@st.composite
+def column_tables(draw):
+    """Columns in the forms the commands pass: 1-D node columns (some of
+    them a broadcast scalar), or an (n_t, n_x) grid whose ``t`` and ``x``
+    columns are ``t[:, None]`` and ``x`` or ``x[None, :]`` views, beside
+    fields some of which are slices of a wider array."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 40))
+        columns = [
+            _column(draw, (1,))[0, ...] if draw(st.booleans()) and c else _column(draw, (n,))
+            for c in range(draw(st.integers(1, 5)))
+        ]
+    else:
+        n_t, n_x = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+        t = _column(draw, (n_t,))[:, None]
+        x = _column(draw, (n_x,))
+        fields = []
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.booleans()):
+                fields.append(_column(draw, (n_t + 1, n_x + 2))[:n_t, 1 : n_x + 1])
+            else:
+                fields.append(_column(draw, (n_t, n_x)))
+        columns = [t, x if draw(st.booleans()) else x[None, :], *fields]
+        columns = draw(st.permutations(columns))
+    return columns, draw(st.sampled_from([1, 2, 5, 64, cli._CSV_BLOCK_CELLS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=column_tables())
+# two pooled columns whose 456 values overflow one byte: the second, with
+# a uint8 index of 255 values, sits at offset 201 of the pool
+@example(case=([np.arange(600) % 201 / 8.0, -(np.arange(600) % 255) - 0.5], 64))
+def test_write_csv_from_broadcast_columns_matches_the_per_cell_format(case):
+    # the rows are the cells of the broadcast shape in C order, written a
+    # block of the leading axis at a time, whatever the block size
+    columns, block = case
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CSV_BLOCK_CELLS", block):
+        path = Path(tmp) / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == _old_csv(header, rows.tolist()).encode()
+
+
+def test_writing_a_value_table_from_views_builds_no_table(tmp_path):
+    # the value.csv layout of 125 slices and 395 interior wealth points
+    # (n_x = 401): t and x columns beside six field views, three all
+    # distinct, two from 20,000-value pools and a residual that is zero on
+    # a third of its cells.  Building the table and writing it took 23
+    # columns' bytes.
+    n_t, n_x = 125, 395
+    rng = np.random.default_rng(20)
+    wide = (n_t + 1, n_x + 6)
+    fields = [rng.normal(size=wide) for _ in range(3)]
+    fields += [rng.integers(0, 20_000, size=wide) / 7.0 for _ in range(2)]
+    fields.append(np.where(rng.random(wide) < 1 / 3, 0.0, rng.normal(size=wide)))
+    x = np.linspace(-3.0, 3.0, n_x + 6)
+    _write_csv(tmp_path / "warm.csv", ["a"], [np.arange(3.0)])  # g17's tables
+    interior = (slice(0, n_t), slice(3, n_x + 3))
+    tracemalloc.start()
+    try:
+        columns = ((np.arange(n_t) / n_t)[:, None], x[interior[1]], *(a[interior] for a in fields))
+        _write_csv(tmp_path / "value.csv", list("txabcdef"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n_t * n_x * 8
 
 
 def _finite_bit_patterns(bits: np.ndarray) -> np.ndarray:
@@ -297,7 +381,7 @@ def test_write_csv_refuses_a_non_finite_cell_before_opening_the_file(table, bad,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         with pytest.raises(ImpactHedgerError):
-            _write_csv(path, [f"c{i}" for i in range(table.shape[1])], table)
+            _write_csv(path, [f"c{i}" for i in range(table.shape[1])], table.T)
         assert not path.exists()
 
 

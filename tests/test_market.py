@@ -247,3 +247,14 @@ def test_quotes_refuse_an_overflowing_book_by_name(scale, z, y, named):
             price_curve(lat, drv, s, (0, 0), z, y)
         with pytest.raises(NumericOverflow, match=re.escape(named)):
             quote_grid(lat, drv, s, (0, 0), [z], [y])
+
+
+def test_trade_by_trade_pnl_refuses_an_overflowing_book_by_name():
+    # 1e308 held against S = W (up to 2 at level 4) overflows: the book is
+    # refused by name before the sweep, and without a numpy warning
+    lat = build_binomial(1.0, 4)
+    strat = piecewise_constant_strategy(lat, [(0, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericOverflow, match=re.escape("book -y S at y = 1e+308")):
+            simple_strategy_pnl(lat, entropic_driver(1.0), lat.w_values(4), strat)
