@@ -367,7 +367,6 @@ class RunReport:
     residuals: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     files: list[str] = field(default_factory=list)
-    threads: int = 1
     timing_seconds: float = 0.0
     exit_code: int = EXIT_OK
 
@@ -622,6 +621,8 @@ _COMMANDS = {
     "value": _cmd_value,
     "verify": _cmd_verify,
 }
+# the commands that read the market maker's book [market] h_m
+_BOOK_COMMANDS = ("gexp", "price")
 
 
 def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport:
@@ -632,6 +633,9 @@ def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(command=command, scenario=cfg.echo())
     try:
+        if cfg.h_m != "zero" and command not in _BOOK_COMMANDS:
+            readers = " and ".join(_BOOK_COMMANDS)
+            raise InvalidArgument(f"[market] h_m = {cfg.h_m!r} applies to {readers}, not {command}")
         _COMMANDS[command](cfg, out, report)
     except InvalidArgument:
         report.exit_code = EXIT_CONFIG

@@ -13,8 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver, quadratic_driver
+from .driver import TimeFn, _as_time_fn, drifted_quadratic_driver, linear_driver, quadratic_driver
 from .errors import ContractViolation, InvalidArgument, NumericOverflow
+from .gexpect import solve_bsde
 from .lattice import Lattice, NodeProcess, _forward_wealth
 from .optimizer import (
     FbsdeSolution,
@@ -201,27 +202,23 @@ def exponential_triple(lattice: Lattice, market: MarketSpec) -> FbsdeSolution:
 def wealth_by_conditional_route(
     lattice: Lattice, market: MarketSpec, terminal_wealth: np.ndarray
 ) -> NodeProcess:
-    """X*_t = (1/gamma) log E^Q[exp(gamma X*_T) | F_t] under the tilted branch weights.
+    """X*_t = (1/gamma) log E^Q[exp(gamma X*_T) | F_t] under the pricing measure.
 
-    The tilted up/down weights are (1 -/+ eta sqrt(dt)) / 2, matching the
-    drift -eta of the Brownian motion under the pricing measure.
+    E^Q is the sweep of the linear driver -eta_t z, whose explicit step
+    weights the up/down children by (1 -/+ eta sqrt(dt)) / 2; its step-size
+    guard refuses |eta| sqrt(dt) >= 1.
     """
     gamma = market.gamma
     eta = market.eta_fn()
-    grid = lattice.grid
-    n = lattice.n_steps
-    growth = NodeProcess.empty(lattice, n + 1)
-    levels = growth.levels
-    levels[n][...] = np.exp(gamma * np.asarray(terminal_wealth, dtype=float))
-    for k in range(n - 1, -1, -1):
-        e = eta(grid.t(k))
-        q_up = 0.5 * (1.0 - e * grid.sqrt_dt)
-        q_dn = 0.5 * (1.0 + e * grid.sqrt_dt)
-        if not (0.0 < q_up < 1.0):
-            raise InvalidArgument("|eta| sqrt(dt) must stay below 1")
-        down, up = lattice.split_children(levels[k + 1])
-        levels[k][...] = q_up * up + q_dn * down
-    return growth.map(lambda v: np.log(v) / gamma)
+    x_T = np.asarray(terminal_wealth, dtype=float)
+    with np.errstate(over="ignore"):  # refused just below
+        growth = np.exp(gamma * x_T)
+    bad = ~(np.isfinite(growth) & (growth > 0))
+    if np.any(bad):
+        x = float(x_T.flat[np.argmax(bad)])
+        raise NumericOverflow(f"exp(gamma X_T) is out of float range at X_T = {x!r}")
+    sol = solve_bsde(lattice, linear_driver(lambda t: -eta(t)), growth)
+    return sol.pi.map(lambda v: np.log(v) / gamma)
 
 
 def no_trade_solution(lattice: Lattice, driver, x0: float) -> FbsdeSolution | None:

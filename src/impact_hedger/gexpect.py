@@ -45,17 +45,15 @@ def _terminal_array(lattice: Lattice, terminal) -> np.ndarray:
         )
     if not np.all(np.isfinite(values)):
         raise NumericOverflow("non-finite terminal payoff or book")
-    return values.copy()
+    return values
 
 
 @dataclass
 class BsdeSolution:
-    """Evaluation Pi, integrand Z and the terminal payoff they solve for."""
+    """Evaluation Pi and integrand Z."""
 
     pi: NodeProcess
     z: NodeProcess
-    terminal: np.ndarray
-    driver: Driver
 
 
 def _sweep_levels(
@@ -180,12 +178,7 @@ def solve_bsde(lattice: Lattice, driver: Driver, terminal) -> BsdeSolution:
     """Solve the backward equation with the given driver and terminal payoff."""
     term = _terminal_array(lattice, terminal)
     pi, z = _stack_levels(lattice, term, _driver_levels(lattice, driver, term))
-    return BsdeSolution(
-        pi=NodeProcess.from_flat(lattice, pi),
-        z=NodeProcess.from_flat(lattice, z),
-        terminal=term,
-        driver=driver,
-    )
+    return BsdeSolution(NodeProcess.from_flat(lattice, pi), NodeProcess.from_flat(lattice, z))
 
 
 def entropic_exact(lattice: Lattice, gamma: float, terminal) -> NodeProcess:

@@ -271,9 +271,9 @@ def _h_level_general(
 ) -> np.ndarray:
     """Vectorized H at a level for wealth-plus-zeta w and projection m.
 
-    Affine gradients have a closed form.  Otherwise the distinct (w, m) bit
-    patterns are searched as one array, each from |H| <= |m| + |psi1 g_z(t,
-    0)| + 1, which holds the root of a convex driver; the root must keep the
+    Affine gradients have a closed form.  Otherwise the level's nodes are
+    searched as one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1,
+    which holds the root of a convex driver; the root must keep the
     linear-growth bound.  The first node's error is raised.
     """
     coeffs = driver.affine_grad_coeffs(t)
@@ -283,24 +283,19 @@ def _h_level_general(
         return (psi1 * b - m) / (1.0 - a * psi1)
     if not driver.is_differentiable:
         raise ContractViolation("the first-order condition requires a differentiable driver")
-    # one 16-byte key per node: its (w, m) bits, so -0.0 and 0.0 stay apart
-    key = np.stack((w, m), axis=1).view(np.dtype((np.void, 16))).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    wp, mp = w[first[order]], m[first[order]]  # each pattern once, in node order
-    u1, u2, psi1 = (np.asarray(f(wp), dtype=float) for f in (utility.u1, utility.u2, utility.psi1))
-    reach = np.abs(mp) + np.abs(psi1 * float(driver.grad(t, 0.0)))
-    # a pattern's checks, in order: U'' < 0, a finite node, a bracket, the
-    # linear-growth bound; the patterns before the first to fail one are searched
-    bad = (u2 >= 0) | ~(np.isfinite(wp) & np.isfinite(mp) & np.isfinite(psi1))
+    u1, u2, psi1 = (np.asarray(f(w), dtype=float) for f in (utility.u1, utility.u2, utility.psi1))
+    reach = np.abs(m) + np.abs(psi1 * float(driver.grad(t, 0.0)))
+    # a node's checks, in order: U'' < 0, a finite node, a bracket, the
+    # linear-growth bound; the nodes before the first to fail one are searched
+    bad = (u2 >= 0) | ~(np.isfinite(w) & np.isfinite(m) & np.isfinite(psi1))
     count = int(np.argmax(bad)) if bad.any() else bad.size
 
     def search(s: slice) -> np.ndarray:
         roots = _decreasing_root(
-            lambda h: -u1[s] * driver.grad(t, h) + u2[s] * (h + mp[s]),
+            lambda h: -u1[s] * driver.grad(t, h) + u2[s] * (h + m[s]),
             -reach[s] - 1.0, reach[s] + 1.0, 1e-14, _double, 60,
         )
-        bound = reach[s] + 1e-9 * (1.0 + np.abs(mp[s]))
+        bound = reach[s] + 1e-9 * (1.0 + np.abs(m[s]))
         over = np.abs(roots) > bound
         if over.any():
             h, b = roots[over][0], bound[over][0]
@@ -309,7 +304,7 @@ def _h_level_general(
 
     try:
         roots = search(slice(0, count)) if count else np.empty(0)
-    except RootNotFound:  # the first pattern to fail raises its own error
+    except RootNotFound:  # the first node to fail raises its own error
         for j in range(count):
             search(slice(j, j + 1))
         raise
@@ -317,10 +312,10 @@ def _h_level_general(
         if u2[count] >= 0:
             raise InvalidArgument("U'' must be negative at x + zeta")
         raise NumericOverflow(
-            f"first-order condition at a non-finite node: x + zeta = {wp[count]:.6g}, "
-            f"M = {mp[count]:.6g}, psi1 = {psi1[count]:.6g}"
+            f"first-order condition at a non-finite node: x + zeta = {w[count]:.6g}, "
+            f"M = {m[count]:.6g}, psi1 = {psi1[count]:.6g}"
         )
-    return roots[np.argsort(order)[inverse]]
+    return roots
 
 
 def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float) -> FbsdeSolution:
@@ -602,15 +597,8 @@ def verify_optimality(
     w_all = sol.x.flat + sol.zeta.flat
     u1_all = _in_float_range(lattice, w_all, "U'", utility.u1, w_all)
     w, u1 = w_all[:inner], u1_all[:inner]
-    # in-place steps keep the scratch small; each is the operation, in the
-    # order, of 0.5 * (down + up) - u1, 0.5 * beta**2 * u3 / u2**3 and
-    # 0.5 * (u3 / u2) * hm**2
     down, up = lattice.children
-    gap = u1_all[down]
-    gap += u1_all[up]
-    gap *= 0.5
-    gap -= u1
-    mart = float(np.max(np.abs(gap, out=gap)))
+    mart = float(np.max(np.abs(0.5 * (u1_all[down] + u1_all[up]) - u1)))
     # the psi2 check divides by U'' and by its cube
     u2 = _in_float_range(lattice, w, "U''", utility.u2, w, divisor=True)
     cube = _in_float_range(lattice, w, "U''**3", np.power, u2, 3, divisor=True)
@@ -619,16 +607,7 @@ def verify_optimality(
     hm = h + m
     beta = u2 * hm
     u3 = _in_float_range(lattice, w, "U'''", utility.u3, w)
-    gap = np.square(beta)
-    gap *= 0.5
-    gap *= u3
-    gap /= cube
-    rhs = u3 / u2
-    rhs *= 0.5
-    rhs *= np.square(hm)
-    gap -= rhs
-    psi2_gap = float(np.max(np.abs(gap, out=gap)))
-    del gap, rhs, u3, cube
+    psi2_gap = float(np.max(np.abs(0.5 * beta**2 * u3 / cube - 0.5 * (u3 / u2) * hm**2)))
 
     foc = None
     if driver.is_differentiable:

@@ -558,3 +558,20 @@ def test_zero_slope_linear_value_writes_no_negative_zero(tmp_path):
     column = lines[0].split(",").index("upsilon")
     upsilon = {line.split(",")[column] for line in lines[1:]}
     assert upsilon == {"0"}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "closedform", "value"])
+def test_a_book_is_refused_under_the_commands_that_do_not_read_it(tmp_path, capsys, monkeypatch, command):
+    # only gexp and price read [market] h_m; the others would have run as if
+    # there were no book, and solve and verify would have simulated its state
+    def no_state(*args, **kwargs):
+        raise AssertionError("the book's state was simulated")
+
+    monkeypatch.setattr("impact_hedger.lattice.simulate_state", no_state)
+    cfg = _small_desk(tmp_path, market_extra="h_m = markov_square\nr0 = 0.5\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"[market] h_m = 'markov_square' applies to gexp and price, not {command}" in err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_CONFIG
+    assert not list(out.glob("*.csv"))

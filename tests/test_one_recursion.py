@@ -1,9 +1,12 @@
 """Each lattice recursion and each root search is written once.
 
-CARA and Picard run on the shared backward sweep (``_sweep_levels``), every
-wealth-like forward pass on ``lattice._forward_wealth`` and every bracketed
-root search on ``_decreasing_root``.  The loops they replaced are kept here
-as the reference: the shared code must give their numbers bit for bit.  The
+CARA, Picard and the conditional wealth route run on the shared backward
+sweep (``_sweep_levels``), every wealth-like forward pass on
+``lattice._forward_wealth`` and every bracketed root search on
+``_decreasing_root``.  The loops they replaced are kept here as the
+reference: the shared code must give their numbers bit for bit, except the
+conditional route, whose linear-driver step rounds the tilted weights'
+average differently and must agree to 1e-13 relative.  The
 reference root searches keep their own per-node bracketing and call the
 array solver on one element; the array root finder's own tests, further
 down, tie that solver to scipy's ``brentq``.
@@ -44,6 +47,7 @@ from impact_hedger import (
     solve_fbsde_cara,
     solve_h,
     solve_h_homogeneous,
+    wealth_by_conditional_route,
 )
 from impact_hedger.errors import (
     DomainError,
@@ -51,6 +55,7 @@ from impact_hedger.errors import (
     InvalidArgument,
     NumericOverflow,
     RootNotFound,
+    StepSizeViolation,
 )
 from impact_hedger.gexpect import _unit_integrands
 from impact_hedger.optimizer import (
@@ -427,6 +432,64 @@ def test_girsanov_density_is_one_wealth_pass(lat, a, b):
     eta = a if b == 0.0 else (lambda t: a + b * t)
     want = ref_girsanov_density(lat, eta if callable(eta) else (lambda t: a))
     assert _same(girsanov_density(lat, eta), want)
+
+
+def ref_conditional_route(lattice, market, terminal_wealth):
+    """The conditional route's own backward loop, with the tilted weights."""
+    gamma = market.gamma
+    eta = market.eta_fn()
+    grid = lattice.grid
+    n = lattice.n_steps
+    growth = NodeProcess.empty(lattice, n + 1)
+    levels = growth.levels
+    levels[n][...] = np.exp(gamma * np.asarray(terminal_wealth, dtype=float))
+    for k in range(n - 1, -1, -1):
+        e = eta(grid.t(k))
+        q_up = 0.5 * (1.0 - e * grid.sqrt_dt)
+        q_dn = 0.5 * (1.0 + e * grid.sqrt_dt)
+        if not (0.0 < q_up < 1.0):
+            raise InvalidArgument("|eta| sqrt(dt) must stay below 1")
+        down, up = lattice.split_children(levels[k + 1])
+        levels[k][...] = q_up * up + q_dn * down
+    return growth.map(lambda v: np.log(v) / gamma)
+
+
+@SETTINGS
+@given(
+    lat=lattices(),
+    a=st.floats(-0.3, 0.3),
+    b=st.one_of(st.just(0.0), st.floats(-0.1, 0.1)),
+    gamma=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_conditional_route_on_the_shared_sweep_matches_its_loop(lat, a, b, gamma, seed):
+    # |eta| <= 0.5 and sqrt(dt) <= sqrt(2) keep the tilted weights in (0, 1)
+    eta = a if b == 0.0 else (lambda t: a + b * t)
+    market = MarketSpec(gamma=gamma, eta=eta, utility=cara_utility(2.0), x0=0.0)
+    x_T = np.random.default_rng(seed).uniform(-2.0, 2.0, lat.level_size(lat.n_steps))
+    got = wealth_by_conditional_route(lat, market, x_T).flat
+    want = ref_conditional_route(lat, market, x_T).flat
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_conditional_route_refuses_a_step_over_the_guard_by_level():
+    # eta sqrt(dt) = 2 * 0.5 = 1: the sweep's step-size guard, at the top level
+    lat = build_binomial(1.0, 4)
+    market = MarketSpec(gamma=1.0, eta=2.0, utility=cara_utility(2.0), x0=0.0)
+    with pytest.raises(StepSizeViolation, match="at level 3") as exc:
+        wealth_by_conditional_route(lat, market, np.zeros(5))
+    assert exc.value.level == 3
+
+
+@pytest.mark.parametrize("x", [800.0, -800.0])
+def test_conditional_route_refuses_a_growth_out_of_float_range_by_name(x):
+    # exp(gamma X_T) overflows at X_T = 800 and underflows to 0, whose log
+    # is -inf, at X_T = -800; either is refused before any warning
+    lat = build_binomial(1.0, 4)
+    market = MarketSpec(gamma=1.0, eta=0.3, utility=cara_utility(2.0), x0=0.0)
+    x_T = np.array([0.0, 0.0, x, 0.0, 0.0])
+    with pytest.raises(NumericOverflow, match=rf"exp\(gamma X_T\) is out of float range at X_T = {x!r}"):
+        wealth_by_conditional_route(lat, market, x_T)
 
 
 def ref_pnl(lattice, driver, s, strategy, x0, y_grid):
