@@ -375,7 +375,7 @@ class RunReport:
 
 
 def _report_residuals(rep) -> dict:
-    out = {"martingale": rep.martingale_residual, "psi2_consistency": rep.psi2_consistency}
+    out = {"martingale": rep.martingale_residual}
     if rep.foc_residual is not None:
         out["foc"] = rep.foc_residual
     if rep.homogeneous_equality_residual is not None:

@@ -25,7 +25,8 @@ class NumericOverflow(ImpactHedgerError):
 
 
 class StepSizeViolation(ImpactHedgerError):
-    """The monotone-scheme guard |g_z| * sqrt(dt) < 1 failed.
+    """A backward sweep, the (zeta, M) pair included, broke the monotone-scheme
+    guard |g_z| * sqrt(dt) < 1, with the slope bound its caller gives.
 
     Carries the lattice level at which the guard tripped.
     """

@@ -6,8 +6,8 @@ The backward recursion per level is
     Pi_k =  E_k[Pi_{k+1}] - g(t_k, Z_k) dt
 
 which is the explicit scheme: exact for linear drivers, first order in dt
-for quadratic ones, and monotone whenever |g_z| sqrt(dt) < 1 (guarded at
-runtime).
+for quadratic ones, and monotone whenever |g_z| sqrt(dt) < 1: every sweep,
+the optimizer's (zeta, M) pair included, is guarded at runtime.
 """
 from __future__ import annotations
 
@@ -60,21 +60,23 @@ def _sweep_levels(
     lattice: Lattice,
     terminal: np.ndarray,
     g_of_level: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    slope_of_level: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    slope_of_level: Callable[[int, np.ndarray], np.ndarray],
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The backward recursion, one level at a time: yields ``(k, Pi_k, Z_k)``
     for k = n-1 down to 0.  ``g_of_level(k, z, cond)`` gets the level, Z_k
     and the level mean ``cond`` = E_k[Pi_{k+1}]; it may depend on all three.
+    ``slope_of_level(k, z)``, called next, bounds |dg/dz| per node: the
+    step-size guard refuses a level where slope * sqrt(dt) is not below 1.
 
     ``terminal`` is one buffer of shape ``(level_size(n),)`` or a batch of
     them, shape ``(rows, level_size(n))``; each level keeps the leading row
     axis.  Every row is swept on its own along the last axis, so a row gets
     bit for bit the numbers of its one-row sweep, provided the driver keeps
     its contract: ``g`` and ``g_z`` act elementwise on arrays of any shape.
-    The finiteness check and the step-size guard cover every row; the guard
-    raises at the highest level where any row breaks it.  Only the level
-    being built and the one above it are held here, so a caller that keeps
-    just what it reads never holds the whole Pi stack.
+    The finiteness check, then the guard, cover every row, and raise at the
+    highest level where any row breaks them.  Only the level being built
+    and the one above it are held here, so a caller that keeps just what it
+    reads never holds the whole Pi stack.
     """
     n = lattice.n_steps
     dt = lattice.grid.dt
@@ -82,23 +84,22 @@ def _sweep_levels(
     pi = terminal
     for k in range(n - 1, -1, -1):
         down, up = lattice.split_children(pi)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        with np.errstate(all="ignore"):  # refused just below
             z = -(up - down) / (2.0 * sq)
             cond = 0.5 * (down + up)
             g = np.asarray(g_of_level(k, z, cond), dtype=float)
             pi = cond - g * dt
+            worst = float(np.max(slope_of_level(k, z))) * sq if z.size else 0.0
         if not np.all(np.isfinite(pi)):
             raise NumericOverflow(
                 f"non-finite evaluation during backward sweep at level {k}", level=k
             )
-        if slope_of_level is not None:
-            worst = float(np.max(slope_of_level(k, z))) * sq if z.size else 0.0
-            if worst >= 1.0:
-                raise StepSizeViolation(
-                    f"|g_z| * sqrt(dt) = {worst!r} >= 1 at level {k}; "
-                    "refine the time grid to keep the scheme monotone",
-                    level=k,
-                )
+        if not worst < 1.0:
+            raise StepSizeViolation(
+                f"|g_z| * sqrt(dt) = {worst!r} >= 1 at level {k}; "
+                "refine the time grid to keep the scheme monotone",
+                level=k,
+            )
         yield k, pi, z
 
 
@@ -348,9 +349,9 @@ def dz_dy_variational(
             return gz * v
 
         f_terminal = (h_r - y_shift * s_r) * grad_levels[n]
-        f_flat, _ = _stack_levels(
-            lattice, f_terminal, _sweep_levels(lattice, f_terminal, g_of_level)
-        )
+        slopes = lambda k, _: driver.lipschitz_slope(grid.t(k), z_levels[k])  # noqa: E731
+        levels = _sweep_levels(lattice, f_terminal, g_of_level, slopes)
+        f_flat, _ = _stack_levels(lattice, f_terminal, levels)
         return f_flat[: lattice.offsets[n]]
 
     grad = np.concatenate(grad_levels[:n])

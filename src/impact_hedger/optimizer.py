@@ -52,16 +52,24 @@ class UtilitySpec:
         return np.asarray(self.u3(x)) / np.asarray(self.u2(x))
 
     def __post_init__(self) -> None:
-        """Every spec is checked on [-2, 2] when it is built."""
+        """Every spec is checked on [-2, 2] when it is built, except where U'
+        or U'' is not finite or both underflow below the normal floats (CARA
+        with gamma_a = 400 has U' = inf at -2 and 0.0 at 2)."""
         xs = np.linspace(-2.0, 2.0, 41)
-        u1 = np.asarray(self.u1(xs))
-        u2 = np.asarray(self.u2(xs))
-        if np.any(u1 <= 0):
-            raise InvalidArgument("U' must be strictly positive")
-        if np.any(u2 >= 0):
-            raise InvalidArgument("U'' must be strictly negative")
-        back = np.asarray(self.inverse_marginal(u1))
-        if np.max(np.abs(back - xs)) > 1e-10:
+        with np.errstate(all="ignore"):
+            u1 = np.asarray(self.u1(xs), dtype=float)
+            u2 = np.asarray(self.u2(xs), dtype=float)
+            big = np.maximum(abs(u1), abs(u2))  # NaN if either is
+            seen = np.isfinite(big) & (big >= np.finfo(float).tiny)
+            if not seen.any():
+                raise InvalidArgument("U' and U'' leave float range on all of [-2, 2]")
+            xs, u1, u2 = xs[seen], u1[seen], u2[seen]
+            if np.any(u1 <= 0):
+                raise InvalidArgument("U' must be strictly positive")
+            if np.any(u2 >= 0):
+                raise InvalidArgument("U'' must be strictly negative")
+            back = np.asarray(self.inverse_marginal(u1))
+        if not np.max(np.abs(back - xs)) <= 1e-10:
             raise InvalidArgument("inverse marginal does not invert U'")
 
 
@@ -169,8 +177,6 @@ class OptimalityReport:
     foc_residual: float | None
     homogeneous_equality_residual: float | None
     homogeneous_slack: tuple[float, float] | None
-    psi2_consistency: float
-    beta: NodeProcess | None = None
 
 
 @dataclass
@@ -328,8 +334,7 @@ def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float
     """
     utility = cara_utility(gamma_a)
     grid = lattice.grid
-    n = lattice.n_steps
-    h = NodeProcess.empty(lattice, n)
+    h = NodeProcess.empty(lattice, lattice.n_steps)
 
     def f_of_level(k: int, z: np.ndarray, _) -> np.ndarray:
         t = grid.t(k)
@@ -338,18 +343,22 @@ def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float
         hk[...] = _h_level_cara(driver, utility, t, m)
         return 0.5 * gamma_a * (hk + m) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
 
-    zeta, m = _backward_pair(lattice, f_of_level)
+    # |df/dM| = |gamma_a (H + M)| at the first-order root, by the envelope argument
+    zeta, m = _backward_pair(lattice, f_of_level, lambda k, z: np.abs(gamma_a * (h.levels[k] - z)))
     x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], x0)
     sol = FbsdeSolution(x=x, zeta=zeta, m=m, h=h, forward_consistency=consistency)
     sol.residuals = verify_optimality(sol, driver, utility)
     return sol
 
 
-def _backward_pair(lattice: Lattice, f_of_level: Callable) -> tuple[NodeProcess, NodeProcess]:
-    """(zeta, M) of the backward sweep of ``f_of_level`` from a zero terminal
-    value; M = -Z, since the pair carries +M dW."""
+def _backward_pair(
+    lattice: Lattice, f_of_level: Callable, slope_of_level: Callable
+) -> tuple[NodeProcess, NodeProcess]:
+    """(zeta, M) of the guarded backward sweep of ``f_of_level`` from a zero
+    terminal value; M = -Z, since the pair carries +M dW."""
     terminal = np.zeros(lattice.level_size(lattice.n_steps))
-    zeta, z = _stack_levels(lattice, terminal, _sweep_levels(lattice, terminal, f_of_level))
+    levels = _sweep_levels(lattice, terminal, f_of_level, slope_of_level)
+    zeta, z = _stack_levels(lattice, terminal, levels)
     m = np.negative(z, out=z)
     return NodeProcess.from_flat(lattice, zeta), NodeProcess.from_flat(lattice, m)
 
@@ -538,16 +547,18 @@ def _picard_pass(
     and for a kinked driver (``kink`` = (z_minus, z_plus, theta_plus)) theta
     and whether any node was ambiguous.  H solves the first-order condition
     at w = X + E_k[zeta_{k+1}], the sweep's level mean; the sweep's driver
-    is -f, so its ``cond - (-f) dt`` is ``cond + f dt`` bit for bit.
-    """
+    is -f, so its ``cond - (-f) dt`` is ``cond + f dt`` bit for bit.  The
+    step-size guard takes |df/dM| <= |H + M| (|psi2| + |psi2 - 1/psi1|),
+    since -1 <= dH/dM <= 0 for a convex driver and U'' < 0 < U'."""
     grid = lattice.grid
     off = lattice.offsets
     h = NodeProcess.empty(lattice, lattice.n_steps)
     theta = None if kink is None else NodeProcess.empty(lattice, lattice.n_steps)
     ambiguous = False
+    slope = None  # the guard's bound on the level minus_f last built
 
     def minus_f(k: int, z: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        nonlocal ambiguous
+        nonlocal ambiguous, slope
         t = grid.t(k)
         m = -z
         w = x_iter[off[k] : off[k + 1]] + cond
@@ -563,9 +574,11 @@ def _picard_pass(
             )
             ambiguous = ambiguous or amb
         psi2 = np.asarray(utility.psi2(w))
-        return -(0.5 * psi2 * (hk + m) ** 2 - np.asarray(driver.g(t, hk), dtype=float))
+        hm = hk + m
+        slope = np.abs(hm) * (np.abs(psi2) + np.abs(psi2 - 1.0 / np.asarray(utility.psi1(w))))
+        return -(0.5 * psi2 * hm**2 - np.asarray(driver.g(t, hk), dtype=float))
 
-    zeta, m = _backward_pair(lattice, minus_f)
+    zeta, m = _backward_pair(lattice, minus_f, lambda k, z: slope)
     return zeta, m, h, theta, ambiguous
 
 
@@ -587,27 +600,15 @@ def verify_optimality(
     """
     lattice = sol.x.lattice
     inner = lattice.offsets[lattice.n_steps]  # the nodes of levels 0 .. n-1
-    homogeneous = (
-        driver.kinked
-        and z_minus is not None
-        and z_plus is not None
-        and sol.theta is not None
-    )
+    homogeneous = driver.kinked and not (z_minus is None or z_plus is None or sol.theta is None)
 
     w_all = sol.x.flat + sol.zeta.flat
-    u1_all = _in_float_range(lattice, w_all, "U'", utility.u1, w_all)
+    u1_all = _in_float_range(lattice, w_all, "U'", utility.u1)
     w, u1 = w_all[:inner], u1_all[:inner]
     down, up = lattice.children
     mart = float(np.max(np.abs(0.5 * (u1_all[down] + u1_all[up]) - u1)))
-    # the psi2 check divides by U'' and by its cube
-    u2 = _in_float_range(lattice, w, "U''", utility.u2, w, divisor=True)
-    cube = _in_float_range(lattice, w, "U''**3", np.power, u2, 3, divisor=True)
-    h = sol.h.flat
-    m = sol.m.flat
-    hm = h + m
-    beta = u2 * hm
-    u3 = _in_float_range(lattice, w, "U'''", utility.u3, w)
-    psi2_gap = float(np.max(np.abs(0.5 * beta**2 * u3 / cube - 0.5 * (u3 / u2) * hm**2)))
+    u2 = _in_float_range(lattice, w, "U''", utility.u2)
+    h, m = sol.h.flat, sol.m.flat
 
     foc = None
     if driver.is_differentiable:
@@ -617,10 +618,8 @@ def verify_optimality(
     hom_eq = hom_slack = None
     if homogeneous:
         theta = sol.theta.flat
-        zm = z_minus.flat
-        zp = z_plus.flat
-        gm = _by_level(lattice, driver.g, zm)
-        gp = _by_level(lattice, driver.g, zp)
+        zm, zp = z_minus.flat, z_plus.flat
+        gm, gp = _by_level(lattice, driver.g, zm), _by_level(lattice, driver.g, zp)
         traded = np.abs(theta) > 1e-10  # smaller holdings lie in the no-trade band
         hom_eq = 0.0
         if np.any(traded):
@@ -644,32 +643,17 @@ def verify_optimality(
         foc_residual=foc,
         homogeneous_equality_residual=hom_eq,
         homogeneous_slack=hom_slack,
-        psi2_consistency=psi2_gap,
-        beta=NodeProcess.from_flat(lattice, beta),
     )
 
 
-def _in_float_range(
-    lattice: Lattice, w: np.ndarray, name: str, fn: Callable, *args, divisor: bool = False
-) -> np.ndarray:
-    """``fn(*args)`` as floats, refused at its first node that is not finite
-    or, for a ``divisor``, that has underflowed to 0.0; ``w`` is the wealth
-    X + zeta the message names."""
+def _in_float_range(lattice: Lattice, w: np.ndarray, name: str, fn: Callable) -> np.ndarray:
+    """``fn(w)`` as floats at the wealth ``w`` = X + zeta, refused at its
+    first node that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray(fn(*args), dtype=float)
-    bad = ~np.isfinite(values)
-    if divisor:
-        bad |= values == 0.0
-    where = np.flatnonzero(bad)
-    if where.size:
-        i = int(where[0])
-        if values[i] == 0.0:
-            how = "underflows to 0"
-            why = "the optimality check divides by it"
-        else:
-            how = f"is {values[i]}"
-            why = "the optimality check cannot use it"
-        msg = f"{name} {how} at X + zeta = {w[i]:.6g}; {why}"
+        values = np.asarray(fn(w), dtype=float)
+    i = int(np.argmax(~np.isfinite(values)))
+    if not np.isfinite(values[i]):
+        msg = f"{name} is {values[i]} at X + zeta = {w[i]:.6g}; the optimality check cannot use it"
         raise NumericOverflow(msg, level=int(lattice.level_index[i]))
     return values
 

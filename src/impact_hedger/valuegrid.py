@@ -84,6 +84,18 @@ def _central_second(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _stencils(row: np.ndarray, dx: float, name: str, x: np.ndarray) -> tuple:
+    """The wealth stencils of the slice ``row`` of ``name`` on the grid ``x``,
+    refused at the first x where the row or a stencil is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        vx, vxx = _central_first(row, dx), _central_second(row, dx)
+    for label, values in ((name, row), (f"{name}_x", vx), (f"{name}_xx", vxx)):
+        i = int(np.argmax(~np.isfinite(values)))
+        if not np.isfinite(values[i]):
+            raise NumericOverflow(f"{label} is {values[i]} at wealth x = {x[i]:.6g}")
+    return vx, vxx
+
+
 def _pchip_end_slope(h0, h1, m0, m1):
     """One-sided three-point end slope, clipped to keep the data's shape."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -218,7 +230,8 @@ def dp_value(
 
     The sweep runs on a ghost-padded grid so the scheme's own boundary
     layer stays outside the requested surface: the computational grid is
-    widened by 15 percent of the range on each side.
+    widened by 15 percent of the range on each side.  A slice (U first)
+    whose values or stencils leave float range there is refused by name.
     """
     pad = 0.15 * (xgrid.x_max - xgrid.x_min)
     n_pad = int(np.ceil(pad / xgrid.dx))
@@ -234,15 +247,15 @@ def dp_value(
     x = wide.x
 
     v = np.empty((n_t + 1, wide.n_x))
-    v[n_t] = np.asarray(utility.u(x), dtype=float)
+    with np.errstate(over="ignore"):  # refused by name at the first slice
+        v[n_t] = np.asarray(utility.u(x), dtype=float)
     upsilon = np.empty((n_t, wide.n_x))
     theta_hat = np.empty((n_t, wide.n_x))
 
     for k in range(n_t - 1, -1, -1):
         t = tgrid.t(k)
         row_next = v[k + 1]
-        vx = _central_first(row_next, wide.dx)
-        vxx = _central_second(row_next, wide.dx)
+        vx, vxx = _stencils(row_next, wide.dx, "U" if k == n_t - 1 else "V", x)
         ups, th = _maximizer_row(driver, control, t, vx, vxx)
         g_vals = np.asarray(driver.g(t, ups), dtype=float)
         base = x - g_vals * dt

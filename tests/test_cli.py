@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impact_hedger.cli import EXIT_CONFIG, EXIT_NUMERIC, load_config, main, run
+from impact_hedger.cli import _SOLUTION_HEADER, EXIT_CONFIG, EXIT_NUMERIC, load_config, main, run
 from impact_hedger.errors import InvalidArgument
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -263,14 +263,57 @@ def test_value_holdings_are_the_integrand_over_the_payoff_slope(tmp_path):
     assert (upsilon / 1.3).tobytes() == theta.tobytes()
 
 
-def test_an_underflowing_utility_curvature_exits_4_by_name(tmp_path, capsys):
-    # the CARA solve's zeta is about 1e11 here, where U'' = -4 exp(-2 w) is 0.0
+def test_a_pair_sweep_over_the_step_size_guard_exits_4_at_level_0(tmp_path, capsys):
+    # H is about 3.3e5 on the one level, so gamma_a |H + M| sqrt(dt) is far
+    # above 1: the (zeta, M) pair is refused where it is swept
     cfg = _small_desk(tmp_path, n_steps="1")
     cfg.write_text(cfg.read_text().replace("gamma = 1.0\neta = 0.3\n", "gamma = 1.0\neta = 1e6\n"))
     out = tmp_path / "o"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 4
-    assert "numeric error: U'' underflows to 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric error: |g_z| * sqrt(dt) = " in err and ">= 1 at level 0;" in err
     assert json.loads((out / "report.json").read_text())["exit_code"] == 4
+
+
+def test_a_desk_far_from_zero_wealth_solves_like_the_desk_at_zero(tmp_path):
+    # at x0 = 150, U'' = -4 exp(-2 w) is about 1e-130 and its cube 0.0;
+    # CARA's psi1 and psi2 are the same bits at any wealth, so only x moves
+    text = (SCENARIOS / "exponential.ini").read_text()
+    assert "x0 = 0.0\n" in text
+    tables = {}
+    for x0 in ("0.0", "150"):
+        cfg = tmp_path / f"x0_{x0}.ini"
+        cfg.write_text(text.replace("x0 = 0.0\n", f"x0 = {x0}\n"))
+        for command in ("solve", "verify", "closedform") if x0 == "150" else ("solve",):
+            out = tmp_path / x0 / command
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        table = np.loadtxt(tmp_path / x0 / "solve" / "solve.csv", delimiter=",", skiprows=1)
+        tables[x0] = dict(zip(_SOLUTION_HEADER, table.T))
+    at_0, at_150 = tables["0.0"], tables["150"]
+    for column in ("zeta", "m", "theta", "h"):
+        assert at_150[column].tobytes() == at_0[column].tobytes()
+    assert np.max(np.abs(at_150["x"] - 150.0 - at_0["x"])) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma_a", ["180", "400", "1000"])
+@pytest.mark.parametrize("command", ["solve", "closedform", "value", "verify"])
+def test_a_steep_utility_ends_without_a_warning(tmp_path, capsys, gamma_a, command):
+    # U' and U'' leave float range on part of [-2, 2]; the value surface's
+    # padded wealth grid reaches -3.9, where U or its stencils overflow
+    cfg = _small_desk(tmp_path, gamma_a=gamma_a)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "value":
+        assert code == EXIT_NUMERIC
+        assert re.search(r"numeric error: U(_xx)? is -inf at wealth x = -3\.9", err), err
+    else:
+        assert code == 0, err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == code
 
 
 def test_a_far_control_end_is_no_search_boundary(tmp_path):

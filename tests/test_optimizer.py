@@ -277,7 +277,6 @@ def test_verify_optimality_perfect_solution():
     rep = sol.residuals
     assert rep.martingale_residual <= 1e-6
     assert rep.foc_residual <= 1e-12
-    assert rep.psi2_consistency <= 1e-14
 
 
 def test_verify_optimality_flags_perturbation():

@@ -41,7 +41,8 @@ _WILD = st.sampled_from([*_HUGE, "0.0"])
 _VALUES = {
     ("driver", "kind"): (st.sampled_from(sorted(cli._DRIVERS)), _WORD),
     ("utility", "kind"): (st.just("cara"), _WORD),
-    ("utility", "gamma_a"): (_floats(0.5, 3.0), _floats(-3.0, 0.0)),
+    # a steep utility leaves float range on part of every wealth grid
+    ("utility", "gamma_a"): (_floats(0.5, 3.0) | _floats(100.0, 1e4), _floats(-3.0, 0.0)),
     ("market", "payoff"): (st.sampled_from(["brownian", "affine", "markov_linear"]), _WORD),
     # a zero slope is refused; a huge one passes the rule and may run, fail or be refused
     ("market", "payoff_a"): (_floats(0.5, 1.5), st.sampled_from(["0", "0.0", "-0.0", *_HUGE])),
