@@ -255,17 +255,39 @@ def _repeated_bits(col: np.ndarray, n_rows: int):
     return values.view(np.float64), inverse
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write a table given as its columns, each cell in round-trip ``%.17g`` form.
+def _write_csv(path: Path, header: list[str], *parts) -> None:
+    """Write a table given as consecutive row parts, each cell in round-trip
+    ``%.17g`` form.
 
-    The columns are arrays that broadcast to one shape; the cells of that
-    shape, in C order, are the rows.  A column may so be a view such as
-    ``t[:, None]`` beside ``x`` and ``(n_t, n_x)`` fields, and the whole
-    table is never built.  A table of no columns has the rows of
-    ``np.shape(columns)[1:]`` (a ``(0, n_rows)`` array of columns).
+    A part is the columns of its rows: arrays that broadcast to one shape,
+    whose cells, in C order, are the rows.  A column may so be a view such
+    as ``t[:, None]`` beside ``x`` and ``(n_t, n_x)`` fields, or a scalar
+    such as the ``0.0`` of a level with no holdings, and the whole table is
+    never built.  A part of no columns has the rows of
+    ``np.shape(columns)[1:]`` (a ``(0, n_rows)`` array of columns).  The
+    rows of the parts follow one another under the one header; each cell
+    is formatted on its own, so a table split into parts is written with
+    the bytes of the same table in one part.
 
-    A non-finite cell is refused before the file is opened, so a failed
-    write leaves no partial table behind.
+    A non-finite cell of any part is refused before the file is opened, so
+    a failed write leaves no partial table behind.
+    """
+    tables = []
+    for columns in parts:
+        cols = [np.asarray(c, dtype=float) for c in columns]
+        shape = np.broadcast_shapes(*(c.shape for c in cols)) if cols else np.shape(columns)[1:]
+        tables.append((cols, shape))
+    if not all(np.isfinite(c).all() for cols, _ in tables for c in cols):
+        raise ImpactHedgerError("non-finite value about to be written to disk")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for cols, shape in tables:
+            _write_rows(fh, cols, shape)
+
+
+def _write_rows(fh, cols: list[np.ndarray], shape: tuple[int, ...]) -> None:
+    """Write the rows of one part: the cells of ``shape`` in C order, one
+    value per column of ``cols`` (each broadcast to ``shape``).
 
     The text of a cell is a fixed-width slot from ``g17.g17_slots``.  A
     column whose own array has fewer distinct bit patterns than half the
@@ -277,13 +299,12 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     index of that axis).  One take of the pool puts a block in table order;
     it then gets its separators and is written without its NUL padding.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    if not all(np.isfinite(c).all() for c in cols):
-        raise ImpactHedgerError("non-finite value about to be written to disk")
     from .g17 import SLOT, g17_slots
 
-    shape = np.broadcast_shapes(*(c.shape for c in cols)) if cols else np.shape(columns)[1:]
     n_rows, n_cols = math.prod(shape), len(cols)
+    if not n_cols:  # no cells, but every row still ends its line
+        fh.write(b"\n" * n_rows)
+        return
     inner = math.prod(shape[1:])  # rows per index of the leading axis
     lead = max(1, _CSV_BLOCK_CELLS // max(1, inner * n_cols))
     slot = np.dtype((np.void, SLOT))
@@ -308,52 +329,47 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             pool[part] = g17_slots(values[part]).view(slot).ravel()
         del values
     direct_at = size + np.arange(n_block * len(direct)).reshape(n_block, len(direct))
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if not n_cols:  # no cells, but every row still ends its line
-            fh.write(b"\n" * n_rows)
-            return
-        ends = np.full(n_cols, ord(","), np.uint8)
-        ends[-1] = ord("\n")
-        for start in range(0, shape[0] if n_rows else 0, lead):
-            rows = slice(start, min(start + lead, shape[0]))
-            grid = (rows.stop - start, *shape[1:])
-            n = grid[0] * inner
-            index = np.empty((n, n_cols), np.intp)
-            cells = index.reshape(*grid, n_cols)
-            for j, (offset, inverse) in pooled.items():
-                # added in intp, never in the narrow type of the inverse
-                np.add(inverse[rows], offset, out=cells[..., j], dtype=np.intp)
-            if direct:
-                block = np.empty((*grid, len(direct)))
-                for i, col in enumerate(direct.values()):
-                    block[..., i] = col[rows]
-                pool[size : size + block.size] = g17_slots(block).view(slot).ravel()
-                index[:, list(direct)] = direct_at[:n]
-            out = pool.take(index).view(np.uint8).reshape(n, n_cols, SLOT)
-            out[:, :, -1] = ends
-            fh.write(out.tobytes().translate(None, b"\0"))
+    ends = np.full(n_cols, ord(","), np.uint8)
+    ends[-1] = ord("\n")
+    for start in range(0, shape[0] if n_rows else 0, lead):
+        rows = slice(start, min(start + lead, shape[0]))
+        grid = (rows.stop - start, *shape[1:])
+        n = grid[0] * inner
+        index = np.empty((n, n_cols), np.intp)
+        cells = index.reshape(*grid, n_cols)
+        for j, (offset, inverse) in pooled.items():
+            # added in intp, never in the narrow type of the inverse
+            np.add(inverse[rows], offset, out=cells[..., j], dtype=np.intp)
+        if direct:
+            block = np.empty((*grid, len(direct)))
+            for i, col in enumerate(direct.values()):
+                block[..., i] = col[rows]
+            pool[size : size + block.size] = g17_slots(block).view(slot).ravel()
+            index[:, list(direct)] = direct_at[:n]
+        out = pool.take(index).view(np.uint8).reshape(n, n_cols, SLOT)
+        out[:, :, -1] = ends
+        fh.write(out.tobytes().translate(None, b"\0"))
 
 
 _SOLUTION_HEADER = ["level", "node", "x", "zeta", "m", "theta", "h"]
 
 
-def _solution_rows(lattice, sol) -> list:
-    """The columns of one row per node, level by level, from the
-    whole-lattice buffers; m, theta and h read 0 on the terminal level, and
-    theta reads 0 throughout when the route recovered no holdings."""
+def _solution_rows(lattice, sol) -> tuple[list, list]:
+    """One row per node, level by level, as two row parts of the
+    whole-lattice buffers: levels 0..n-1, then the terminal level, whose m,
+    theta and h read 0.  theta reads 0 throughout when the route recovered
+    no holdings."""
     level = lattice.level_index
-    terminal = np.zeros(level.size - lattice.offsets[-2])  # the nodes of level n
-    columns = [level, np.arange(level.size) - lattice.offsets[level], sol.x.flat, sol.zeta.flat]
-    for proc in (sol.m, sol.theta, sol.h):
-        columns.append(0.0 if proc is None else np.concatenate((proc.flat, terminal)))
-    return columns
+    inner = lattice.offsets[-2]  # the nodes of levels 0..n-1
+    nodes = (level, np.arange(level.size) - lattice.offsets[level], sol.x.flat, sol.zeta.flat)
+    procs = [0.0 if proc is None else proc.flat for proc in (sol.m, sol.theta, sol.h)]
+    return [c[:inner] for c in nodes] + procs, [c[inner:] for c in nodes] + [0.0] * 3
 
 
-def _emit(cfg, out_dir: Path, report: RunReport, name: str, header: list[str], columns) -> None:
-    """Write one CSV table from its columns, if ``csv`` is among the configured formats."""
+def _emit(cfg, out_dir: Path, report: RunReport, name: str, header: list[str], *parts) -> None:
+    """Write one CSV table from its row parts, if ``csv`` is among the configured formats."""
     if "csv" in cfg.formats:
-        _write_csv(out_dir / name, header, columns)
+        _write_csv(out_dir / name, header, *parts)
         report.files.append(name)
 
 
@@ -396,11 +412,11 @@ def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
     # one row per node, level by level; z reads 0 on the terminal level
     level = lattice.level_index
     node = np.arange(level.size) - lattice.offsets[level]
-    z = np.concatenate((sol.z.flat, np.zeros(level.size - lattice.offsets[-2])))
+    inner = lattice.offsets[-2]  # the nodes of levels 0..n-1
     grid = lattice.grid
-    columns = (level, node, level * grid.dt, (2.0 * node - level) * grid.sqrt_dt, sol.pi.flat, z)
-    header = ["level", "node", "t", "W", "pi", "z"]
-    _emit(cfg, out_dir, report, "gexp.csv", header, columns)
+    nodes = (level, node, level * grid.dt, (2.0 * node - level) * grid.sqrt_dt, sol.pi.flat)
+    parts = ([c[:inner] for c in nodes] + [sol.z.flat], [c[inner:] for c in nodes] + [0.0])
+    _emit(cfg, out_dir, report, "gexp.csv", ["level", "node", "t", "W", "pi", "z"], *parts)
     report.results["pi_root"] = sol.pi.root
     report.results["z_root"] = sol.z.root
 
@@ -467,7 +483,7 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
     cara, picard, curve = _solve_routes(cfg, lattice, driver, s)
     _recover_holdings(cfg, lattice, driver, s, [picard], curve)
     sol = picard
-    _emit(cfg, out_dir, report, "solve.csv", _SOLUTION_HEADER, _solution_rows(lattice, sol))
+    _emit(cfg, out_dir, report, "solve.csv", _SOLUTION_HEADER, *_solution_rows(lattice, sol))
     report.results.update(
         {
             "z_star": sol.h.root,
@@ -509,7 +525,8 @@ def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
     triple = exponential_triple(lattice, market)
     flat = no_trade_solution(lattice, driver, cfg.x0)
 
-    _emit(cfg, out_dir, report, "closedform.csv", _SOLUTION_HEADER, _solution_rows(lattice, triple))
+    parts = _solution_rows(lattice, triple)
+    _emit(cfg, out_dir, report, "closedform.csv", _SOLUTION_HEADER, *parts)
     report.results.update(
         {
             "lambda": lam,
@@ -592,8 +609,8 @@ def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
 
     routes = {"closedform": triple, "cara": cara, "picard": picard}
     for name, sol in routes.items():
-        columns = _solution_rows(lattice, sol)
-        _emit(cfg, out_dir, report, f"verify_{name}.csv", _SOLUTION_HEADER, columns)
+        parts = _solution_rows(lattice, sol)
+        _emit(cfg, out_dir, report, f"verify_{name}.csv", _SOLUTION_HEADER, *parts)
 
     gaps = {
         f"{a}_vs_{b}": max(

@@ -11,7 +11,6 @@ the optimizer's (zeta, M) pair included, is guarded at runtime.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -370,7 +369,8 @@ class PositionCurve:
     ``z_level`` and ``z_process``; ``_stacks[k]`` is level k's
     ``(n_y, k + 1)`` view.  Holdings on a y-grid come from
     ``optimizer.recover_theta``, which streams the same sweep through
-    ``_invert_streamed`` and never holds the buffer.
+    ``_invert_streamed``: each level is inverted as the sweep yields it,
+    so neither the buffer nor any block of levels is held.
     """
 
     def __init__(
@@ -465,11 +465,6 @@ class PositionCurve:
         return out
 
 
-# the most nodes a streamed block of several levels holds: bounds the
-# scratch memory of the holdings recovery
-_INVERT_BLOCK_NODES = 1 << 12
-
-
 def _checked_y_grid(y_grid) -> np.ndarray:
     """The y-grid as a float array: finite, strictly increasing, 2 points or more."""
     if y_grid is None:
@@ -482,61 +477,30 @@ def _checked_y_grid(y_grid) -> np.ndarray:
     return yg
 
 
-def _level_directions(bounds: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each level of ``z`` is strictly monotone in y, and whether
-    each node's column decreases.
+def _invert_level(k: int, z: np.ndarray, y_grid: np.ndarray, targets: np.ndarray) -> list:
+    """Positions y with Z^y = t at the nodes of level k, for each row t of
+    ``targets``, ``(n_targets, k + 1)``.
 
-    ``z`` holds grid solutions, ``(n_y, nodes)`` in the flat layout, and
-    level i spans its columns ``bounds[i] .. bounds[i+1]-1``.  ``a > b`` is
-    ``a - b > 0`` for every pair of doubles, so the direction is the sign
-    of the differences along y, found one pair of grid rows at a time.
+    ``z`` holds the level's grid solutions, ``(n_y, k + 1)``.  The level
+    must be strictly monotone in y, all its columns the same way, and a
+    target must lie in the level's attainable image up to 1e-12.  For each
+    target comes back its positions or its error; a level that is not
+    monotone fails every target.
     """
-    rising = np.ones(z.shape[1], dtype=bool)
-    falling = np.ones(z.shape[1], dtype=bool)
-    step = np.empty(z.shape[1], dtype=bool)
-    for i in range(z.shape[0] - 1):
-        rising &= np.greater(z[i + 1], z[i], out=step)
-        falling &= np.less(z[i + 1], z[i], out=step)
-    level_rising = np.logical_and.reduceat(rising, bounds[:-1])
-    level_falling = np.logical_and.reduceat(falling, bounds[:-1])
-    return level_rising | level_falling, np.repeat(~level_rising & level_falling, np.diff(bounds))
-
-
-def _invert_block(
-    first: int, bounds: np.ndarray, z: np.ndarray, y_grid: np.ndarray, targets: list[np.ndarray]
-) -> list:
-    """Positions y with Z^y = t at the nodes of levels ``first, first+1, ...``.
-
-    ``z`` holds those levels' grid solutions, ``(n_y, nodes)``, level
-    ``first + i`` in columns ``bounds[i] .. bounds[i+1]-1``; each target
-    ``t`` has one value per node.  Every level must be strictly monotone
-    in y, all its columns the same way, and a target must lie in the
-    level's attainable image up to 1e-12.  For each target comes back its
-    positions or the error of its lowest failing level: a level that is
-    not monotone before a target outside its image.
-    """
-    monotone, dec = _level_directions(bounds, z)
-    # a strictly monotone column has its extremes in its first and last rows
-    first_row, last_row = z[0], z[-1]
-    # a decreasing column is inverted as the increasing -Z against -target
-    sign = np.where(dec, -1.0, 1.0)
-    results = []
-    for t in targets:
-        bad = t < np.where(dec, last_row, first_row) - 1e-12
-        bad |= t > np.where(dec, first_row, last_row) + 1e-12
-        failed = ~monotone | np.logical_or.reduceat(bad, bounds[:-1])
-        if np.any(failed):
-            k = int(np.argmax(failed))
-            results.append(
-                ImageViolation("integrand target outside the attainable image")
-                if monotone[k]
-                else InversionUnavailable(
-                    f"position curve is not monotone in y at level {first + k}"
-                )
-            )
-        else:
-            results.append(_interp_columns(t * sign, z, y_grid, sign))
-    return results
+    # a strictly monotone level runs every column the way of its first
+    dec = bool(z[-1, 0] < z[0, 0])
+    if not np.all(z[1:] < z[:-1] if dec else z[1:] > z[:-1]):
+        err = InversionUnavailable(f"position curve is not monotone in y at level {k}")
+        return [err] * len(targets)
+    # so each column has its extremes in its first and last rows
+    lo, hi = (z[-1], z[0]) if dec else (z[0], z[-1])
+    outside = np.any((targets < lo - 1e-12) | (targets > hi + 1e-12), axis=1)
+    # a decreasing level is inverted as the increasing -Z against -t
+    y = _interp_columns(-targets if dec else targets, z, y_grid, dec)
+    return [
+        ImageViolation("integrand target outside the attainable image") if bad else row
+        for bad, row in zip(outside, y)
+    ]
 
 
 def _invert_streamed(
@@ -546,41 +510,26 @@ def _invert_streamed(
     on the piecewise-linear curve of ``PositionCurve(lattice, driver,
     s_terminal, y_grid)``, without that curve's ``(n_y, nodes)`` buffer.
 
-    The batched y-grid sweep hands its levels, top first, to one scratch
-    block of whole levels, at most ``_INVERT_BLOCK_NODES`` nodes unless it
-    is one larger level; each full block is inverted for every target and
-    then overwritten.  The sweep's own errors raise as it meets them.
-    After it, the first target that failed raises the error of its lowest
-    failing level.
+    Each level of the batched y-grid sweep, top first, is inverted for
+    every target as the sweep yields it, straight from the sweep's own
+    ``(n_y, k + 1)`` array; no level is copied.  The sweep's own errors
+    raise as it meets them.  After it, the first target that failed raises
+    the error of its lowest failing level.
     """
     yg = _checked_y_grid(y_grid)
     off = lattice.offsets
-    nodes = off[lattice.n_steps]
     flats = [np.asarray(t, dtype=float) for t in targets]
-    if any(t.shape != (nodes,) for t in flats):
+    if any(t.shape != (off[lattice.n_steps],) for t in flats):
         raise InvalidArgument("a holdings target needs one value per node of levels 0..n-1")
-    outs = [np.empty(nodes) for _ in flats]
+    outs = [np.empty_like(t) for t in flats]
     errors = [None] * len(flats)
-    levels = _driver_levels(lattice, driver, _position_terminals(lattice, s_terminal, yg))
-    scratch = np.empty(yg.size * min(_INVERT_BLOCK_NODES, nodes))
-    stop = lattice.n_steps
-    while stop > 0:
-        first = min(int(np.searchsorted(off, off[stop] - _INVERT_BLOCK_NODES)), stop - 1)
-        a, b = off[first], off[stop]
-        block = scratch[: yg.size * (b - a)].reshape(yg.size, b - a) if first + 1 < stop else None
-        for k, _, z in itertools.islice(levels, stop - first):
-            if block is None:
-                block = z
-            else:
-                block[:, off[k] - a : off[k + 1] - a] = z
-        bounds = off[first : stop + 1] - a
-        got_block = _invert_block(first, bounds, block, yg, [t[a:b] for t in flats])
-        for i, got in enumerate(got_block):
+    for k, _, z in _driver_levels(lattice, driver, _position_terminals(lattice, s_terminal, yg)):
+        a, b = off[k], off[k + 1]
+        for i, got in enumerate(_invert_level(k, z, yg, np.stack([t[a:b] for t in flats]))):
             if isinstance(got, Exception):
-                errors[i] = got  # the blocks go down the levels: the last error is the lowest
+                errors[i] = got  # the sweep goes down the levels: the last error is the lowest
             else:
                 outs[i][a:b] = got
-        stop = first
     for err in errors:
         if err is not None:
             raise err
@@ -588,38 +537,32 @@ def _invert_streamed(
 
 
 def _interp_columns(
-    x: np.ndarray, xp: np.ndarray, fp: np.ndarray, sign: np.ndarray | None = None
+    x: np.ndarray, xp: np.ndarray, fp: np.ndarray, decreasing: bool = False
 ) -> np.ndarray:
-    """``np.interp(x[j], sign[j] * xp[:, j], fp)`` for every column ``j`` at once.
+    """``np.interp(x[..., j], xp[:, j], fp)`` for every column ``j`` at once,
+    with ``-xp`` in place of ``xp`` if ``decreasing``; ``x`` may hold several
+    rows of targets.
 
     Uses ``np.interp``'s arithmetic, so the results agree bit for bit: the
     bracket ``xp[i] <= x < xp[i+1]``, the value ``fp[i]`` on a node,
     ``slope * (x - xp[i]) + fp[i]`` between nodes and the end values of
-    ``fp`` outside the hull.  Each column of ``sign * xp`` must increase
-    strictly.  ``sign`` (+1.0 or -1.0 per column, +1.0 if omitted) reads a
-    decreasing column as its negation, which is exact, so no signed copy of
-    ``xp`` is made.  In a strictly increasing column the nodes ``<= x`` are
-    a leading run, so its length is found by bisection, a few gathers of
-    one node per column rather than a pass over every row.
+    ``fp`` outside the hull.  Each column of ``xp`` (of ``-xp`` if
+    ``decreasing``) must increase strictly.  Negation is exact, so a
+    decreasing ``xp`` is read as it is: only the nodes gathered from it are
+    negated.  In a strictly increasing column the nodes ``<= x`` are a
+    leading run, so the bracket is found by counting them.
     """
     n_y, n_cols = xp.shape
+    sign = -1.0 if decreasing else 1.0
+    row = x[..., None, :]
+    below = (xp >= -row if decreasing else xp <= row).view(np.uint8)
+    # counted in the narrowest type that holds n_y, then indexed in intp
+    run = np.add.reduce(below, axis=-2, dtype=np.min_scalar_type(n_y))
+    i = np.clip(run.astype(np.intp) - 1, 0, n_y - 2)
     cols = np.arange(n_cols)
-
-    def node(i):
-        v = xp[i, cols]
-        return v if sign is None else v * sign
-
-    run = np.zeros(n_cols, dtype=np.intp)
-    step = 1 << (n_y.bit_length() - 1)
-    while step:
-        longer = run + step
-        fits = longer <= n_y
-        fits &= node(np.minimum(longer, n_y) - 1) <= x
-        run[fits] = longer[fits]
-        step >>= 1
-    i = np.clip(run - 1, 0, n_y - 2)
-    x0 = node(i)
-    slope = (fp[i + 1] - fp[i]) / (node(i + 1) - x0)
-    out = np.where(x == x0, fp[i], slope * (x - x0) + fp[i])
-    out = np.where(x < node(0), fp[0], out)
-    return np.where(x >= node(n_y - 1), fp[-1], out)
+    x0, x1 = sign * xp[i, cols], sign * xp[i + 1, cols]
+    f0 = fp[i]
+    slope = (fp[i + 1] - f0) / (x1 - x0)
+    out = np.where(x == x0, f0, slope * (x - x0) + f0)
+    out = np.where(x < sign * xp[0], fp[0], out)
+    return np.where(x >= sign * xp[-1], fp[-1], out)

@@ -273,19 +273,27 @@ def _h_level_cara(driver: Driver, utility: UtilitySpec, t: float, m: np.ndarray)
 
 
 def _h_level_general(
-    driver: Driver, utility: UtilitySpec, t: float, w: np.ndarray, m: np.ndarray
+    driver: Driver,
+    utility: UtilitySpec,
+    t: float,
+    w: np.ndarray,
+    m: np.ndarray,
+    level: int | None = None,
 ) -> np.ndarray:
     """Vectorized H at a level for wealth-plus-zeta w and projection m.
 
-    Affine gradients have a closed form.  Otherwise the level's nodes are
-    searched as one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1,
-    which holds the root of a convex driver; the root must keep the
-    linear-growth bound.  The first node's error is raised.
+    Affine gradients have a closed form, which refuses a psi1 that is not
+    finite, naming ``level``.  Otherwise the level's nodes are searched as
+    one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1, which holds the
+    root of a convex driver; the root must keep the linear-growth bound.
+    The first node's error is raised.
     """
     coeffs = driver.affine_grad_coeffs(t)
     if coeffs is not None:
         a, b = coeffs
         psi1 = np.asarray(utility.psi1(w))
+        if not np.isfinite(psi1).all():  # refused by name
+            _in_float_range(level, w, "U'/U''", utility.psi1)
         return (psi1 * b - m) / (1.0 - a * psi1)
     if not driver.is_differentiable:
         raise ContractViolation("the first-order condition requires a differentiable driver")
@@ -564,7 +572,7 @@ def _picard_pass(
         w = x_iter[off[k] : off[k + 1]] + cond
         hk = h.levels[k]
         if kink is None:
-            hk[...] = _h_level_general(driver, utility, t, w, m)
+            hk[...] = _h_level_general(driver, utility, t, w, m, k)
         else:
             z_minus, z_plus, theta_plus = kink
             zm, zp = z_minus.values(k), z_plus.values(k)
@@ -576,6 +584,9 @@ def _picard_pass(
         psi2 = np.asarray(utility.psi2(w))
         hm = hk + m
         slope = np.abs(hm) * (np.abs(psi2) + np.abs(psi2 - 1.0 / np.asarray(utility.psi1(w))))
+        if not np.isfinite(slope).all():  # a ratio out of float range is refused by name
+            _in_float_range(k, w, "U'''/U''", utility.psi2)
+            _in_float_range(k, w, "U'/U''", utility.psi1)
         return -(0.5 * psi2 * hm**2 - np.asarray(driver.g(t, hk), dtype=float))
 
     zeta, m = _backward_pair(lattice, minus_f, lambda k, z: slope)
@@ -603,11 +614,11 @@ def verify_optimality(
     homogeneous = driver.kinked and not (z_minus is None or z_plus is None or sol.theta is None)
 
     w_all = sol.x.flat + sol.zeta.flat
-    u1_all = _in_float_range(lattice, w_all, "U'", utility.u1)
+    u1_all = _in_float_range(lattice.level_index, w_all, "U'", utility.u1)
     w, u1 = w_all[:inner], u1_all[:inner]
     down, up = lattice.children
     mart = float(np.max(np.abs(0.5 * (u1_all[down] + u1_all[up]) - u1)))
-    u2 = _in_float_range(lattice, w, "U''", utility.u2)
+    u2 = _in_float_range(lattice.level_index, w, "U''", utility.u2)
     h, m = sol.h.flat, sol.m.flat
 
     foc = None
@@ -646,15 +657,19 @@ def verify_optimality(
     )
 
 
-def _in_float_range(lattice: Lattice, w: np.ndarray, name: str, fn: Callable) -> np.ndarray:
-    """``fn(w)`` as floats at the wealth ``w`` = X + zeta, refused at its
-    first node that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
+def _in_float_range(level, w: np.ndarray, name: str, fn: Callable) -> np.ndarray:
+    """``fn(w)`` as floats at the wealth ``w`` = X + zeta, refused as
+    ``NumericOverflow`` at its first node that is not finite.  ``level`` is
+    the lattice level of every node (an int, or None where it is not
+    known) or of each node (an array such as ``lattice.level_index``)."""
+    with np.errstate(all="ignore"):  # refused just below
         values = np.asarray(fn(w), dtype=float)
-    i = int(np.argmax(~np.isfinite(values)))
-    if not np.isfinite(values[i]):
-        msg = f"{name} is {values[i]} at X + zeta = {w[i]:.6g}; the optimality check cannot use it"
-        raise NumericOverflow(msg, level=int(lattice.level_index[i]))
+    if not np.isfinite(values).all():
+        i = int(np.argmax(~np.isfinite(values)))
+        at = level[i] if isinstance(level, np.ndarray) else level
+        where = "" if at is None else f" on level {at}"
+        msg = f"{name} is {values[i]} at X + zeta = {w[i]:.6g}{where}; it is out of float range"
+        raise NumericOverflow(msg, level=None if at is None else int(at))
     return values
 
 
@@ -687,7 +702,7 @@ def recover_theta(
     here.  Otherwise the piecewise-linear interpolated curve on ``y_grid``
     is inverted node by node, which requires it to be monotone in the
     position: one batched sweep of the y-grid serves every target, and
-    the curve is inverted block by block as its levels come out, so its
+    each level of the curve is inverted as the sweep yields it, so its
     ``(n_y, nodes)`` buffer is never held.  The first target that fails
     raises, at its lowest failing level.  No target, no sweep.
     """

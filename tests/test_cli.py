@@ -373,6 +373,43 @@ def test_a_value_out_of_float_range_exits_4_by_name(tmp_path, capsys, command, e
     assert message in capsys.readouterr().err
 
 
+_EXPONENTIAL_DRIVER = "kind = drifted_quadratic\ngamma = 1.0\neta = 0.3\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    ("driver", "far", "near", "named"),
+    [
+        # the affine first-order root's psi1 = U'/U''
+        (_EXPONENTIAL_DRIVER, "372.2", "372.0", "U'/U'' is nan at X + zeta = 372.6"),
+        # the kinked driver's Picard pair, psi2 = U'''/U''
+        ("kind = homogeneous\nkappa = 0.1\n", "380.0", "372.2", "U'''/U'' is nan at X + zeta = 380"),
+    ],
+    ids=["affine", "kinked"],
+)
+def test_a_cara_desk_far_from_zero_wealth_names_the_ratio(
+    tmp_path, capsys, command, driver, far, near, named
+):
+    # far from zero wealth CARA's U', U'' and U''' all underflow to 0, so the
+    # ratios are 0/0 in the Picard pass: the run names the ratio, the wealth
+    # X + zeta and the level, not only a sweep level
+    text = (SCENARIOS / "exponential.ini").read_text().replace("n_steps = 200", "n_steps = 20")
+    text = text.replace(_EXPONENTIAL_DRIVER, driver)
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(text.replace("x0 = 0.0", f"x0 = {far}"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert named in err and "on level 19" in err
+    assert "backward sweep" not in err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_NUMERIC
+    # nearer to zero wealth the ratios are finite and the desk solves
+    cfg.write_text(text.replace("x0 = 0.0", f"x0 = {near}"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "near")]) == 0
+
+
 @pytest.mark.parametrize(
     ("command", "overrides", "code", "named"),
     [

@@ -21,8 +21,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import PchipInterpolator
 
-from impact_hedger import cli, market
-from impact_hedger.cli import EXIT_NUMERIC, _write_csv, main
+from impact_hedger import (
+    build_binomial,
+    cli,
+    drifted_quadratic_driver,
+    market,
+    recover_theta,
+    solve_fbsde_cara,
+)
+from impact_hedger.cli import EXIT_NUMERIC, _write_csv, load_config, main
 from impact_hedger.errors import ImpactHedgerError, NumericOverflow
 from impact_hedger.valuegrid import _pchip
 
@@ -268,6 +275,66 @@ def test_write_csv_from_broadcast_columns_matches_the_per_cell_format(case):
         path = Path(tmp) / "t.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == _old_csv(header, rows.tolist()).encode()
+
+
+@st.composite
+def split_tables(draw):
+    """A table whose columns repeat values (signed zeros among them), cut
+    into row parts, some empty and some of one row.  A column after the
+    first that is constant over a part is often given there as a scalar,
+    broadcast over the part's rows."""
+    n_rows = draw(st.integers(0, 40))
+    n_cols = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_cols):
+        pool = draw(st.lists(cells, min_size=1, max_size=draw(st.sampled_from([1, 2, 40]))))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)))
+    table = np.array(columns, dtype=float).T.reshape(n_rows, n_cols)
+    cuts = sorted(draw(st.lists(st.integers(0, n_rows), max_size=5)))
+    parts = []
+    for a, b in zip([0, *cuts], [*cuts, n_rows]):
+        part = []
+        for j in range(n_cols):
+            col = table[a:b, j]
+            constant = b > a and np.unique(col.view(np.int64)).size == 1
+            if constant and j and draw(st.booleans()):
+                part.append(col[0])  # a scalar, broadcast over the part
+            else:
+                part.append(col)
+        parts.append(part)
+    return table, parts, draw(st.sampled_from([1, 2, 5, cli._CSV_BLOCK_CELLS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=split_tables())
+def test_write_csv_parts_write_the_bytes_of_the_table_in_one_part(case):
+    table, parts, block = case
+    header = [f"c{i}" for i in range(table.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CSV_BLOCK_CELLS", block):
+        whole, split = Path(tmp) / "whole.csv", Path(tmp) / "split.csv"
+        _write_csv(whole, header, table.T)
+        _write_csv(split, header, *parts)
+        assert split.read_bytes() == whole.read_bytes() == _old_csv(header, table.tolist()).encode()
+
+
+def test_writing_a_solution_table_builds_no_padded_columns(tmp_path):
+    # the n = 200 solve table of exponential.ini: 20,301 rows, whose
+    # terminal level of 201 rows reads 0.0 for m, theta and h.  Padding
+    # those three columns with the terminal zeros, as whole-lattice
+    # copies, took 2.2 MB here; two row parts of views take 1.55 MB.
+    cfg = load_config(SCENARIOS / "exponential.ini")
+    lat = build_binomial(cfg.horizon, cfg.n_steps)
+    driver = drifted_quadratic_driver(cfg.driver_params["gamma"], cfg.driver_params["eta"])
+    sol = solve_fbsde_cara(lat, driver, cfg.gamma_a, cfg.x0)
+    (sol.theta,) = recover_theta(lat, driver, lat.w_values(lat.n_steps), [sol.h], cfg.y_grid)
+    _write_csv(tmp_path / "warm.csv", ["a"], [np.arange(3.0)])  # g17's tables
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "solve.csv", cli._SOLUTION_HEADER, *cli._solution_rows(lat, sol))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8e6
 
 
 def test_writing_a_value_table_from_views_builds_no_table(tmp_path):

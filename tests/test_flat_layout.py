@@ -14,7 +14,6 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ from impact_hedger.errors import (
     InvalidArgument,
     InversionUnavailable,
 )
-from impact_hedger.gexpect import _invert_block, _unit_integrands
+from impact_hedger.gexpect import _invert_level, _unit_integrands
 from impact_hedger.optimizer import FbsdeSolution, recover_theta
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -243,9 +242,9 @@ def test_flat_children_are_the_split_of_the_next_level(lat):
 # -- holdings recovery ------------------------------------------------------
 
 
-def _block_outcome(first, bounds, z, y_grid, targets):
-    """``_invert_block`` on one target, its error as ``_outcome`` gives it."""
-    (got,) = _invert_block(first, bounds, z, y_grid, [targets])
+def _level_outcome(k, z, y_grid, targets):
+    """``_invert_level`` on one target, its error as ``_outcome`` gives it."""
+    (got,) = _invert_level(k, z, y_grid, targets[None, :])
     if isinstance(got, Exception):
         return (type(got), str(got), getattr(got, "level", None))
     return got
@@ -300,17 +299,11 @@ def test_flat_inversion_matches_the_per_level_inversion(case):
         stack = slab[:, off[k] : off[k + 1]]
         t = targets[off[k] : off[k + 1]]
         want = _outcome(ref_invert_level, stack, y_grid, k, t)
-        got = _block_outcome(k, np.array([0, stack.shape[1]]), stack, y_grid, t)
+        got = _level_outcome(k, stack, y_grid, t)
         if isinstance(want, tuple):
             assert got == want
         else:
             assert _bits(got) == _bits(want)
-    want = _outcome(ref_invert, lat, slab, y_grid, targets)  # the lowest failing level raises
-    got = _block_outcome(0, off[: lat.n_steps + 1], slab, y_grid, targets)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert _bits(got) == _bits(want)
 
 
 @SETTINGS
@@ -364,7 +357,8 @@ def test_only_the_cone_inverts_on_a_position_curve():
 
 def test_streamed_recovery_memory_is_bounded():
     # the n = 200 desk with a 121-point y-grid: one batched sweep inverted
-    # block by block, never the 19.5 MB (n_y, nodes) buffer of a built curve
+    # level by level as it is swept, never the 19.5 MB (n_y, nodes) buffer
+    # of a built curve nor a block of several levels
     cfg = load_config(SCENARIOS / "exponential.ini")
     lat = build_binomial(cfg.horizon, cfg.n_steps)
     driver = drifted_quadratic_driver(cfg.driver_params["gamma"], cfg.driver_params["eta"])
@@ -377,7 +371,7 @@ def test_streamed_recovery_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.0e6
+    assert peak <= 2.5e6
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [-1.0, 0.0, np.inf], [np.nan, np.nan]])
@@ -448,35 +442,33 @@ def streamed_cases(draw):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=streamed_cases(), block=st.integers(1, 40))
-def test_streamed_recovery_matches_the_curve_inversion(case, block):
-    # small blocks make several blocks, and single levels larger than a block
+@given(case=streamed_cases())
+def test_streamed_recovery_matches_the_curve_inversion(case):
     lat, driver, s, y_grid, rng, n_targets, outside = case
-    with mock.patch.object(gexpect, "_INVERT_BLOCK_NODES", block):
-        curve = _raised(PositionCurve, lat, driver, s, y_grid)
-        if isinstance(curve, tuple):  # the sweep itself fails: the same error streams
-            h = NodeProcess.constant(lat, 0.0, n_levels=lat.n_steps)
-            assert _raised(recover_theta, lat, driver, s, [h], y_grid) == curve
-            return
-        slab = curve._slab
-        n_y, size = slab.shape
-        lo, hi = slab.min(axis=0), slab.max(axis=0)
-        targets = []
-        for i in range(n_targets):
-            kinds = rng.integers(0, 4, size)
-            r = rng.integers(0, n_y, size)
-            r1 = np.minimum(r + 1, n_y - 1)
-            j = np.arange(size)
-            between = slab[r, j] + rng.uniform(0.0, 1.0, size) * (slab[r1, j] - slab[r, j])
-            t = np.where(kinds == 0, slab[r, j], between)
-            t = np.where(kinds == 2, lo - rng.uniform(0.0, 1e-12, size), t)
-            t = np.where(kinds == 3, hi + rng.uniform(0.0, 1e-12, size), t)
-            if outside == i:  # at a node of a level drawn evenly, often below a broken one
-                k = rng.integers(lat.n_steps)
-                t[lat.offsets[k] + rng.integers(lat.level_size(k))] = hi.max() + 1e-9
-            targets.append(NodeProcess.from_flat(lat, t))
-        want = [_raised(ref_invert, lat, slab, y_grid, t.flat) for t in targets]
-        got = _raised(recover_theta, lat, driver, s, targets, y_grid)
+    curve = _raised(PositionCurve, lat, driver, s, y_grid)
+    if isinstance(curve, tuple):  # the sweep itself fails: the same error streams
+        h = NodeProcess.constant(lat, 0.0, n_levels=lat.n_steps)
+        assert _raised(recover_theta, lat, driver, s, [h], y_grid) == curve
+        return
+    slab = curve._slab
+    n_y, size = slab.shape
+    lo, hi = slab.min(axis=0), slab.max(axis=0)
+    targets = []
+    for i in range(n_targets):
+        kinds = rng.integers(0, 4, size)
+        r = rng.integers(0, n_y, size)
+        r1 = np.minimum(r + 1, n_y - 1)
+        j = np.arange(size)
+        between = slab[r, j] + rng.uniform(0.0, 1.0, size) * (slab[r1, j] - slab[r, j])
+        t = np.where(kinds == 0, slab[r, j], between)
+        t = np.where(kinds == 2, lo - rng.uniform(0.0, 1e-12, size), t)
+        t = np.where(kinds == 3, hi + rng.uniform(0.0, 1e-12, size), t)
+        if outside == i:  # at a node of a level drawn evenly, often below a broken one
+            k = rng.integers(lat.n_steps)
+            t[lat.offsets[k] + rng.integers(lat.level_size(k))] = hi.max() + 1e-9
+        targets.append(NodeProcess.from_flat(lat, t))
+    want = [_raised(ref_invert, lat, slab, y_grid, t.flat) for t in targets]
+    got = _raised(recover_theta, lat, driver, s, targets, y_grid)
     errors = [w for w in want if isinstance(w, tuple)]
     if errors:
         assert got == errors[0]  # the first failing target, at its lowest failing level
@@ -500,9 +492,8 @@ def test_streamed_recovery_raises_for_the_first_failing_target():
     off_image = (ImageViolation, "integrand target outside the attainable image")
     assert _raised(ref_invert, lat, curve._slab, y_grid, on_grid.flat) == not_monotone
     assert _raised(ref_invert, lat, curve._slab, y_grid, outside.flat) == off_image
-    with mock.patch.object(gexpect, "_INVERT_BLOCK_NODES", 3):  # a block per level or two
-        assert _raised(recover_theta, lat, driver, s, [on_grid, outside], y_grid) == not_monotone
-        assert _raised(recover_theta, lat, driver, s, [outside, on_grid], y_grid) == off_image
+    assert _raised(recover_theta, lat, driver, s, [on_grid, outside], y_grid) == not_monotone
+    assert _raised(recover_theta, lat, driver, s, [outside, on_grid], y_grid) == off_image
 
 
 # -- the optimality check --------------------------------------------------
