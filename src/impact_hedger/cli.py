@@ -642,8 +642,23 @@ _COMMANDS = {
 _BOOK_COMMANDS = ("gexp", "price")
 
 
+# exit code by error class, looked up along the class hierarchy: an unusable
+# output path is a config error, and Python floats raise OverflowError
+_EXIT_CODES = {
+    InvalidArgument: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
+    ImpactHedgerError: EXIT_NUMERIC,
+    OverflowError: EXIT_NUMERIC,
+}
+
+
+def _exit_code(exc: BaseException) -> int:
+    """The exit code a run ends in on ``exc``, an instance of a ``_EXIT_CODES`` class."""
+    return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+
+
 def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport:
-    """Execute one scenario command; always writes report.json on success paths."""
+    """Execute one scenario command; writes report.json wherever it can."""
     started = time.perf_counter()
     cfg = load_config(config_path)
     out = Path(out_dir)
@@ -654,11 +669,8 @@ def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport
             readers = " and ".join(_BOOK_COMMANDS)
             raise InvalidArgument(f"[market] h_m = {cfg.h_m!r} applies to {readers}, not {command}")
         _COMMANDS[command](cfg, out, report)
-    except InvalidArgument:
-        report.exit_code = EXIT_CONFIG
-        raise
-    except (ImpactHedgerError, OverflowError):  # Python floats raise on overflow
-        report.exit_code = EXIT_NUMERIC
+    except tuple(_EXIT_CODES) as exc:
+        report.exit_code = _exit_code(exc)
         raise
     finally:
         report.timing_seconds = time.perf_counter() - started
@@ -683,12 +695,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(args.command, args.config, args.out)
-    except (InvalidArgument, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ImpactHedgerError, OverflowError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(_EXIT_CODES) as exc:
+        code = _exit_code(exc)
+        print(f"{'config' if code == EXIT_CONFIG else 'numeric'} error: {exc}", file=sys.stderr)
+        return code
     if report.exit_code != EXIT_OK:
         print(f"completed with flags: {report.flags}", file=sys.stderr)
     return report.exit_code

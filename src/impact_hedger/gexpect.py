@@ -58,14 +58,13 @@ class BsdeSolution:
 def _sweep_levels(
     lattice: Lattice,
     terminal: np.ndarray,
-    g_of_level: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    slope_of_level: Callable[[int, np.ndarray], np.ndarray],
+    step: Callable[[int, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The backward recursion, one level at a time: yields ``(k, Pi_k, Z_k)``
-    for k = n-1 down to 0.  ``g_of_level(k, z, cond)`` gets the level, Z_k
-    and the level mean ``cond`` = E_k[Pi_{k+1}]; it may depend on all three.
-    ``slope_of_level(k, z)``, called next, bounds |dg/dz| per node: the
-    step-size guard refuses a level where slope * sqrt(dt) is not below 1.
+    for k = n-1 down to 0.  ``step(k, z, cond)`` gets the level, Z_k and the
+    level mean ``cond`` = E_k[Pi_{k+1}], and returns the driver ``g`` at the
+    level's nodes and ``slope``, a bound on |dg/dz| per node: the step-size
+    guard refuses a level where slope * sqrt(dt) is not below 1.
 
     ``terminal`` is one buffer of shape ``(level_size(n),)`` or a batch of
     them, shape ``(rows, level_size(n))``; each level keeps the leading row
@@ -86,9 +85,9 @@ def _sweep_levels(
         with np.errstate(all="ignore"):  # refused just below
             z = -(up - down) / (2.0 * sq)
             cond = 0.5 * (down + up)
-            g = np.asarray(g_of_level(k, z, cond), dtype=float)
-            pi = cond - g * dt
-            worst = float(np.max(slope_of_level(k, z))) * sq if z.size else 0.0
+            g, slope = step(k, z, cond)
+            pi = cond - np.asarray(g, dtype=float) * dt
+            worst = float(np.max(slope)) * sq if z.size else 0.0
         if not np.all(np.isfinite(pi)):
             raise NumericOverflow(
                 f"non-finite evaluation during backward sweep at level {k}", level=k
@@ -124,21 +123,12 @@ def _driver_levels(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Guarded sweep of ``driver`` over one terminal or a batch, level by level."""
     grid = lattice.grid
-    return _sweep_levels(
-        lattice,
-        terminal,
-        lambda k, z, _: driver.g(grid.t(k), z),
-        lambda k, z: driver.lipschitz_slope(grid.t(k), z),
-    )
 
+    def step(k: int, z: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
+        t = grid.t(k)
+        return driver.g(t, z), driver.lipschitz_slope(t, z)
 
-def _driver_sweep(
-    lattice: Lattice, driver: Driver, terminal: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Every Pi and Z level of the guarded sweep of ``driver``, as views
-    into the whole-lattice buffers of ``_stack_levels``."""
-    pi, z = _stack_levels(lattice, terminal, _driver_levels(lattice, driver, terminal))
-    return lattice.split_levels(pi), lattice.split_levels(z)
+    return _sweep_levels(lattice, terminal, step)
 
 
 def _driver_z(lattice: Lattice, driver: Driver, terminal: np.ndarray) -> np.ndarray:
@@ -328,33 +318,27 @@ def dz_dy_variational(
         # both children inherit the parent's gradient
         grad_levels.append(lattice.forward_level(nxt, nxt)[0])
 
-    s_r = _fd_gradient(s_fn, r_T)
-    if h_fn is None:
-        h_vals = np.zeros_like(r_T)
-        h_r = np.zeros_like(r_T)
-    else:
-        h_vals = np.asarray(h_fn(r_T), dtype=float)
-        h_r = _fd_gradient(h_fn, r_T)
-    s_vals = np.asarray(s_fn(r_T), dtype=float)
+    s_vals, s_r = np.asarray(s_fn(r_T), dtype=float), _fd_gradient(s_fn, r_T)
+    h_vals = h_r = np.zeros_like(r_T)
+    if h_fn is not None:
+        h_vals, h_r = np.asarray(h_fn(r_T), dtype=float), _fd_gradient(h_fn, r_T)
 
-    sigma = float(markov.sigma)
+    shifts = (y + eps, y - eps)
+    books = np.stack([_terminal_array(lattice, h_vals - y_s * s_vals) for y_s in shifts])
+    z_levels = lattice.split_levels(_driver_z(lattice, driver, books))
 
-    def solve_f(y_shift: float) -> np.ndarray:
-        primal = solve_bsde(lattice, driver, h_vals - y_shift * s_vals)
-        z_levels = primal.z.levels
+    def step(k: int, v: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
+        gz = np.asarray(driver.g_z(grid.t(k), z_levels[k]))
+        return gz * v, np.abs(gz)  # |g_z| is the driver's lipschitz_slope
 
-        def g_of_level(k: int, v: np.ndarray, _) -> np.ndarray:
-            gz = np.asarray(driver.g_z(grid.t(k), z_levels[k]))
-            return gz * v
-
-        f_terminal = (h_r - y_shift * s_r) * grad_levels[n]
-        slopes = lambda k, _: driver.lipschitz_slope(grid.t(k), z_levels[k])  # noqa: E731
-        levels = _sweep_levels(lattice, f_terminal, g_of_level, slopes)
-        f_flat, _ = _stack_levels(lattice, f_terminal, levels)
-        return f_flat[: lattice.offsets[n]]
-
+    # F of both shifts in one 2-row sweep; only its levels 0..n-1 are kept
+    off = lattice.offsets
+    f_flat = np.empty((2, off[n]))
+    f_terminals = np.stack([(h_r - y_s * s_r) * grad_levels[n] for y_s in shifts])
+    for k, f, _ in _sweep_levels(lattice, f_terminals, step):
+        f_flat[:, off[k] : off[k + 1]] = f
     grad = np.concatenate(grad_levels[:n])
-    dz = -(solve_f(y + eps) - solve_f(y - eps)) / (2.0 * eps) / grad * sigma
+    dz = -(f_flat[0] - f_flat[1]) / (2.0 * eps) / grad * float(markov.sigma)
     return NodeProcess.from_flat(lattice, dz)
 
 

@@ -7,27 +7,21 @@ position integrand itself is a plain node process and is looked up from a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .driver import Driver
 from .errors import ContractViolation, InvalidArgument, NumericOverflow
-from .gexpect import PositionCurve, _driver_levels, _driver_sweep, _terminal_array, solve_bsde
+from .gexpect import PositionCurve, _driver_levels, _terminal_array, solve_bsde
 from .lattice import FULL_BINARY, Lattice, NodeProcess, _forward_wealth
 
 
 @dataclass
 class Strategy:
-    """Units held per node; ``theta.values(k)`` applies on [t_k, t_{k+1}).
-
-    Simple strategies are piecewise constant in time with level-constant
-    values and record the levels at which they jump.
-    """
+    """Units held per node; ``theta.values(k)`` applies on [t_k, t_{k+1})."""
 
     theta: NodeProcess
-    simple: bool = False
-    jump_levels: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.theta.n_levels < self.theta.lattice.n_steps:
@@ -36,15 +30,13 @@ class Strategy:
 
 def constant_strategy(lattice: Lattice, y: float) -> Strategy:
     """Hold ``y`` units from time 0 to maturity."""
-    theta = NodeProcess.constant(lattice, y, n_levels=lattice.n_steps)
-    jumps = (0,) if y != 0.0 else ()
-    return Strategy(theta=theta, simple=True, jump_levels=jumps)
+    return Strategy(theta=NodeProcess.constant(lattice, y, n_levels=lattice.n_steps))
 
 
 def piecewise_constant_strategy(
     lattice: Lattice, segments: list[tuple[int, float]]
 ) -> Strategy:
-    """Simple strategy from (start_level, value) segments.
+    """Level-constant strategy from (start_level, value) segments.
 
     Segments must start at level 0 and be strictly increasing in level;
     each value applies until the next segment begins.
@@ -64,20 +56,16 @@ def piecewise_constant_strategy(
         lattice,
         [np.full(lattice.level_size(k), values[k]) for k in range(lattice.n_steps)],
     )
-    prev = np.concatenate([[0.0], values[:-1]])
-    jumps = tuple(int(k) for k in np.nonzero(values != prev)[0])
-    return Strategy(theta=theta, simple=True, jump_levels=jumps)
+    return Strategy(theta=theta)
 
 
 @dataclass
 class WealthPath:
     """Wealth and gains of a strategy on the expanded (full-binary) lattice."""
 
-    lattice: Lattice
     x: NodeProcess
     gains: NodeProcess
     z_theta: NodeProcess
-    x0: float
 
 
 def _check_node(lattice: Lattice, node: tuple[int, int]) -> tuple[int, int]:
@@ -185,21 +173,20 @@ def pnl_process(
 
     gains, _ = _forward_wealth(binary, driver, z_of_level, 0.0)
     x = gains.map(lambda lv: lv + x0)
-    return WealthPath(lattice=binary, x=x, gains=gains, z_theta=z_theta, x0=x0)
+    return WealthPath(x=x, gains=gains, z_theta=z_theta)
 
 
 def simple_strategy_pnl(
     lattice: Lattice, driver: Driver, s_terminal, strategy: Strategy
 ) -> np.ndarray:
-    """Terminal P&L of a simple strategy, priced trade by trade.
+    """Terminal P&L of a level-constant strategy, priced trade by trade.
 
     theta_T * S minus the sum over jump times of the quoted prices
     P_t(-theta_t, d theta_t), evaluated path-wise; returned on the terminal
     level of the full-binary expansion (same ordering as
-    :func:`pnl_process`).
+    :func:`pnl_process`).  Level k is a jump where the position differs
+    from the one before it, 0 before level 0.
     """
-    if not strategy.simple:
-        raise ContractViolation("strategy is not flagged simple")
     s = _terminal_array(lattice, s_terminal)
     binary = lattice.expand_full_binary()
     n = lattice.n_steps
@@ -211,9 +198,9 @@ def simple_strategy_pnl(
         )
     # held[k] is the position before the trade at level k, held[k + 1] after it
     held = [0.0] + [float(lv[0]) for lv in levels]
+    jumps = [k for k in range(n) if held[k + 1] != held[k]]
 
     total_cost = np.zeros(binary.level_size(n))
-    jumps = strategy.jump_levels
     if jumps:  # the books held before and after each jump, swept as one batch
         positions = [held[k + j] for k in jumps for j in (0, 1)]
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
@@ -221,11 +208,15 @@ def simple_strategy_pnl(
         bad = ~np.all(np.isfinite(books), axis=1)
         if np.any(bad):
             raise NumericOverflow(f"non-finite book -y S at y = {positions[np.argmax(bad)]!r}")
-        pi_levels, _ = _driver_sweep(lattice, driver, books)
-    for i, k in enumerate(jumps):
-        price_nodes = pi_levels[k][2 * i] - pi_levels[k][2 * i + 1]
+        # each jump's two rows are read off the sweep at the jump's own level
+        row = {k: 2 * i for i, k in enumerate(jumps)}
+        prices = {}
+        for k, pi, _ in _driver_levels(lattice, driver, books):
+            if k in row:
+                prices[k] = pi[row[k]] - pi[row[k] + 1]
+    for k in jumps:  # in jump order: the sum's rounding depends on it
         # book the cost at the path's level-k ancestor and carry it to maturity
-        carried = lattice.lift_level(price_nodes, k, binary)
+        carried = lattice.lift_level(prices[k], k, binary)
         total_cost += np.repeat(carried, 1 << (n - k))
     return held[-1] * lattice.lift_level(s, n, binary) - total_cost
 

@@ -210,8 +210,10 @@ def solve_h(
     """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0: the one-node
     case of ``_h_level_general``, whose affine closed form checks no U''."""
     w = x + zeta
-    if driver.affine_grad is not None and float(utility.u2(np.asarray(w))) >= 0:
-        raise InvalidArgument("U'' must be negative at x + zeta")
+    if driver.affine_grad is not None:
+        with np.errstate(all="ignore"):  # refused just below
+            u1, u2 = float(utility.u1(np.asarray(w))), float(utility.u2(np.asarray(w)))
+        _refuse_u2(w, u1, u2, None)
     return float(_h_level_general(driver, utility, t, np.array([w]), np.array([float(m)]))[0])
 
 
@@ -297,8 +299,9 @@ def _h_level_general(
         return (psi1 * b - m) / (1.0 - a * psi1)
     if not driver.is_differentiable:
         raise ContractViolation("the first-order condition requires a differentiable driver")
-    u1, u2, psi1 = (np.asarray(f(w), dtype=float) for f in (utility.u1, utility.u2, utility.psi1))
-    reach = np.abs(m) + np.abs(psi1 * float(driver.grad(t, 0.0)))
+    with np.errstate(all="ignore"):  # a node out of float range is refused below
+        u1, u2, psi1 = (np.asarray(f(w), float) for f in (utility.u1, utility.u2, utility.psi1))
+        reach = np.abs(m) + np.abs(psi1 * float(driver.grad(t, 0.0)))
     # a node's checks, in order: U'' < 0, a finite node, a bracket, the
     # linear-growth bound; the nodes before the first to fail one are searched
     bad = (u2 >= 0) | ~(np.isfinite(w) & np.isfinite(m) & np.isfinite(psi1))
@@ -323,13 +326,23 @@ def _h_level_general(
             search(slice(j, j + 1))
         raise
     if count < bad.size:
-        if u2[count] >= 0:
-            raise InvalidArgument("U'' must be negative at x + zeta")
+        _refuse_u2(w[count], u1[count], u2[count], level)
         raise NumericOverflow(
             f"first-order condition at a non-finite node: x + zeta = {w[count]:.6g}, "
             f"M = {m[count]:.6g}, psi1 = {psi1[count]:.6g}"
         )
     return roots
+
+
+def _refuse_u2(w: float, u1: float, u2: float, level: int | None) -> None:
+    """Refuse U'' = ``u2`` >= 0 at X + zeta = ``w``: a zero beside a finite U'
+    has underflowed (``NumericOverflow``), any other breaks concavity."""
+    if u2 == 0.0 and np.isfinite(u1):
+        at = "" if level is None else f" on level {level}"
+        msg = f"U'' is {float(u2)!r} at X + zeta = {w:.6g}{at}; it has underflowed"
+        raise NumericOverflow(msg, level=level)
+    if u2 >= 0:
+        raise InvalidArgument("U'' must be negative at x + zeta")
 
 
 def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float) -> FbsdeSolution:
@@ -344,28 +357,27 @@ def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float
     grid = lattice.grid
     h = NodeProcess.empty(lattice, lattice.n_steps)
 
-    def f_of_level(k: int, z: np.ndarray, _) -> np.ndarray:
+    def step(k: int, z: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
         t = grid.t(k)
         m = -z
         hk = h.levels[k]
         hk[...] = _h_level_cara(driver, utility, t, m)
-        return 0.5 * gamma_a * (hk + m) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
+        f = 0.5 * gamma_a * (hk + m) ** 2 + np.asarray(driver.g(t, hk), dtype=float)
+        # |df/dM| = |gamma_a (H + M)| at the first-order root, by the envelope argument
+        return f, np.abs(gamma_a * (hk - z))
 
-    # |df/dM| = |gamma_a (H + M)| at the first-order root, by the envelope argument
-    zeta, m = _backward_pair(lattice, f_of_level, lambda k, z: np.abs(gamma_a * (h.levels[k] - z)))
+    zeta, m = _backward_pair(lattice, step)
     x, consistency = _forward_wealth(lattice, driver, lambda k, _: h.levels[k], x0)
     sol = FbsdeSolution(x=x, zeta=zeta, m=m, h=h, forward_consistency=consistency)
     sol.residuals = verify_optimality(sol, driver, utility)
     return sol
 
 
-def _backward_pair(
-    lattice: Lattice, f_of_level: Callable, slope_of_level: Callable
-) -> tuple[NodeProcess, NodeProcess]:
-    """(zeta, M) of the guarded backward sweep of ``f_of_level`` from a zero
-    terminal value; M = -Z, since the pair carries +M dW."""
+def _backward_pair(lattice: Lattice, step: Callable) -> tuple[NodeProcess, NodeProcess]:
+    """(zeta, M) of the guarded backward sweep of ``step`` (the ``_sweep_levels``
+    callback) from a zero terminal value; M = -Z, since the pair carries +M dW."""
     terminal = np.zeros(lattice.level_size(lattice.n_steps))
-    levels = _sweep_levels(lattice, terminal, f_of_level, slope_of_level)
+    levels = _sweep_levels(lattice, terminal, step)
     zeta, z = _stack_levels(lattice, terminal, levels)
     m = np.negative(z, out=z)
     return NodeProcess.from_flat(lattice, zeta), NodeProcess.from_flat(lattice, m)
@@ -563,10 +575,9 @@ def _picard_pass(
     h = NodeProcess.empty(lattice, lattice.n_steps)
     theta = None if kink is None else NodeProcess.empty(lattice, lattice.n_steps)
     ambiguous = False
-    slope = None  # the guard's bound on the level minus_f last built
 
-    def minus_f(k: int, z: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        nonlocal ambiguous, slope
+    def step(k: int, z: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal ambiguous
         t = grid.t(k)
         m = -z
         w = x_iter[off[k] : off[k + 1]] + cond
@@ -587,9 +598,9 @@ def _picard_pass(
         if not np.isfinite(slope).all():  # a ratio out of float range is refused by name
             _in_float_range(k, w, "U'''/U''", utility.psi2)
             _in_float_range(k, w, "U'/U''", utility.psi1)
-        return -(0.5 * psi2 * hm**2 - np.asarray(driver.g(t, hk), dtype=float))
+        return -(0.5 * psi2 * hm**2 - np.asarray(driver.g(t, hk), dtype=float)), slope
 
-    zeta, m = _backward_pair(lattice, minus_f, lambda k, z: slope)
+    zeta, m = _backward_pair(lattice, step)
     return zeta, m, h, theta, ambiguous
 
 

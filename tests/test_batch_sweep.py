@@ -27,7 +27,7 @@ from impact_hedger import (
     zero_driver,
 )
 from impact_hedger.errors import NumericOverflow, StepSizeViolation
-from impact_hedger.gexpect import _driver_sweep, _interp_columns
+from impact_hedger.gexpect import _driver_levels, _interp_columns, _stack_levels
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -85,6 +85,12 @@ def curve_uses_grid(driver, h_m):
     return not (driver.is_homogeneous and h_m is None)
 
 
+def _all_levels(lat, driver, rows):
+    """Every Pi and Z level of the batched guarded sweep, as per-level views."""
+    pi, z = _stack_levels(lat, rows, _driver_levels(lat, driver, rows))
+    return lat.split_levels(pi), lat.split_levels(z)
+
+
 def _first_error(errors):
     # the sweep runs from the top level down and checks finiteness first
     return max(errors, key=lambda e: (e.level, isinstance(e, NumericOverflow)))
@@ -102,10 +108,10 @@ def test_batched_sweep_matches_one_sweep_per_row(lat, driver, s, book, ys):
         event("a row trips a guard")
         expected = _first_error(errors)
         with pytest.raises(type(expected)) as info:
-            _driver_sweep(lat, driver, rows)
+            _all_levels(lat, driver, rows)
         assert info.value.level == expected.level
         return
-    pi_levels, z_levels = _driver_sweep(lat, driver, rows)
+    pi_levels, z_levels = _all_levels(lat, driver, rows)
     for i, sol in enumerate(singles):
         for k in range(lat.n_steps + 1):
             assert _bits(pi_levels[k][i]) == _bits(sol.pi.values(k))
@@ -233,7 +239,7 @@ def test_one_row_over_the_step_size_guard_stops_the_batch(n_rows, data, n, gamma
     rows = np.array([c * w for c in scales])
     driver = entropic_driver(gamma)
     with pytest.raises(StepSizeViolation) as batch:
-        _driver_sweep(lat, driver, rows)
+        _all_levels(lat, driver, rows)
     with pytest.raises(StepSizeViolation) as single:
         solve_bsde(lat, driver, rows[bad])
     assert batch.value.level == single.value.level == n - 1

@@ -215,6 +215,26 @@ def test_config_error_inside_command_reports_exit_2(tmp_path):
     assert payload["exit_code"] == proc.returncode
 
 
+@pytest.mark.parametrize("case", ["names_a_file", "lies_under_a_file"])
+def test_an_unusable_output_directory_exits_2(tmp_path, capsys, case):
+    cfg = _small_desk(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if case == "names_a_file" else taken / "o"
+    assert main(["gexp", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(taken) in err
+
+
+def test_an_output_file_that_cannot_be_written_exits_2_and_the_report_agrees(tmp_path, capsys):
+    cfg = _small_desk(tmp_path)
+    out = tmp_path / "o"
+    (out / "gexp.csv").mkdir(parents=True)
+    assert main(["gexp", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert json.loads((out / "report.json").read_text())["exit_code"] == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("command", ["closedform", "verify"])
 def test_float_overflow_inside_command_exits_4(tmp_path, capsys, command):
     # closedform's density pass meets the overflow first and names the drift

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from impact_hedger import (
+    NodeProcess,
+    Strategy,
     build_binomial,
     cara_utility,
     constant_strategy,
@@ -109,7 +111,7 @@ def test_pnl_linear_driver_integration_by_parts():
     lat = build_binomial(1.0, n)
     drv = linear_driver(nu)
     wp = pnl_process(lat, drv, lat.w_values(n), constant_strategy(lat, 1.0), 0.0)
-    binary = wp.lattice
+    binary = wp.x.lattice  # the full-binary expansion
     np.testing.assert_allclose(
         wp.x.terminal, binary.w_values(n) - nu * 1.0, atol=1e-12
     )
@@ -154,12 +156,12 @@ def test_pnl_refuses_positions_outside_hull():
         )
 
 
-def test_simple_strategy_requires_flag():
+def test_trade_by_trade_pnl_refuses_a_strategy_whose_level_is_not_constant():
     lat = build_binomial(1.0, 4)
-    strat = constant_strategy(lat, 1.0)
-    strat.simple = False
-    with pytest.raises(ContractViolation):
-        simple_strategy_pnl(lat, entropic_driver(1.0), lat.w_values(4), strat)
+    theta = NodeProcess.constant(lat, 1.0, n_levels=4)
+    theta.levels[2][1] = 0.5  # one node of level 2 holds another position
+    with pytest.raises(ContractViolation, match="level-constant"):
+        simple_strategy_pnl(lat, entropic_driver(1.0), lat.w_values(4), Strategy(theta))
 
 
 def test_buy_and_hold_single_trade():

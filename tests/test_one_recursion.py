@@ -9,21 +9,27 @@ conditional route, whose linear-driver step rounds the tilted weights'
 average differently and must agree to 1e-13 relative.  The
 reference root searches keep their own per-node bracketing and call the
 array solver on one element; the array root finder's own tests, further
-down, tie that solver to scipy's ``brentq``.
+down, tie that solver to scipy's ``brentq``.  A scan of the source keeps
+the rule: only the sweep, the two exact oracles and the lattice's one-step
+expectation may split a level into its children.
 """
+import ast
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import impact_hedger
 from impact_hedger import (
     ControlSpec,
     MarketSpec,
     NodeProcess,
     PositionCurve,
+    StateSde,
     TimeGrid,
     WealthGrid,
     budget_lambda,
@@ -34,6 +40,7 @@ from impact_hedger import (
     custom_utility,
     dp_value,
     drifted_quadratic_driver,
+    dz_dy_variational,
     entropic_driver,
     fbsde_from_surface,
     girsanov_density,
@@ -42,7 +49,9 @@ from impact_hedger import (
     linear_driver,
     piecewise_constant_strategy,
     pnl_process,
+    quadratic_driver,
     simple_strategy_pnl,
+    simulate_state,
     solve_bsde,
     solve_fbsde_cara,
     solve_h,
@@ -58,6 +67,7 @@ from impact_hedger.errors import (
     StepSizeViolation,
 )
 from impact_hedger.gexpect import _unit_integrands
+from impact_hedger.lattice import _fd_gradient
 from impact_hedger.optimizer import (
     _decreasing_root,
     _double,
@@ -345,6 +355,53 @@ def test_sweep_overflow_names_its_level():
     assert err.value.level == 5
 
 
+# the only code in src/ that may split a level into its children: the sweep,
+# the two exact oracles, and the one-step expectation with its fold to the root
+SWEEP_PRIMITIVES = {"split_children", "conditional_expectation"}
+PRIMITIVE_USERS = {
+    "gexpect._sweep_levels",
+    "gexpect.entropic_exact",
+    "market.expected_terminal_utility",
+    "lattice.Lattice.conditional_expectation",
+    "lattice.Lattice.root_expectation",
+}
+
+
+def _primitive_users(module: str, source: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that touch a sweep primitive."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in SWEEP_PRIMITIVES:
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), (module,))
+    return users
+
+
+def test_only_the_sweep_and_the_oracles_split_a_level():
+    src = Path(impact_hedger.__file__).parent
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        users |= _primitive_users(path.stem, path.read_text(encoding="utf-8"))
+    assert "gexpect._sweep_levels" in users
+    assert users <= PRIMITIVE_USERS, sorted(users - PRIMITIVE_USERS)
+
+
+def test_a_new_level_loop_breaks_the_one_recursion_rule():
+    loop = (
+        "def my_sweep(lattice, pi):\n"
+        "    for k in range(lattice.n_steps - 1, -1, -1):\n"
+        "        pi = lattice.conditional_expectation(pi)\n"
+    )
+    assert _primitive_users("market", loop) == {"market.my_sweep"}
+
+
 # -- one forward wealth pass ---------------------------------------------------
 
 
@@ -492,6 +549,83 @@ def test_conditional_route_refuses_a_growth_out_of_float_range_by_name(x):
         wealth_by_conditional_route(lat, market, x_T)
 
 
+def ref_dz_dy_variational(lattice, driver, markov, s_fn, h_fn, y, eps):
+    """The per-shift loop: a primal solve and a hand-written F sweep for
+    y + eps, then both again for y - eps."""
+    grid, n = lattice.grid, lattice.n_steps
+    r_proc = simulate_state(lattice, markov)
+    r_T = r_proc.terminal
+    grad_levels = [np.ones(1)]
+    for k in range(n):
+        nxt = grad_levels[k] * (1.0 + markov.drift_gradient(grid.t(k), r_proc.values(k)) * grid.dt)
+        grad_levels.append(lattice.forward_level(nxt, nxt)[0])
+    s_vals, s_r = np.asarray(s_fn(r_T), dtype=float), _fd_gradient(s_fn, r_T)
+    h_vals = np.zeros_like(r_T) if h_fn is None else np.asarray(h_fn(r_T), dtype=float)
+    h_r = np.zeros_like(r_T) if h_fn is None else _fd_gradient(h_fn, r_T)
+
+    def solve_f(y_shift):
+        z = solve_bsde(lattice, driver, h_vals - y_shift * s_vals).z
+        f, levels = (h_r - y_shift * s_r) * grad_levels[n], []
+        for k in range(n - 1, -1, -1):
+            down, up = lattice.split_children(f)
+            v = -(up - down) / (2.0 * grid.sqrt_dt)
+            gz = np.asarray(driver.g_z(grid.t(k), z.values(k)))
+            f = 0.5 * (down + up) - gz * v * grid.dt
+            if not np.all(np.isfinite(f)):
+                raise NumericOverflow(f"level {k}", level=k)
+            if not float(np.max(np.abs(gz))) * grid.sqrt_dt < 1.0:
+                raise StepSizeViolation(f"level {k}", level=k)
+            levels.append(f)
+        return np.concatenate(levels[::-1])
+
+    grad = np.concatenate(grad_levels[:n])
+    return -(solve_f(y + eps) - solve_f(y - eps)) / (2.0 * eps) / grad * float(markov.sigma)
+
+
+variational_drivers = st.one_of(
+    st.floats(-0.5, 0.5).map(linear_driver),
+    st.floats(0.05, 1.0).map(quadratic_driver),
+    st.floats(0.1, 1.5).map(entropic_driver),
+    st.tuples(st.floats(0.2, 2.0), st.floats(-0.5, 0.5)).map(lambda p: drifted_quadratic_driver(*p)),
+    st.floats(0.0, 0.3).map(_smooth_driver),
+)
+
+
+@st.composite
+def markov_desks(draw):
+    """A lattice and a state SDE it can carry: mean reversion only on full binary."""
+    horizon = draw(st.floats(0.2, 2.0))
+    r0, sigma = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.3, 1.5))
+    if draw(st.booleans()):
+        kappa = draw(st.floats(0.05, 2.0))
+        sde = StateSde(drift=lambda t, r: -kappa * r, sigma=sigma, r0=r0)
+        return build_full_binary(horizon, draw(st.integers(1, 6))), sde
+    return build_binomial(horizon, draw(st.integers(1, 40))), StateSde(drift=draw(st.floats(-0.5, 0.5)), sigma=sigma, r0=r0)
+
+
+@SETTINGS
+@given(
+    desk=markov_desks(),
+    driver=variational_drivers,
+    a=st.floats(-1.5, 1.5),
+    book=st.none() | st.floats(-0.5, 0.5),
+    y=st.floats(-1.0, 1.0),
+    eps=st.floats(1e-6, 1e-2),
+)
+def test_variational_derivative_batches_both_shifts_bit_for_bit(desk, driver, a, book, y, eps):
+    lat, sde = desk
+    s_fn = lambda r: a * r + 0.1 * r * r  # noqa: E731
+    h_fn = None if book is None else (lambda r: book * np.sin(r))
+    try:
+        want = ref_dz_dy_variational(lat, driver, sde, s_fn, h_fn, y, eps)
+    except (NumericOverflow, StepSizeViolation):
+        event("a shift trips a guard")
+        with pytest.raises((NumericOverflow, StepSizeViolation)):
+            dz_dy_variational(lat, driver, sde, s_fn, h_fn, y, eps)
+        return
+    assert _bits(dz_dy_variational(lat, driver, sde, s_fn, h_fn, y, eps).flat) == _bits(want)
+
+
 def ref_pnl(lattice, driver, s, strategy, x0, y_grid):
     """``pnl_process``'s hand-written loop on the binary expansion."""
     binary = lattice.expand_full_binary()
@@ -513,8 +647,10 @@ def ref_simple_strategy_pnl(lattice, driver, s, strategy):
     n = lattice.n_steps
     theta_levels = [float(strategy.theta.values(k)[0]) for k in range(n)]
     total_cost = np.zeros(binary.level_size(n))
-    for k in strategy.jump_levels:
+    for k in range(n):
         theta_old = theta_levels[k - 1] if k > 0 else 0.0
+        if theta_levels[k] == theta_old:
+            continue  # no trade at level k
         pi_hold = solve_bsde(lattice, driver, -theta_old * s).pi.values(k)
         pi_after = solve_bsde(lattice, driver, -theta_levels[k] * s).pi.values(k)
         carried = lattice.lift_level(pi_hold - pi_after, k, binary)
@@ -801,6 +937,23 @@ def test_a_level_with_one_non_finite_node_raises_its_overflow():
     w[0] = 3.5
     with pytest.raises(InvalidArgument):
         _h_level_general(_smooth_driver(0.1), BENT, 0.0, w, np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "driver", [_smooth_driver(0.1), drifted_quadratic_driver(1.0, 0.3)], ids=["searched", "affine"]
+)
+def test_an_underflowed_u2_far_from_zero_wealth_is_a_numeric_overflow(driver):
+    # CARA with gamma_a = 2 has U' = 0.0 and U'' = -0.0 at x + zeta = 380:
+    # an underflow, not a concave utility's U'' turning nonnegative
+    with pytest.raises(NumericOverflow, match="U'' is -0.0 at X \\+ zeta = 380; it has underflowed"):
+        solve_h(driver, cara_utility(2.0), 0.0, 380.0, 0.0, 0.1)
+
+
+def test_an_underflowed_u2_on_a_searched_level_names_its_level():
+    w, m = np.array([0.5, 380.0]), np.array([0.1, 0.1])
+    with pytest.raises(NumericOverflow, match="X \\+ zeta = 380 on level 7") as err:
+        _h_level_general(_smooth_driver(0.1), cara_utility(2.0), 0.0, w, m, 7)
+    assert err.value.level == 7
 
 
 @pytest.mark.parametrize("x0", [1e3, -1e3])

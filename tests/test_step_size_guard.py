@@ -3,7 +3,7 @@
 The explicit scheme is monotone (the comparison principle: a larger
 terminal value never gives a smaller evaluation) only while the slope of
 its driver in z stays below 1 / sqrt(dt).  ``gexpect._sweep_levels`` takes
-that slope from every caller; here the two sweeps of the (zeta, M) pair are
+that slope from every caller's step callback; here the two sweeps of the (zeta, M) pair are
 checked: the CARA pair, whose slope is |gamma_a (H + M)|, and the Picard
 pair, whose slope is |H + M| (|psi2| + |psi2 - 1/psi1|).  The pair is swept
 from a drawn terminal instead of 0, by handing ``_sweep_levels`` that
@@ -73,7 +73,7 @@ def _pair_from(terminal):
     """Sweep the solvers' (zeta, M) pair from ``terminal`` instead of 0."""
     sweep = optimizer._sweep_levels
     with mock.patch.object(
-        optimizer, "_sweep_levels", lambda lat, _, f, slope: sweep(lat, terminal, f, slope)
+        optimizer, "_sweep_levels", lambda lat, _, step: sweep(lat, terminal, step)
     ):
         yield
 
