@@ -573,7 +573,6 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
         {
             "value_at_x0": surface.v[0, i0],
             "bspde_residual": resid.max_residual,
-            "band_cells": resid.band_cells,
             "bridge_zeta0": bridge.zeta.root,
             "bridge_m_sup": bridge.m.sup_abs(),
         }

@@ -71,15 +71,18 @@ class Driver:
         return out
 
     def lipschitz_slope(self, t: float, z: np.ndarray) -> np.ndarray:
-        """Best available local slope bound, for the step-size guard."""
+        """|g_z(t, z)| per element, for the step-size guard.  Without a gradient
+        only a positively homogeneous driver has it: |g(t, z)| / |z|."""
         if self.g_z is not None:
             return np.abs(np.asarray(self.g_z(t, np.asarray(z, dtype=float))))
+        if not self.is_homogeneous:  # a secant can undershoot |g_z|: by half for z^2
+            raise UnsupportedOperation(
+                f"driver kind {self.kind!r} exposes no gradient to bound its slope by"
+            )
         z = np.asarray(z, dtype=float)
-        g0 = np.asarray(self.g(t, np.zeros_like(z)))
-        gz = np.asarray(self.g(t, z))
         out = np.zeros_like(z)
         nz = z != 0.0
-        out[nz] = np.abs((gz[nz] - g0[nz]) / z[nz])
+        out[nz] = np.abs(np.asarray(self.g(t, z))[nz] / z[nz])
         return out
 
     def affine_grad_coeffs(self, t: float) -> tuple[float, float] | None:

@@ -186,7 +186,8 @@ def entropic_exact(lattice: Lattice, gamma: float, terminal) -> NodeProcess:
     log2 = np.log(2.0)
     for k in range(n - 1, -1, -1):
         down, up = lattice.split_children(levels[k + 1])
-        pi = -(np.logaddexp(-gamma * down, -gamma * up) - log2) / gamma
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            pi = -(np.logaddexp(-gamma * down, -gamma * up) - log2) / gamma
         if not np.all(np.isfinite(pi)):
             raise NumericOverflow(
                 f"non-finite entropic evaluation at level {k}", level=k

@@ -517,23 +517,17 @@ def solve_fbsde_picard(
             converged = True
             break
 
-        step = None
-        if f_prev is None or residual > residual_history[-2]:
-            # first pass, or the last step raised the residual: restart
-            kind = "damped" if f_prev is None else "fallback"
-            dx.clear()
-            df.clear()
-        else:
+        step, kind = None, "anderson"
+        if f_prev is not None and residual <= residual_history[-2]:
             dx.append(x_iter - x_prev)
             df.append(resid - f_prev)
             del dx[:-ANDERSON_DEPTH], df[:-ANDERSON_DEPTH]
             step = _anderson_step(x_iter, resid, dx, df, damping)
-            kind = "anderson"
-            if step is None:
-                kind = "fallback"
-                dx.clear()
-                df.clear()
         if step is None:
+            # first pass, a raised residual or a singular mixing system: restart
+            kind = "damped" if f_prev is None else "fallback"
+            dx.clear()
+            df.clear()
             step = damping * image + (1.0 - damping) * x_iter
         step_history.append(kind)
         x_prev, f_prev = x_iter, resid

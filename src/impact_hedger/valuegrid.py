@@ -309,51 +309,37 @@ class BspdeResidualReport:
     """Sup-norm residual of dV/dt + L V over the reported interior."""
 
     max_residual: float
-    band_cells: int  # grid cells skipped around holdings sign changes
     # |dV/dt + L V| per time slice and wealth point, shape (n_t + 1, n_x);
-    # zero on the first and last slice and on the masked cells
+    # zero on the first and last slice
     rows: np.ndarray
 
 
-def residual_slice(
-    surface: ValueSurface, driver: Driver, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """|dV/dt + L V| across one interior time slice, with the excluded mask.
+def residual_slice(surface: ValueSurface, driver: Driver, k: int) -> np.ndarray:
+    """|dV/dt + L V| across one interior time slice.
 
-    Homogeneous control may lose smoothness where the holdings switch on;
-    a one-cell band around those sign changes is masked out.
+    Every cell counts: on the homogeneous cone, where V_x > 0 > V_xx, the
+    holdings have the sign of g(t, z_scale), so a slice trades at every
+    wealth point or at none and has no switch to lose smoothness at.
     """
-    tgrid, xgrid = surface.tgrid, surface.xgrid
+    tgrid = surface.tgrid
     if not 1 <= k <= tgrid.n_steps - 1:
         raise InvalidArgument("central time difference needs an interior slice")
     t = tgrid.t(k)
     vx = surface.v_x[k]
     vxx = surface.v_xx[k]
-    ups, th = _maximizer_row(driver, surface.control, t, vx, vxx)
-    resid = np.abs(surface.v_t[k] + _operator(driver, t, ups, vx, vxx))
-    mask = np.zeros_like(resid, dtype=bool)
-    if surface.control.kind == "homogeneous":
-        on = th > 0
-        switch = np.nonzero(on[1:] != on[:-1])[0]
-        for s in switch:
-            mask[max(s - 1, 0) : s + 2] = True
-    return resid, mask
+    ups, _ = _maximizer_row(driver, surface.control, t, vx, vxx)
+    return np.abs(surface.v_t[k] + _operator(driver, t, ups, vx, vxx))
 
 
 def bspde_residual(surface: ValueSurface, driver: Driver) -> BspdeResidualReport:
     """Max |dV/dt + L V| over interior grid points, central time differences."""
     sl = surface.xgrid.interior
     worst = 0.0
-    band_cells = 0
     rows = np.zeros_like(surface.v)
     for k in range(1, surface.tgrid.n_steps):
-        resid, mask = residual_slice(surface, driver, k)
-        band_cells += int(np.count_nonzero(mask[sl]))
-        keep = ~mask[sl]
-        if np.any(keep):
-            worst = max(worst, float(np.max(resid[sl][keep])))
-        rows[k] = np.where(mask, 0.0, resid)
-    return BspdeResidualReport(max_residual=worst, band_cells=band_cells, rows=rows)
+        rows[k] = residual_slice(surface, driver, k)
+        worst = max(worst, float(np.max(rows[k, sl])))
+    return BspdeResidualReport(max_residual=worst, rows=rows)
 
 
 def fbsde_from_surface(
@@ -370,7 +356,8 @@ def fbsde_from_surface(
     I(V_x(t, X)) - X and its martingale part is
     upsilon V_xx / U''(X + zeta) - upsilon.  Every read of the surface
     must lie in its stencil-safe interior: a level whose lattice wealth
-    leaves it raises ``ExtrapolationRefused``.
+    leaves it raises ``ExtrapolationRefused``.  The holdings are left to
+    ``recover_theta``: ``theta`` is None.
     """
     tgrid, xgrid = surface.tgrid, surface.xgrid
     if lattice.n_steps != tgrid.n_steps or abs(lattice.grid.horizon - tgrid.horizon) > 1e-12:
@@ -387,12 +374,10 @@ def fbsde_from_surface(
             )
 
     h = NodeProcess.empty(lattice, n)
-    theta = NodeProcess.empty(lattice, n)
 
     def ups_of_level(k: int, xk: np.ndarray) -> np.ndarray:
         check_on_grid(k, xk)
         h.levels[k][...] = np.interp(xk, x_axis, policy.upsilon[k])
-        theta.levels[k][...] = np.interp(xk, x_axis, policy.theta_hat[k])
         return h.levels[k]
 
     x, consistency = _forward_wealth(lattice, driver, ups_of_level, x0)
@@ -413,14 +398,7 @@ def fbsde_from_surface(
     u2 = np.asarray(utility.u2(x.flat[:inner] + zeta.flat[:inner]))
     m = NodeProcess.from_flat(lattice, (h.flat * vxx) / u2 - h.flat)
 
-    sol = FbsdeSolution(
-        x=x,
-        zeta=zeta,
-        m=m,
-        h=h,
-        theta=theta,
-        forward_consistency=consistency,
-    )
+    sol = FbsdeSolution(x=x, zeta=zeta, m=m, h=h, forward_consistency=consistency)
     sol.residuals = verify_optimality(sol, driver, utility)
     return sol
 

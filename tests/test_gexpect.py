@@ -106,6 +106,14 @@ def test_entropic_exact_one_step():
     assert val.root == pytest.approx(-math.log(math.cosh(1.0)), abs=1e-14)
 
 
+def test_entropic_exact_refuses_an_overflow_without_a_warning():
+    # -gamma Pi overflows in the multiply; the suite turns a leaked warning into an error
+    lat = build_binomial(1.0, 4)
+    with pytest.raises(NumericOverflow, match="at level 3") as exc:
+        entropic_exact(lat, 1e300, 1e10 * brownian_terminal(lat))
+    assert exc.value.level == 3
+
+
 def test_entropic_exact_cash_invariance_constant():
     lat = build_binomial(1.0, 30)
     c = 2.75

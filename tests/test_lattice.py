@@ -144,6 +144,22 @@ def test_simulate_state_mean_reverting_euler_step():
     np.testing.assert_allclose(sorted(r.values(1)), expected, atol=1e-14)
 
 
+def test_simulate_state_state_dependent_volatility_on_full_binary():
+    lat = build_full_binary(1.0, 5)
+    dt, sq = lat.grid.dt, lat.grid.sqrt_dt
+    sde = StateSde(drift=lambda t, x: 0.5 - x, sigma=lambda t, x: 0.2 + t * x * x, r0=0.3)
+    r = simulate_state(lat, sde)
+    level = np.array([0.3])
+    for k in range(6):
+        assert r.values(k).tobytes() == level.tobytes()
+        t = lat.grid.t(k)
+        b, s = 0.5 - level, 0.2 + t * level * level
+        nxt = np.empty(2 * level.size)
+        nxt[0::2] = level + b * dt - s * sq
+        nxt[1::2] = level + b * dt + s * sq
+        level = nxt
+
+
 def test_simulate_state_mode_conflicts():
     lat = build_binomial(1.0, 2)
     with pytest.raises(ModeConflict):

@@ -8,6 +8,7 @@ before its exports were made lazy, each bound to the same object.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +38,12 @@ EXPORTS = [
 ]
 SUBMODULES = {"closedform", "driver", "errors", "gexpect", "lattice", "market", "optimizer", "valuegrid"}
 
+# the package modules besides cli, errors and driver; a command loads each
+# one that NOT_LOADED does not name for it
+MODULES = {"closedform", "g17", "gexpect", "lattice", "market", "optimizer", "valuegrid"}
 # solver modules each command must not load
 NOT_LOADED = {
-    "gexp": {"optimizer", "closedform", "valuegrid"},
+    "gexp": {"market", "optimizer", "closedform", "valuegrid"},
     "price": {"optimizer", "closedform", "valuegrid"},
     "solve": {"market", "closedform", "valuegrid"},
     "verify": {"market", "valuegrid"},
@@ -130,9 +134,35 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     configs = [str(p) for p in sorted(SCENARIOS.glob("*.ini"))]
     assert len(configs) == 4
     loaded, scipy, _ = _python(script, command, str(tmp_path), *configs)
-    assert "impact_hedger.cli" in loaded
-    assert not {f"impact_hedger.{m}" for m in NOT_LOADED[command]} & set(loaded)
+    own = {"cli", "errors", "driver"} | (MODULES - NOT_LOADED[command])
+    assert loaded == sorted(["impact_hedger", *(f"impact_hedger.{m}" for m in own)])
     assert scipy == []
+
+
+def _lines(module: str) -> int:
+    return (ROOT / "src" / "impact_hedger" / f"{module}.py").read_bytes().count(b"\n")
+
+
+def test_the_readme_counts_the_lines_each_command_compiles():
+    # a row counts __init__, cli, errors, driver and the modules it names,
+    # which are the ones the command loads
+    lines = (ROOT / "README.md").read_text().splitlines()
+    head = "| command | modules loaded besides `cli`, `errors` and `driver` | lines compiled |"
+    rows = []
+    for line in lines[lines.index(head) + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    seen = set()
+    for commands, modules, count in rows:
+        names = re.findall(r"`([^`]+)`", commands)
+        listed = set(re.findall(r"`([^`]+)`", modules))
+        for name in names:
+            assert listed == (set() if name == "--help" else MODULES - NOT_LOADED[name]), name
+        own = ["__init__", "cli", "errors", "driver", *sorted(listed)]
+        assert int(count.replace(",", "")) == sum(map(_lines, own)), names
+        seen.update(names)
+    assert seen == {"--help", *NOT_LOADED}
 
 
 def test_every_command_and_root_search_runs_with_scipy_blocked(tmp_path):

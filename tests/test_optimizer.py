@@ -350,6 +350,25 @@ def test_recover_theta_image_violation():
         recover_theta(lat, drv, lat.w_values(6), [h], y_grid=np.linspace(-1, 1, 11))
 
 
+def test_recover_theta_refuses_a_target_outside_the_cone():
+    # Z of -|W_T| and of |W_T| is 0 at the root, where no position attains 0.1
+    lat = build_binomial(1.0, 6)
+    h = NodeProcess(lat, [np.full(k + 1, 0.1) for k in range(6)])
+    with pytest.raises(ImageViolation, match="homogeneous image cone"):
+        recover_theta(lat, homogeneous_driver(0.1), np.abs(lat.w_values(6)), [h])
+
+
+def test_recover_theta_refuses_a_missing_y_grid_and_a_target_of_n_plus_one_levels():
+    lat = build_binomial(1.0, 6)
+    drv = drifted_quadratic_driver(1.0, 0.3)
+    h = NodeProcess(lat, [np.full(k + 1, 0.1) for k in range(6)])
+    with pytest.raises(InvalidArgument, match="y-grid is required"):
+        recover_theta(lat, drv, lat.w_values(6), [h])
+    long = NodeProcess(lat, [np.full(k + 1, 0.1) for k in range(7)])
+    with pytest.raises(InvalidArgument, match="one value per node of levels 0..n-1"):
+        recover_theta(lat, drv, lat.w_values(6), [long], y_grid=np.linspace(-1, 1, 11))
+
+
 def test_utility_improvement_soundness():
     lat, drv = cara_scenario()
     s = lat.w_values(lat.n_steps)

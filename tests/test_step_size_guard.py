@@ -24,11 +24,12 @@ from impact_hedger import (
     custom_utility,
     drifted_quadratic_driver,
     homogeneous_driver,
+    solve_bsde,
     solve_fbsde_cara,
     solve_fbsde_picard,
 )
 from impact_hedger import optimizer
-from impact_hedger.errors import StepSizeViolation
+from impact_hedger.errors import StepSizeViolation, UnsupportedOperation
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -140,3 +141,25 @@ def test_the_guarded_cara_pair_keeps_the_comparison_principle(data, lat, driver,
 def test_the_guarded_picard_pair_keeps_the_comparison_principle(data, lat, driver, utility, x0):
     xi, xi_up = data.draw(ordered_terminals(lat))
     _assert_ordered(lambda term: _picard_pi(lat, driver, utility, x0, term), xi, xi_up)
+
+
+def test_a_driver_with_neither_gradient_nor_homogeneity_is_refused_by_the_guard():
+    # the secant |g(z) - g(0)| / |z| of g = z^2 is |z|, half of |g_z|: with
+    # it, the terminal [0, 1.5] priced at 0.1875 and the larger [0, 1.6] at
+    # 0.16, unguarded, while |g_z| sqrt(dt) = 1.5 refuses the step
+    lat = build_binomial(0.25, 1)
+    with pytest.raises(StepSizeViolation, match="= 1.5 >= 1"):
+        solve_bsde(lat, custom_driver(lambda t, z: z * z, lambda t, z: 2.0 * z), [0.0, 1.5])
+    for top in (1.5, 1.6):
+        with pytest.raises(UnsupportedOperation, match="'custom'"):
+            solve_bsde(lat, custom_driver(lambda t, z: z * z), [0.0, top])
+
+
+def test_a_homogeneous_driver_without_a_gradient_sweeps_as_its_builtin():
+    # on the cone |g(t, z)| / |z| = |g(t, sign z)| is the exact slope
+    lat = build_binomial(1.0, 30)
+    terminal = np.abs(lat.w_values(30)) - 0.4 * lat.w_values(30)
+    cone = custom_driver(lambda t, z: 0.1 * np.abs(z), is_homogeneous=True)
+    got, want = solve_bsde(lat, cone, terminal), solve_bsde(lat, homogeneous_driver(0.1), terminal)
+    assert got.pi.flat.tobytes() == want.pi.flat.tobytes()
+    assert got.z.flat.tobytes() == want.z.flat.tobytes()

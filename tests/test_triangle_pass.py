@@ -138,6 +138,24 @@ def test_anderson_step_that_raises_the_residual_falls_back(monkeypatch):
     assert sol.x.sup_diff(ih.solve_fbsde_cara(lat, drv, 2.0, 0.0).x) <= 1e-12
 
 
+def test_a_singular_mixing_system_restarts_with_the_damped_step(monkeypatch):
+    lat = ih.build_binomial(1.0, 40)
+    drv = ih.drifted_quadratic_driver(1.0, 0.3)
+    utility = ih.cara_utility(1.7)
+    mixed = ih.solve_fbsde_picard(lat, drv, utility, 0.0, tol=1e-12)
+    assert (mixed.step_history, mixed.iterations) == (["damped", "anderson"], 3)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sol = ih.solve_fbsde_picard(lat, drv, utility, 0.0, tol=1e-12)
+    assert sol.converged and sol.iterations == 41
+    assert sol.step_history == ["damped"] + ["fallback"] * 39
+    for got, want in ((sol.x, mixed.x), (sol.zeta, mixed.zeta), (sol.h, mixed.h)):
+        assert got.sup_diff(want) <= 1e-15
+
+
 def test_singular_mixing_system_gives_no_anderson_step():
     x = np.zeros(5)
     f = np.ones(5)

@@ -28,7 +28,13 @@ from impact_hedger import (
     zero_driver,
 )
 from impact_hedger import valuegrid
-from impact_hedger.errors import ControlBracketExhausted, InvalidArgument, UnsupportedOperation
+from impact_hedger.errors import (
+    ConcavityViolation,
+    ControlBracketExhausted,
+    InvalidArgument,
+    InverseDomainError,
+    UnsupportedOperation,
+)
 
 DRIVER = drifted_quadratic_driver(1.0, 0.3)
 UTILITY = cara_utility(2.0)
@@ -110,7 +116,7 @@ def test_lv_operator_is_the_residual_operator(drv, ctrl):
     tg, xg = desk_grids(n_t=20, n_x=101)
     surf, _ = dp_value(tg, xg, drv, UTILITY, ctrl)
     k, i = 10, 50
-    resid, _ = valuegrid.residual_slice(surf, drv, k)
+    resid = valuegrid.residual_slice(surf, drv, k)
     lv, _ = lv_operator(surf, drv, tg.t(k), float(xg.x[i]))
     assert np.abs(surf.v_t[k, i] + lv).tobytes() == resid[i].tobytes()
 
@@ -221,6 +227,21 @@ def test_dp_homogeneous_no_trade_band():
     assert (lv, ups) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("kappa, eta, z_scale", [(0.05, 0.3, 1.0), (0.1, 0.5, 1.3), (0.2, -0.4, -0.7)])
+def test_homogeneous_holdings_switch_per_slice_not_per_wealth_point(kappa, eta, z_scale):
+    # theta = g(t, z_scale) V_x / (z_scale^2 V_xx) with V_x > 0 > V_xx: its
+    # sign is that of g(t, z_scale), so a slice trades everywhere or nowhere
+    # and the residual has no switch to leave out
+    tg, xg = desk_grids(n_t=40, n_x=161)
+    drv = custom_driver(lambda t, z: kappa * np.abs(z) - eta * (1.0 - t) * z, is_homogeneous=True)
+    surf, pol = dp_value(tg, xg, drv, UTILITY, ControlSpec(kind="homogeneous", z_scale=z_scale))
+    on = pol.theta_hat > 0
+    assert np.all(on.all(axis=1) | ~on.any(axis=1))
+    assert on.any() and not on.all()
+    rep = bspde_residual(surf, drv)
+    assert rep.max_residual == np.max(rep.rows[:, xg.interior])
+
+
 def test_dp_value_matches_certainty_equivalent():
     tg, xg = desk_grids()
     surf, pol = dp_value(tg, xg, DRIVER, UTILITY, INTERVAL)
@@ -326,6 +347,7 @@ def test_bridge_recovers_exponential_triple():
     sol = fbsde_from_surface(surf, pol, lat, UTILITY, 0.0, DRIVER)
     mkt = MarketSpec(gamma=1.0, eta=0.3, utility=UTILITY, x0=0.0)
     tri = exponential_triple(lat, mkt)
+    assert sol.theta is None  # holdings are recover_theta's
     assert abs(sol.zeta.root - 0.015) <= 1e-3
     assert sol.m.sup_abs() <= 1e-3
     assert sol.x.sup_diff(tri.x) <= 1e-3
@@ -360,3 +382,24 @@ def test_lv_operator_rejects_boundary_layer_points():
         lv_operator(surf, DRIVER, 0.5, xg.x_min)  # boundary-layer point
     with pytest.raises(InvalidArgument):
         lv_operator(surf, DRIVER, 0.5, 0.0071)  # off-grid wealth
+
+
+def test_a_convex_surface_is_refused_by_the_shape_check_and_the_operator():
+    tg, xg = desk_grids(n_t=10, n_x=101)
+    surf = ValueSurface(tg, xg, np.tile(np.exp(xg.x), (11, 1)), INTERVAL)
+    with pytest.raises(ConcavityViolation, match="not strictly concave at slice 0"):
+        surf.check_shape_in_wealth()
+    with pytest.raises(ConcavityViolation, match="V_xx must be negative"):
+        lv_operator(surf, DRIVER, 0.5, 0.0)
+    falling = ValueSurface(tg, xg, np.tile(-np.exp(xg.x), (11, 1)), INTERVAL)
+    with pytest.raises(ConcavityViolation, match="not increasing in wealth at slice 0"):
+        falling.check_shape_in_wealth()
+
+
+def test_the_bridge_refuses_a_surface_that_falls_at_the_start():
+    # no trade keeps the wealth at x0 = 0.5, where V = -x^2 has V_x = -1
+    tg, xg = desk_grids(n_t=10, n_x=101)
+    surf = ValueSurface(tg, xg, np.tile(-xg.x * xg.x, (11, 1)), INTERVAL)
+    idle = valuegrid.PolicySlice(upsilon=np.zeros((10, 101)), theta_hat=np.zeros((10, 101)))
+    with pytest.raises(InverseDomainError, match="V_x must be positive"):
+        fbsde_from_surface(surf, idle, build_binomial(1.0, 10), UTILITY, 0.5, DRIVER)
