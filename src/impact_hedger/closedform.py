@@ -233,12 +233,12 @@ def no_trade_solution(lattice: Lattice, driver, x0: float) -> FbsdeSolution | No
     if driver.kinked:
         # subgradient at 0 is [-g(t,-1), g(t,1)]
         applicable = all(
-            float(driver.eval(t, 1.0)) >= -tol and float(driver.eval(t, -1.0)) >= -tol
+            float(driver.g(t, 1.0)) >= -tol and float(driver.g(t, -1.0)) >= -tol
             for t in ts
         )
     else:
         applicable = all(
-            abs(float(driver.eval(t, 0.0))) <= tol
+            abs(float(driver.g(t, 0.0))) <= tol
             and abs(float(driver.grad(t, 0.0))) <= tol
             for t in ts
         )

@@ -46,14 +46,6 @@ class Driver:
         """Homogeneous with a kink at 0: solved on the unit-payoff cone, not by the FOC."""
         return not self.is_differentiable and self.is_homogeneous
 
-    def eval(self, t: float, z: float | np.ndarray) -> float | np.ndarray:
-        """Value g(t, z); vectorized over z."""
-        arr = np.asarray(z, dtype=float)
-        out = np.asarray(self.g(t, arr), dtype=float)
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return float(out)
-        return out
-
     def grad(self, t: float, z: float | np.ndarray) -> float | np.ndarray:
         """(Sub)gradient selection g_z(t, z).
 

@@ -134,17 +134,12 @@ class Lattice:
         self.grid = grid
         self.topology = topology
         if topology == FULL_BINARY:
-            # up-move counts per node, level by level
-            ups = [np.zeros(1, dtype=np.int64)]
-            for _ in range(grid.n_steps):
-                prev = ups[-1]
-                nxt = np.empty(2 * prev.size, dtype=np.int64)
-                nxt[0::2] = prev
-                nxt[1::2] = prev + 1
-                ups.append(nxt)
-            self._ups = ups
-        else:
-            self._ups = None
+            # node j's moves are the binary digits of j, so its up-count is
+            # their number of ones; node j of level k is terminal node j 2^(n-k)
+            self._terminal_ups = ups = np.zeros(1 << grid.n_steps, dtype=np.int64)
+            for i in range(grid.n_steps):  # j + 2^i has one more one than j < 2^i
+                np.add(ups[: 1 << i], 1, out=ups[1 << i : 2 << i])
+            ups.flags.writeable = False  # up_counts hands out views of it
         sizes = [self.level_size(k) for k in range(grid.n_steps + 1)]
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
 
@@ -165,7 +160,7 @@ class Lattice:
         self._check_level(k)
         if self.topology == RECOMBINING:
             return np.arange(k + 1, dtype=np.int64)
-        return self._ups[k]
+        return self._terminal_ups[:: 1 << (self.n_steps - k)]
 
     @cached_property
     def children(self) -> tuple[np.ndarray, np.ndarray]:

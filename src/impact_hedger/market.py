@@ -237,16 +237,18 @@ def expected_terminal_utility(
     written out here: only the last level is kept, where a whole process
     would hold 2^(n+1) nodes.
     """
-    if isinstance(z_levels, NodeProcess):
-        z_levels = z_levels.levels
+    if not isinstance(z_levels, NodeProcess):
+        z_levels = NodeProcess(lattice, z_levels)  # refuses a level of the wrong size
     grid = lattice.grid
     dt, sq = grid.dt, grid.sqrt_dt
     n = lattice.n_steps
+    if z_levels.n_levels < n:
+        raise InvalidArgument(f"the integrand has {z_levels.n_levels} levels, expected {n}")
     if getattr(utility, "kind", None) == "cara":
         gamma_a = utility.gamma_a
         phi = np.ones(lattice.level_size(n))
         for k in range(n - 1, -1, -1):
-            z = np.asarray(z_levels[k], dtype=float)
+            z = z_levels.levels[k]
             g = np.asarray(driver.g(grid.t(k), z), dtype=float)
             down, up = lattice.split_children(phi)
             inc_up = -g * dt + z * sq
@@ -259,7 +261,7 @@ def expected_terminal_utility(
     binary = lattice.expand_full_binary()
     gains = np.zeros(1)
     for k in range(n):
-        z_bin = lattice.lift_level(np.asarray(z_levels[k], dtype=float), k, binary)
+        z_bin = lattice.lift_level(z_levels.levels[k], k, binary)
         g_bin = np.asarray(driver.g(grid.t(k), z_bin), dtype=float)
         drift = gains - g_bin * dt
         gains, _ = binary.forward_level(drift - z_bin * sq, drift + z_bin * sq)

@@ -208,13 +208,9 @@ def solve_h(
     driver: Driver, utility: UtilitySpec, t: float, x: float, zeta: float, m: float
 ) -> float:
     """Root H of -U'(x+zeta) g_z(t, H) + U''(x+zeta) (H + m) = 0: the one-node
-    case of ``_h_level_general``, whose affine closed form checks no U''."""
-    w = x + zeta
-    if driver.affine_grad is not None:
-        with np.errstate(all="ignore"):  # refused just below
-            u1, u2 = float(utility.u1(np.asarray(w))), float(utility.u2(np.asarray(w)))
-        _refuse_u2(w, u1, u2, None)
-    return float(_h_level_general(driver, utility, t, np.array([w]), np.array([float(m)]))[0])
+    case of ``_h_level_general``."""
+    w, m = np.array([x + zeta]), np.array([m], float)
+    return float(_h_level_general(driver, utility, t, w, m)[0])
 
 
 @dataclass
@@ -267,9 +263,9 @@ def _h_level_cara(driver: Driver, utility: UtilitySpec, t: float, m: np.ndarray)
         a, b = coeffs
         return (-b - gamma_a * m) / (gamma_a + a)
     if driver.kinked:
-        # driver.eval(t, 1.0) is the right slope at 0, driver.eval(t, -1.0) minus the left one
-        h_pos = -m - float(driver.eval(t, 1.0)) / gamma_a
-        h_neg = -m + float(driver.eval(t, -1.0)) / gamma_a
+        # driver.g(t, 1.0) is the right slope at 0, driver.g(t, -1.0) minus the left one
+        h_pos = -m - float(driver.g(t, 1.0)) / gamma_a
+        h_neg = -m + float(driver.g(t, -1.0)) / gamma_a
         return np.where(h_neg < 0, h_neg, np.where(h_pos > 0, h_pos, 0.0))
     return _h_level_general(driver, utility, t, np.zeros_like(m), m)
 
@@ -282,30 +278,26 @@ def _h_level_general(
     m: np.ndarray,
     level: int | None = None,
 ) -> np.ndarray:
-    """Vectorized H at a level for wealth-plus-zeta w and projection m.
-
-    Affine gradients have a closed form, which refuses a psi1 that is not
-    finite, naming ``level``.  Otherwise the level's nodes are searched as
-    one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1, which holds the
-    root of a convex driver; the root must keep the linear-growth bound.
-    The first node's error is raised.
-    """
+    """Vectorized H at a level for wealth-plus-zeta w and projection m, at
+    nodes that pass ``_node_check`` (the first that fails is refused, naming
+    ``level``).  Affine gradients have a closed form.  Otherwise the nodes
+    are searched as one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1,
+    which holds the root of a convex driver; the root must keep the
+    linear-growth bound.  The first node's error is raised."""
     coeffs = driver.affine_grad_coeffs(t)
     if coeffs is not None:
+        u1, u2, psi1, count = _node_check(utility, w, m)
+        if count < w.size:
+            _refuse_node(count, w, m, u1, u2, psi1, level)
         a, b = coeffs
-        psi1 = np.asarray(utility.psi1(w))
-        if not np.isfinite(psi1).all():  # refused by name
-            _in_float_range(level, w, "U'/U''", utility.psi1)
         return (psi1 * b - m) / (1.0 - a * psi1)
     if not driver.is_differentiable:
         raise ContractViolation("the first-order condition requires a differentiable driver")
+    # a node's checks, in order: the node check, a bracket, the linear-growth
+    # bound; the nodes before the first to fail one are searched
+    u1, u2, psi1, count = _node_check(utility, w, m)
     with np.errstate(all="ignore"):  # a node out of float range is refused below
-        u1, u2, psi1 = (np.asarray(f(w), float) for f in (utility.u1, utility.u2, utility.psi1))
         reach = np.abs(m) + np.abs(psi1 * float(driver.grad(t, 0.0)))
-    # a node's checks, in order: U'' < 0, a finite node, a bracket, the
-    # linear-growth bound; the nodes before the first to fail one are searched
-    bad = (u2 >= 0) | ~(np.isfinite(w) & np.isfinite(m) & np.isfinite(psi1))
-    count = int(np.argmax(bad)) if bad.any() else bad.size
 
     def search(s: slice) -> np.ndarray:
         roots = _decreasing_root(
@@ -325,24 +317,40 @@ def _h_level_general(
         for j in range(count):
             search(slice(j, j + 1))
         raise
-    if count < bad.size:
-        _refuse_u2(w[count], u1[count], u2[count], level)
-        raise NumericOverflow(
-            f"first-order condition at a non-finite node: x + zeta = {w[count]:.6g}, "
-            f"M = {m[count]:.6g}, psi1 = {psi1[count]:.6g}"
-        )
+    if count < w.size:
+        _refuse_node(count, w, m, u1, u2, psi1, level)
     return roots
 
 
-def _refuse_u2(w: float, u1: float, u2: float, level: int | None) -> None:
-    """Refuse U'' = ``u2`` >= 0 at X + zeta = ``w``: a zero beside a finite U'
-    has underflowed (``NumericOverflow``), any other breaks concavity."""
-    if u2 == 0.0 and np.isfinite(u1):
+def _node_check(utility: UtilitySpec, w: np.ndarray, m: np.ndarray):
+    """U', U'' and psi1 = U'/U'' at the nodes' X + zeta = ``w``, and how many
+    leading nodes pass the check of every first-order rule: U'' < 0, then a
+    finite w, M and psi1."""
+    with np.errstate(all="ignore"):  # a failing node is refused by the caller
+        u1, u2 = np.asarray(utility.u1(w), float), np.asarray(utility.u2(w), float)
+        psi1 = u1 / u2
+        # the whole level first, as a per-node mask on every level slows
+        # Picard; a sum of finite values that overflows falls to the mask
+        if (u2 < 0).all() and np.isfinite(psi1 + m + w).all():
+            return u1, u2, psi1, w.size
+    bad = (u2 >= 0) | ~(np.isfinite(w) & np.isfinite(m) & np.isfinite(psi1))
+    return u1, u2, psi1, int(np.argmax(bad)) if bad.any() else w.size
+
+
+def _refuse_node(j: int, w, m, u1, u2, psi1, level: int | None) -> None:
+    """Refuse node ``j``, which failed ``_node_check``.  U'' = 0 beside a
+    finite U' has underflowed (``NumericOverflow``), any other U'' >= 0
+    breaks concavity; otherwise the node is not finite."""
+    if u2[j] == 0.0 and np.isfinite(u1[j]):
         at = "" if level is None else f" on level {level}"
-        msg = f"U'' is {float(u2)!r} at X + zeta = {w:.6g}{at}; it has underflowed"
+        msg = f"U'' is {float(u2[j])!r} at X + zeta = {w[j]:.6g}{at}; it has underflowed"
         raise NumericOverflow(msg, level=level)
-    if u2 >= 0:
+    if u2[j] >= 0:
         raise InvalidArgument("U'' must be negative at x + zeta")
+    raise NumericOverflow(
+        f"first-order condition at a non-finite node: x + zeta = {w[j]:.6g}, "
+        f"M = {m[j]:.6g}, psi1 = {psi1[j]:.6g}"
+    )
 
 
 def solve_fbsde_cara(lattice: Lattice, driver: Driver, gamma_a: float, x0: float) -> FbsdeSolution:
@@ -392,12 +400,16 @@ def _homogeneous_h_level(
     gm: np.ndarray,
     gp: np.ndarray,
     theta_plus: bool,
+    level: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Vectorized kinked first-order condition; returns (h, theta, ambiguous).
 
-    A node with ``zp == 0`` has no short branch.
+    Every node must pass ``_node_check``; the first that fails is refused,
+    naming ``level``.  A node with ``zp == 0`` has no short branch.
     """
-    psi1 = np.asarray(utility.psi1(w))
+    u1, u2, psi1, count = _node_check(utility, w, m)
+    if count < w.size:
+        _refuse_node(count, w, m, u1, u2, psi1, level)
     cand_long = (-zm * m + psi1 * gm) / (zm * zm)
     long_on = cand_long > 0
     theta = np.where(long_on, cand_long, 0.0)
@@ -583,15 +595,14 @@ def _picard_pass(
             zm, zp = z_minus.values(k), z_plus.values(k)
             gm, gp = np.asarray(driver.g(t, zm)), np.asarray(driver.g(t, zp))
             hk[...], theta.levels[k][...], amb = _homogeneous_h_level(
-                utility, w, m, zm, zp, gm, gp, theta_plus
+                utility, w, m, zm, zp, gm, gp, theta_plus, k
             )
             ambiguous = ambiguous or amb
         psi2 = np.asarray(utility.psi2(w))
         hm = hk + m
         slope = np.abs(hm) * (np.abs(psi2) + np.abs(psi2 - 1.0 / np.asarray(utility.psi1(w))))
-        if not np.isfinite(slope).all():  # a ratio out of float range is refused by name
+        if not np.isfinite(slope).all():  # psi2 out of float range is refused by name
             _in_float_range(k, w, "U'''/U''", utility.psi2)
-            _in_float_range(k, w, "U'/U''", utility.psi1)
         return -(0.5 * psi2 * hm**2 - np.asarray(driver.g(t, hk), dtype=float)), slope
 
     zeta, m = _backward_pair(lattice, step)
@@ -665,16 +676,15 @@ def verify_optimality(
 def _in_float_range(level, w: np.ndarray, name: str, fn: Callable) -> np.ndarray:
     """``fn(w)`` as floats at the wealth ``w`` = X + zeta, refused as
     ``NumericOverflow`` at its first node that is not finite.  ``level`` is
-    the lattice level of every node (an int, or None where it is not
-    known) or of each node (an array such as ``lattice.level_index``)."""
+    the lattice level of every node (an int) or of each node (an array such
+    as ``lattice.level_index``)."""
     with np.errstate(all="ignore"):  # refused just below
         values = np.asarray(fn(w), dtype=float)
     if not np.isfinite(values).all():
         i = int(np.argmax(~np.isfinite(values)))
-        at = level[i] if isinstance(level, np.ndarray) else level
-        where = "" if at is None else f" on level {at}"
-        msg = f"{name} is {values[i]} at X + zeta = {w[i]:.6g}{where}; it is out of float range"
-        raise NumericOverflow(msg, level=None if at is None else int(at))
+        at = int(level[i] if isinstance(level, np.ndarray) else level)
+        msg = f"{name} is {values[i]} at X + zeta = {w[i]:.6g} on level {at}"
+        raise NumericOverflow(f"{msg}; it is out of float range", level=at)
     return values
 
 

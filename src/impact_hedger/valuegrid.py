@@ -176,7 +176,7 @@ def _maximizer_row(
 
     if control.kind == "homogeneous":
         zs = control.z_scale
-        g_zs = float(driver.eval(t, zs))
+        g_zs = float(driver.g(t, zs))
         theta1 = g_zs * vx / (zs * zs * vxx)
         theta_hat = np.maximum(theta1, 0.0)
         return theta_hat * zs, theta_hat

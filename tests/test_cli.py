@@ -400,10 +400,10 @@ _EXPONENTIAL_DRIVER = "kind = drifted_quadratic\ngamma = 1.0\neta = 0.3\n"
 @pytest.mark.parametrize(
     ("driver", "far", "near", "named"),
     [
-        # the affine first-order root's psi1 = U'/U''
-        (_EXPONENTIAL_DRIVER, "372.2", "372.0", "U'/U'' is nan at X + zeta = 372.6"),
-        # the kinked driver's Picard pair, psi2 = U'''/U''
-        ("kind = homogeneous\nkappa = 0.1\n", "380.0", "372.2", "U'''/U'' is nan at X + zeta = 380"),
+        # the affine first-order root's node check
+        (_EXPONENTIAL_DRIVER, "372.2", "372.0", "U'' is -0.0 at X + zeta = 372.604 on level 19; it has underflowed"),
+        # the kinked first-order rule's node check
+        ("kind = homogeneous\nkappa = 0.1\n", "380.0", "372.2", "U'' is -0.0 at X + zeta = 380 on level 19; it has underflowed"),
     ],
     ids=["affine", "kinked"],
 )
@@ -411,8 +411,8 @@ def test_a_cara_desk_far_from_zero_wealth_names_the_ratio(
     tmp_path, capsys, command, driver, far, near, named
 ):
     # far from zero wealth CARA's U', U'' and U''' all underflow to 0, so the
-    # ratios are 0/0 in the Picard pass: the run names the ratio, the wealth
-    # X + zeta and the level, not only a sweep level
+    # ratios are 0/0 in the Picard pass: the first-order rule names U''
+    # underflowing, the wealth X + zeta and the level, not only a sweep level
     text = (SCENARIOS / "exponential.ini").read_text().replace("n_steps = 200", "n_steps = 20")
     text = text.replace(_EXPONENTIAL_DRIVER, driver)
     cfg = tmp_path / "far.ini"

@@ -40,10 +40,10 @@ def test_kinked_is_homogeneous_without_a_gradient(drv, kinked):
 
 
 def test_eval_examples():
-    assert zero_driver().eval(0.3, 17.0) == 0.0
+    assert zero_driver().g(0.3, 17.0) == 0.0
     # g = gamma z^2 / 2 - eta z at z = 0.1
-    assert drifted_quadratic_driver(1.0, 0.3).eval(0.0, 0.1) == pytest.approx(-0.025)
-    assert homogeneous_driver(0.1).eval(0.5, -2.0) == pytest.approx(0.2)
+    assert drifted_quadratic_driver(1.0, 0.3).g(0.0, 0.1) == pytest.approx(-0.025)
+    assert homogeneous_driver(0.1).g(0.5, -2.0) == pytest.approx(0.2)
 
 
 def test_grad_examples():
@@ -120,7 +120,7 @@ def test_entropic_equals_quadratic_exactly():
     ent = entropic_driver(gamma)
     quad = quadratic_driver(gamma / 2.0)
     z = np.linspace(-4, 4, 33)
-    np.testing.assert_array_equal(ent.eval(0.1, z), quad.eval(0.1, z))
+    np.testing.assert_array_equal(ent.g(0.1, z), quad.g(0.1, z))
 
 
 def test_homogeneity_scaling_identity():

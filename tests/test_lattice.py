@@ -1,18 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from impact_hedger import (
+    Lattice,
     NodeProcess,
     StateSde,
     build_binomial,
     build_full_binary,
+    custom_utility,
+    entropic_driver,
+    expected_terminal_utility,
+    piecewise_constant_strategy,
+    pnl_process,
+    simple_strategy_pnl,
     simulate_state,
     solve_bsde,
     zero_driver,
 )
 from impact_hedger.errors import InvalidArgument, ModeConflict
+from impact_hedger.lattice import FULL_BINARY, FULL_BINARY_MAX_STEPS
 
 
 def test_one_step_terminal_nodes():
@@ -99,6 +108,72 @@ def test_full_binary_child_ordering():
     # children of node j sit at 2j (down) and 2j+1 (up)
     assert w2.shape == (4,)
     np.testing.assert_allclose(w2, np.array([-2.0, 0.0, 0.0, 2.0]) * np.sqrt(0.5))
+
+
+EXP_MIX = custom_utility(
+    u=lambda x: -(np.exp(-x) + np.exp(-3.0 * x)) / 2.0,
+    u1=lambda x: (np.exp(-x) + 3.0 * np.exp(-3.0 * x)) / 2.0,
+    u2=lambda x: -(np.exp(-x) + 9.0 * np.exp(-3.0 * x)) / 2.0,
+    u3=lambda x: (np.exp(-x) + 27.0 * np.exp(-3.0 * x)) / 2.0,
+)
+
+
+def _per_level_up_counts(n):
+    """The table a full-binary lattice used to keep: level k + 1 interleaves
+    level k's up-counts (the down-children) with them plus one."""
+    ups = [np.zeros(1, dtype=np.int64)]
+    for _ in range(n):
+        nxt = np.empty(2 * ups[-1].size, dtype=np.int64)
+        nxt[0::2] = ups[-1]
+        nxt[1::2] = ups[-1] + 1
+        ups.append(nxt)
+    return ups
+
+
+def test_full_binary_pnl_keeps_the_bits_of_the_per_level_up_count_table(monkeypatch):
+    lat = build_binomial(1.0, 8)
+    drv = entropic_driver(1.0)
+    s = lat.w_values(8)
+    strat = piecewise_constant_strategy(lat, [(0, 0.5), (3, -0.3)])
+    z_levels = [0.1 + 0.05 * lat.w_values(k) for k in range(8)]
+
+    def run():
+        wp = pnl_process(lat, drv, s, strat, 0.2, y_grid=np.linspace(-1.0, 1.0, 41))
+        pnl = simple_strategy_pnl(lat, drv, s, strat)
+        eu = expected_terminal_utility(lat, drv, z_levels, 0.2, EXP_MIX)
+        return [a.tobytes() for a in (wp.x.flat, wp.gains.flat, wp.z_theta.flat, pnl, np.float64(eu))]
+
+    viewed = run()
+    table = _per_level_up_counts(8)
+    real = Lattice.up_counts
+
+    def from_table(self, k):
+        return table[k] if self.topology == FULL_BINARY else real(self, k)
+
+    monkeypatch.setattr(Lattice, "up_counts", from_table)
+    assert run() == viewed
+
+
+def test_full_binary_up_counts_are_views_of_one_row_equal_to_the_per_level_table():
+    table = _per_level_up_counts(FULL_BINARY_MAX_STEPS)  # level k is the same for every n >= k
+    for n in range(1, FULL_BINARY_MAX_STEPS + 1):
+        lat = build_full_binary(1.0, n)
+        row = lat.up_counts(n)
+        for k in range(n + 1):
+            ups = lat.up_counts(k)
+            assert ups.dtype == np.int64 and np.shares_memory(ups, row)
+            assert np.array_equal(ups, table[k]), (n, k)
+
+
+def test_a_full_binary_lattice_holds_one_up_count_row():
+    tracemalloc.start()
+    try:
+        lat = build_full_binary(1.0, FULL_BINARY_MAX_STEPS)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2^22 int64 row is 33.6e6 bytes; a table of every level held twice that
+    assert held < 40e6 and lat.n_steps == FULL_BINARY_MAX_STEPS
 
 
 def test_split_children_acts_row_by_row_on_a_stack():

@@ -10,6 +10,7 @@ from impact_hedger import (
     build_binomial,
     cara_utility,
     constant_strategy,
+    custom_utility,
     entropic_driver,
     expected_terminal_utility,
     homogeneous_driver,
@@ -260,3 +261,23 @@ def test_trade_by_trade_pnl_refuses_an_overflowing_book_by_name():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericOverflow, match=re.escape("book -y S at y = 1e+308")):
             simple_strategy_pnl(lat, entropic_driver(1.0), lat.w_values(4), strat)
+
+
+EXP_MIX = custom_utility(
+    u=lambda x: -(np.exp(-x) + np.exp(-3.0 * x)) / 2.0,
+    u1=lambda x: (np.exp(-x) + 3.0 * np.exp(-3.0 * x)) / 2.0,
+    u2=lambda x: -(np.exp(-x) + 9.0 * np.exp(-3.0 * x)) / 2.0,
+    u3=lambda x: (np.exp(-x) + 27.0 * np.exp(-3.0 * x)) / 2.0,
+)
+
+
+@pytest.mark.parametrize("utility", [cara_utility(2.0), EXP_MIX], ids=["cara", "enumerated"])
+def test_expected_utility_refuses_integrand_levels_of_the_wrong_size(utility):
+    lat = build_binomial(1.0, 4)
+    drv = entropic_driver(1.0)
+    # one node too long: the enumeration used to lift only the first k + 1
+    with pytest.raises(InvalidArgument, match="level 0 has size \\(2,\\), expected \\(1,\\)"):
+        expected_terminal_utility(lat, drv, [np.full(k + 2, 0.1) for k in range(4)], 0.0, utility)
+    with pytest.raises(InvalidArgument, match="3 levels, expected 4"):
+        expected_terminal_utility(lat, drv, [np.full(k + 1, 0.1) for k in range(3)], 0.0, utility)
+

@@ -224,8 +224,8 @@ def ref_h_level_cara(driver, gamma_a, t, m):
         a, b = coeffs
         return (-b - gamma_a * m) / (gamma_a + a)
     if driver.is_homogeneous and not driver.is_differentiable:
-        h_pos = -m - float(driver.eval(t, 1.0)) / gamma_a
-        h_neg = -m + float(driver.eval(t, -1.0)) / gamma_a
+        h_pos = -m - float(driver.g(t, 1.0)) / gamma_a
+        h_neg = -m + float(driver.g(t, -1.0)) / gamma_a
         out = np.where(h_pos > 0, h_pos, np.zeros_like(m))
         return np.where(h_neg < 0, h_neg, out)
     utility = cara_utility(gamma_a)
@@ -954,6 +954,45 @@ def test_an_underflowed_u2_on_a_searched_level_names_its_level():
     with pytest.raises(NumericOverflow, match="X \\+ zeta = 380 on level 7") as err:
         _h_level_general(_smooth_driver(0.1), cara_utility(2.0), 0.0, w, m, 7)
     assert err.value.level == 7
+
+
+def _first_order_entries(rule):
+    """The level and scalar entries of one first-order rule, each solving at
+    the nodes x + zeta = (0, 3.5), M = 0 or at the node 3.5 alone."""
+    w, m = np.array([0.0, 3.5]), np.zeros(2)
+    if rule == "kinked":
+        one = np.ones(2)
+        return (
+            lambda u, level: _homogeneous_h_level(u, w, m, one, -one, 0.1 * one, -0.3 * one, False, level),
+            lambda u: solve_h_homogeneous(1.0, -1.0, 0.1, -0.3, u, 3.5, 0.0, 0.0),
+        )
+    driver = _smooth_driver(0.1) if rule == "searched" else drifted_quadratic_driver(1.0, 0.3)
+    return (
+        lambda u, level: _h_level_general(driver, u, 0.0, w, m, level),
+        lambda u: solve_h(driver, u, 0.0, 3.5, 0.0, 0.0),
+    )
+
+
+@pytest.mark.parametrize("rule", ["searched", "affine", "kinked"])
+def test_every_first_order_rule_refuses_a_node_where_u2_is_positive(rule):
+    # BENT has U'' = 1 at x + zeta = 3.5; the affine closed form and the
+    # kinked rule used to solve there
+    level, scalar = _first_order_entries(rule)
+    with pytest.raises(InvalidArgument, match="U'' must be negative at x \\+ zeta"):
+        level(BENT, 4)
+    with pytest.raises(InvalidArgument, match="U'' must be negative at x \\+ zeta"):
+        scalar(BENT)
+
+
+@pytest.mark.parametrize("rule", ["searched", "affine", "kinked"])
+def test_every_first_order_rule_names_an_underflowed_u2_and_its_level(rule):
+    # CARA with gamma_a = 400 has U' = 0.0 and U'' = -0.0 at x + zeta = 3.5
+    level, scalar = _first_order_entries(rule)
+    with pytest.raises(NumericOverflow, match="U'' is -0.0 at X \\+ zeta = 3.5 on level 4") as err:
+        level(cara_utility(400.0), 4)
+    assert err.value.level == 4
+    with pytest.raises(NumericOverflow, match="U'' is -0.0 at X \\+ zeta = 3.5; it has underflowed"):
+        scalar(cara_utility(400.0))
 
 
 @pytest.mark.parametrize("x0", [1e3, -1e3])

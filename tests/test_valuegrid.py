@@ -305,7 +305,7 @@ def test_supermartingale_for_suboptimal_strategies():
     rng = np.random.default_rng(7)
     worst = -np.inf
     for c in rng.uniform(-0.5, 0.5, 10):
-        g = float(DRIVER.eval(0.0, c))
+        g = float(DRIVER.g(0.0, c))
         for k in range(100):
             wk = -g * lat.grid.t(k) + c * lat.w_values(k)
             wk1 = -g * lat.grid.t(k + 1) + c * lat.w_values(k + 1)
