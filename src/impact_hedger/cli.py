@@ -9,37 +9,29 @@ closedform  complete-market oracles (density, multiplier, explicit triple)
 value       dynamic-programming surface, operator residual and the bridge
 verify      cross-route consistency triangle
 
-Exit codes: 0 success, 2 config problems, 3 solver flags raised
-(partial outputs are still written), 4 numeric failure.
+Exit codes: 0 success, 2 config problems (a scenario larger than memory
+included), 3 solver flags raised (partial outputs are still written), 4
+numeric failure; any other exception ends the run with its traceback and
+Python's exit code 1, which report.json records too.
 """
 from __future__ import annotations
 
 import argparse
-import configparser
 import itertools
-import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
-# the solver modules are imported by the commands that call them, so
-# `--help` and each command compile only the code they run
-from .driver import (
-    drifted_quadratic_driver,
-    entropic_driver,
-    homogeneous_driver,
-    linear_driver,
-    quadratic_driver,
-    zero_driver,
-)
+# numpy, the driver constructors, the solver modules and the stdlib's INI and
+# JSON modules are imported by the functions that call them, so `--help` and
+# a usage error load none of them and each command compiles only the code it
+# runs
 from .errors import ImpactHedgerError, InvalidArgument
 
 EXIT_OK = 0
+EXIT_UNCAUGHT = 1  # Python's own exit code on an exception nothing catches
 EXIT_CONFIG = 2
 EXIT_FLAGS = 3
 EXIT_NUMERIC = 4
@@ -52,8 +44,10 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str):
     """'lo:hi:n' linspace form or a comma-separated list: one entry or more, all finite."""
+    import numpy as np
+
     text = text.strip()
     if ":" in text:
         lo, hi, n = text.split(":")
@@ -81,19 +75,20 @@ _ANY = (None, None)
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _COUNT = (lambda n: n >= 1, "must be at least 1")
 _SORTED = (
-    lambda g: g.size >= 2 and bool(np.all(np.diff(g) > 0)),
+    lambda g: g.size >= 2 and bool((g[1:] > g[:-1]).all()),
     "y_grid must be sorted with at least 2 points",
 )
 _FORMATS = (lambda f: bool(f) and set(f) <= {"csv", "json"}, "list csv, json or both")
 
-# driver kind -> (constructor, its [driver] keys, each a finite float)
+# driver kind -> (its constructor's name in `driver`, its [driver] keys,
+# each a finite float)
 _DRIVERS = {
-    "zero": (zero_driver, ()),
-    "linear": (linear_driver, ("nu",)),
-    "quadratic": (quadratic_driver, ("alpha",)),
-    "entropic": (entropic_driver, ("gamma",)),
-    "drifted_quadratic": (drifted_quadratic_driver, ("gamma", "eta")),
-    "homogeneous": (homogeneous_driver, ("kappa",)),
+    "zero": ("zero_driver", ()),
+    "linear": ("linear_driver", ("nu",)),
+    "quadratic": ("quadratic_driver", ("alpha",)),
+    "entropic": ("entropic_driver", ("gamma",)),
+    "drifted_quadratic": ("drifted_quadratic_driver", ("gamma", "eta")),
+    "homogeneous": ("homogeneous_driver", ("kappa",)),
 }
 
 # one row per scenario key: (section, key, attribute, cast, default, check,
@@ -136,16 +131,18 @@ class ScenarioConfig(SimpleNamespace):
     def echo(self) -> dict:
         """The scenario as ``report.json`` records it; [price] and [outputs] are left out."""
         d = {"driver": {"kind": self.driver_kind, **self.driver_params}}
-        for section, key, attribute, *_ in _KEYS:
+        for section, key, attribute, cast, *_ in _KEYS:
             if section in ("utility", "market", "numerics"):
                 value = getattr(self, attribute)
-                if isinstance(value, np.ndarray):
+                if cast is _parse_grid:  # an array, recorded as a list
                     value = value.tolist()
                 d.setdefault(section, {})[key] = value
         return d
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -202,7 +199,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def _build_driver(cfg: ScenarioConfig):
-    return _DRIVERS[cfg.driver_kind][0](**cfg.driver_params)
+    from . import driver
+
+    return getattr(driver, _DRIVERS[cfg.driver_kind][0])(**cfg.driver_params)
 
 
 def _build_lattice(cfg: ScenarioConfig):
@@ -213,6 +212,8 @@ def _build_lattice(cfg: ScenarioConfig):
 
 def _build_payoff(cfg: ScenarioConfig, lattice):
     """Payoff S and book H_M (None if zero); the Markov presets share one state."""
+    import numpy as np
+
     from .lattice import StateSde, simulate_state
 
     if cfg.payoff == "markov_linear" or cfg.h_m == "markov_square":
@@ -239,10 +240,12 @@ def _build_payoff(cfg: ScenarioConfig, lattice):
 _CSV_BLOCK_CELLS = 1 << 13
 
 
-def _repeated_bits(col: np.ndarray, n_rows: int):
+def _repeated_bits(col, n_rows: int):
     """A column's distinct values and, in the narrowest integer type, the
     index of each cell among them; None if there are ``n_rows / 2`` or more.
     Distinct means distinct bits, so ``-0.0`` and ``0.0`` stay apart."""
+    import numpy as np
+
     bits = col.view(np.int64)
     # counted on a plain sort, which is cheaper than np.unique's: most
     # columns of a surface are all distinct and need no index
@@ -272,6 +275,8 @@ def _write_csv(path: Path, header: list[str], *parts) -> None:
     A non-finite cell of any part is refused before the file is opened, so
     a failed write leaves no partial table behind.
     """
+    import numpy as np
+
     tables = []
     for columns in parts:
         cols = [np.asarray(c, dtype=float) for c in columns]
@@ -285,7 +290,7 @@ def _write_csv(path: Path, header: list[str], *parts) -> None:
             _write_rows(fh, cols, shape)
 
 
-def _write_rows(fh, cols: list[np.ndarray], shape: tuple[int, ...]) -> None:
+def _write_rows(fh, cols: list, shape: tuple[int, ...]) -> None:
     """Write the rows of one part: the cells of ``shape`` in C order, one
     value per column of ``cols`` (each broadcast to ``shape``).
 
@@ -299,6 +304,8 @@ def _write_rows(fh, cols: list[np.ndarray], shape: tuple[int, ...]) -> None:
     index of that axis).  One take of the pool puts a block in table order;
     it then gets its separators and is written without its NUL padding.
     """
+    import numpy as np
+
     from .g17 import SLOT, g17_slots
 
     n_rows, n_cols = math.prod(shape), len(cols)
@@ -359,6 +366,8 @@ def _solution_rows(lattice, sol) -> tuple[list, list]:
     whole-lattice buffers: levels 0..n-1, then the terminal level, whose m,
     theta and h read 0.  theta reads 0 throughout when the route recovered
     no holdings."""
+    import numpy as np
+
     level = lattice.level_index
     inner = lattice.offsets[-2]  # the nodes of levels 0..n-1
     nodes = (level, np.arange(level.size) - lattice.offsets[level], sol.x.flat, sol.zeta.flat)
@@ -373,21 +382,27 @@ def _emit(cfg, out_dir: Path, report: RunReport, name: str, header: list[str], *
         report.files.append(name)
 
 
-@dataclass
-class RunReport:
-    """Everything the scenario run produced, JSON-serializable."""
+class RunReport(SimpleNamespace):
+    """Everything the scenario run produced, JSON-serializable.  A plain
+    namespace, as importing ``dataclasses`` would add a sixth to the
+    start-up of ``--help``."""
 
-    command: str
-    scenario: dict
-    results: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    files: list[str] = field(default_factory=list)
-    timing_seconds: float = 0.0
-    exit_code: int = EXIT_OK
+    def __init__(self, command: str, scenario: dict):
+        super().__init__(
+            command=command,
+            scenario=scenario,
+            results={},
+            residuals={},
+            flags={},
+            files=[],
+            timing_seconds=0.0,
+            exit_code=EXIT_OK,
+        )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        import json
+
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def _report_residuals(rep) -> dict:
@@ -402,6 +417,8 @@ def _report_residuals(rep) -> dict:
 
 
 def _cmd_gexp(cfg, out_dir: Path, report: RunReport) -> None:
+    import numpy as np
+
     from .gexpect import solve_bsde
 
     lattice = _build_lattice(cfg)
@@ -502,6 +519,8 @@ def _cmd_solve(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
+    import numpy as np
+
     from .closedform import (
         MarketSpec,
         budget_lambda,
@@ -541,6 +560,8 @@ def _cmd_closedform(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
+    import numpy as np
+
     from .lattice import ControlSpec, TimeGrid, WealthGrid
     from .optimizer import cara_utility
     from .valuegrid import bspde_residual, dp_value, fbsde_from_surface
@@ -581,6 +602,8 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
 
 
 def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:
+    import numpy as np
+
     from .closedform import MarketSpec, exponential_triple
     from .optimizer import cara_utility
 
@@ -642,10 +665,12 @@ _BOOK_COMMANDS = ("gexp", "price")
 
 
 # exit code by error class, looked up along the class hierarchy: an unusable
-# output path is a config error, and Python floats raise OverflowError
+# output path and a scenario larger than memory are config errors, and
+# Python floats raise OverflowError
 _EXIT_CODES = {
     InvalidArgument: EXIT_CONFIG,
     OSError: EXIT_CONFIG,
+    MemoryError: EXIT_CONFIG,
     ImpactHedgerError: EXIT_NUMERIC,
     OverflowError: EXIT_NUMERIC,
 }
@@ -670,6 +695,9 @@ def run(command: str, config_path: str | Path, out_dir: str | Path) -> RunReport
         _COMMANDS[command](cfg, out, report)
     except tuple(_EXIT_CODES) as exc:
         report.exit_code = _exit_code(exc)
+        raise
+    except BaseException:  # the process ends on it, so the report must not read 0
+        report.exit_code = EXIT_UNCAUGHT
         raise
     finally:
         report.timing_seconds = time.perf_counter() - started
@@ -696,7 +724,10 @@ def main(argv: list[str] | None = None) -> int:
         report = run(args.command, args.config, args.out)
     except tuple(_EXIT_CODES) as exc:
         code = _exit_code(exc)
-        print(f"{'config' if code == EXIT_CONFIG else 'numeric'} error: {exc}", file=sys.stderr)
+        what = exc
+        if isinstance(exc, MemoryError):  # numpy's names the allocation, a bare one nothing
+            what = f"out of memory: {exc}" if str(exc) else "out of memory"
+        print(f"{'config' if code == EXIT_CONFIG else 'numeric'} error: {what}", file=sys.stderr)
         return code
     if report.exit_code != EXIT_OK:
         print(f"completed with flags: {report.flags}", file=sys.stderr)

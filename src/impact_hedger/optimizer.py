@@ -277,16 +277,18 @@ def _h_level_general(
     w: np.ndarray,
     m: np.ndarray,
     level: int | None = None,
+    checked: tuple | None = None,
 ) -> np.ndarray:
     """Vectorized H at a level for wealth-plus-zeta w and projection m, at
     nodes that pass ``_node_check`` (the first that fails is refused, naming
-    ``level``).  Affine gradients have a closed form.  Otherwise the nodes
-    are searched as one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1,
-    which holds the root of a convex driver; the root must keep the
-    linear-growth bound.  The first node's error is raised."""
+    ``level``; ``checked`` is that check's result if the caller has it).
+    Affine gradients have a closed form.  Otherwise the nodes are searched
+    as one array, each from |H| <= |m| + |psi1 g_z(t, 0)| + 1, which holds
+    the root of a convex driver; the root must keep the linear-growth
+    bound.  The first node's error is raised."""
+    u1, u2, psi1, count = checked or _node_check(utility, w, m)
     coeffs = driver.affine_grad_coeffs(t)
     if coeffs is not None:
-        u1, u2, psi1, count = _node_check(utility, w, m)
         if count < w.size:
             _refuse_node(count, w, m, u1, u2, psi1, level)
         a, b = coeffs
@@ -295,7 +297,6 @@ def _h_level_general(
         raise ContractViolation("the first-order condition requires a differentiable driver")
     # a node's checks, in order: the node check, a bracket, the linear-growth
     # bound; the nodes before the first to fail one are searched
-    u1, u2, psi1, count = _node_check(utility, w, m)
     with np.errstate(all="ignore"):  # a node out of float range is refused below
         reach = np.abs(m) + np.abs(psi1 * float(driver.grad(t, 0.0)))
 
@@ -401,13 +402,15 @@ def _homogeneous_h_level(
     gp: np.ndarray,
     theta_plus: bool,
     level: int | None = None,
+    checked: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Vectorized kinked first-order condition; returns (h, theta, ambiguous).
 
-    Every node must pass ``_node_check``; the first that fails is refused,
-    naming ``level``.  A node with ``zp == 0`` has no short branch.
+    Every node must pass ``_node_check`` (``checked``, if the caller has
+    its result); the first that fails is refused, naming ``level``.  A node
+    with ``zp == 0`` has no short branch.
     """
-    u1, u2, psi1, count = _node_check(utility, w, m)
+    u1, u2, psi1, count = checked or _node_check(utility, w, m)
     if count < w.size:
         _refuse_node(count, w, m, u1, u2, psi1, level)
     cand_long = (-zm * m + psi1 * gm) / (zm * zm)
@@ -575,7 +578,8 @@ def _picard_pass(
     at w = X + E_k[zeta_{k+1}], the sweep's level mean; the sweep's driver
     is -f, so its ``cond - (-f) dt`` is ``cond + f dt`` bit for bit.  The
     step-size guard takes |df/dM| <= |H + M| (|psi2| + |psi2 - 1/psi1|),
-    since -1 <= dH/dM <= 0 for a convex driver and U'' < 0 < U'."""
+    since -1 <= dH/dM <= 0 for a convex driver and U'' < 0 < U'; U'' and
+    psi1 are the first-order rule's own, from its node check."""
     grid = lattice.grid
     off = lattice.offsets
     h = NodeProcess.empty(lattice, lattice.n_steps)
@@ -588,19 +592,21 @@ def _picard_pass(
         m = -z
         w = x_iter[off[k] : off[k + 1]] + cond
         hk = h.levels[k]
+        checked = _node_check(utility, w, m)
         if kink is None:
-            hk[...] = _h_level_general(driver, utility, t, w, m, k)
+            hk[...] = _h_level_general(driver, utility, t, w, m, k, checked)
         else:
             z_minus, z_plus, theta_plus = kink
             zm, zp = z_minus.values(k), z_plus.values(k)
             gm, gp = np.asarray(driver.g(t, zm)), np.asarray(driver.g(t, zp))
             hk[...], theta.levels[k][...], amb = _homogeneous_h_level(
-                utility, w, m, zm, zp, gm, gp, theta_plus, k
+                utility, w, m, zm, zp, gm, gp, theta_plus, k, checked
             )
             ambiguous = ambiguous or amb
-        psi2 = np.asarray(utility.psi2(w))
+        _, u2, psi1, _ = checked
+        psi2 = np.asarray(utility.u3(w)) / u2
         hm = hk + m
-        slope = np.abs(hm) * (np.abs(psi2) + np.abs(psi2 - 1.0 / np.asarray(utility.psi1(w))))
+        slope = np.abs(hm) * (np.abs(psi2) + np.abs(psi2 - 1.0 / psi1))
         if not np.isfinite(slope).all():  # psi2 out of float range is refused by name
             _in_float_range(k, w, "U'''/U''", utility.psi2)
         return -(0.5 * psi2 * hm**2 - np.asarray(driver.g(t, hk), dtype=float)), slope

@@ -215,6 +215,39 @@ def test_config_error_inside_command_reports_exit_2(tmp_path):
     assert payload["exit_code"] == proc.returncode
 
 
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        ("MemoryError('Unable to allocate 149. GiB')", EXIT_CONFIG, "config error: out of memory: Unable to allocate"),
+        ("MemoryError()", EXIT_CONFIG, "config error: out of memory\n"),
+        ("RuntimeError('not mapped')", 1, "RuntimeError: not mapped"),
+        ("KeyError('lost')", 1, "KeyError: 'lost'"),
+    ],
+    ids=["numpy_memory_error", "bare_memory_error", "runtime_error", "key_error"],
+)
+def test_an_error_inside_a_command_leaves_a_report_that_agrees_with_the_exit(tmp_path, error, code, message):
+    # the command is replaced by one that raises: a scenario too large for
+    # memory exits 2 without a traceback, and an exception with no exit code
+    # of its own ends the process as Python does, in exit 1, with the report
+    # saying so rather than 0
+    cfg = _small_desk(tmp_path)
+    out = tmp_path / "o"
+    script = (
+        "import sys\n"
+        "from impact_hedger import cli\n"
+        "def command(cfg, out_dir, report):\n"
+        f"    raise {error}\n"
+        "cli._COMMANDS['gexp'] = command\n"
+        "raise SystemExit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["gexp", "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert ("Traceback" in proc.stderr) == (code == 1)
+    assert json.loads((out / "report.json").read_text())["exit_code"] == code
+
+
 @pytest.mark.parametrize("case", ["names_a_file", "lies_under_a_file"])
 def test_an_unusable_output_directory_exits_2(tmp_path, capsys, case):
     cfg = _small_desk(tmp_path)

@@ -1,8 +1,8 @@
 """The package loads each module on first use.
 
-``import impact_hedger`` runs no solver module, ``--help`` loads only the
-CLI, its errors and the driver constructors, and each command loads only
-the modules it calls.  The package's names stay the ones it exported
+``import impact_hedger`` runs no solver module, ``--help`` and a usage
+error load only the CLI and its errors, with no numpy, and each command
+loads only the modules it calls.  The package's names stay the ones it exported
 before its exports were made lazy, each bound to the same object.
 """
 import importlib
@@ -38,9 +38,9 @@ EXPORTS = [
 ]
 SUBMODULES = {"closedform", "driver", "errors", "gexpect", "lattice", "market", "optimizer", "valuegrid"}
 
-# the package modules besides cli, errors and driver; a command loads each
-# one that NOT_LOADED does not name for it
-MODULES = {"closedform", "g17", "gexpect", "lattice", "market", "optimizer", "valuegrid"}
+# the package modules besides cli and errors; a command loads each one that
+# NOT_LOADED does not name for it
+MODULES = {"closedform", "driver", "g17", "gexpect", "lattice", "market", "optimizer", "valuegrid"}
 # solver modules each command must not load
 NOT_LOADED = {
     "gexp": {"market", "optimizer", "closedform", "valuegrid"},
@@ -105,18 +105,37 @@ def test_import_loads_no_solver_and_star_import_binds_every_name():
     assert names == EXPORTS
 
 
-def test_help_loads_only_the_cli_errors_and_driver():
-    script = (
+def _main_exits(argv: list[str], code: int) -> str:
+    """A script that runs ``cli.main(argv)``, checks it exits ``code``, and
+    prints what it loaded."""
+    return (
         "import json, sys\n"
         "from impact_hedger import cli\n"
         "try:\n"
-        "    cli.main(['--help'])\n"
+        f"    cli.main({argv!r})\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n" + _LOADED
+        f"    assert exc.code == {code}, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('main returned')\n" + _LOADED
     )
-    loaded, scipy, numpy = _python(script)
-    assert loaded == ["impact_hedger", "impact_hedger.cli", "impact_hedger.driver", "impact_hedger.errors"]
-    assert scipy == [] and numpy
+
+
+def test_help_loads_only_the_cli_and_its_errors():
+    loaded, scipy, numpy = _python(_main_exits(["--help"], 0))
+    assert loaded == ["impact_hedger", "impact_hedger.cli", "impact_hedger.errors"]
+    assert scipy == [] and not numpy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["warp", "--config", "x.ini"], ["solve"], [], ["solve", "--config", "x.ini", "--threads", "2"]],
+    ids=["unknown_command", "missing_config", "no_command", "unknown_option"],
+)
+def test_a_usage_error_exits_2_without_loading_numpy(argv):
+    # argparse refuses these before a config is read
+    loaded, scipy, numpy = _python(_main_exits(argv, 2))
+    assert loaded == ["impact_hedger", "impact_hedger.cli", "impact_hedger.errors"]
+    assert scipy == [] and not numpy
 
 
 @pytest.mark.parametrize("command", sorted(NOT_LOADED))
@@ -134,7 +153,7 @@ def test_each_command_loads_only_its_modules(tmp_path, command):
     configs = [str(p) for p in sorted(SCENARIOS.glob("*.ini"))]
     assert len(configs) == 4
     loaded, scipy, _ = _python(script, command, str(tmp_path), *configs)
-    own = {"cli", "errors", "driver"} | (MODULES - NOT_LOADED[command])
+    own = {"cli", "errors"} | (MODULES - NOT_LOADED[command])
     assert loaded == sorted(["impact_hedger", *(f"impact_hedger.{m}" for m in own)])
     assert scipy == []
 
@@ -144,10 +163,10 @@ def _lines(module: str) -> int:
 
 
 def test_the_readme_counts_the_lines_each_command_compiles():
-    # a row counts __init__, cli, errors, driver and the modules it names,
-    # which are the ones the command loads
+    # a row counts __init__, cli, errors and the modules it names, which are
+    # the ones the command loads
     lines = (ROOT / "README.md").read_text().splitlines()
-    head = "| command | modules loaded besides `cli`, `errors` and `driver` | lines compiled |"
+    head = "| command | modules loaded besides `cli` and `errors` | lines compiled |"
     rows = []
     for line in lines[lines.index(head) + 2 :]:
         if not line.startswith("|"):
@@ -159,7 +178,7 @@ def test_the_readme_counts_the_lines_each_command_compiles():
         listed = set(re.findall(r"`([^`]+)`", modules))
         for name in names:
             assert listed == (set() if name == "--help" else MODULES - NOT_LOADED[name]), name
-        own = ["__init__", "cli", "errors", "driver", *sorted(listed)]
+        own = ["__init__", "cli", "errors", *sorted(listed)]
         assert int(count.replace(",", "")) == sum(map(_lines, own)), names
         seen.update(names)
     assert seen == {"--help", *NOT_LOADED}
