@@ -241,21 +241,31 @@ _CSV_BLOCK_CELLS = 1 << 13
 
 
 def _repeated_bits(col, n_rows: int):
-    """A column's distinct values and, in the narrowest integer type, the
-    index of each cell among them; None if there are ``n_rows / 2`` or more.
-    Distinct means distinct bits, so ``-0.0`` and ``0.0`` stay apart."""
+    """A column's distinct bit patterns (sorted, as ``int64``) and, in the
+    narrowest integer type, the index of each cell among them; None if
+    there are ``n_rows / 2`` or more.  Distinct means distinct bits, so
+    ``-0.0`` and ``0.0`` stay apart."""
     import numpy as np
 
     bits = col.view(np.int64)
-    # counted on a plain sort, which is cheaper than np.unique's: most
-    # columns of a surface are all distinct and need no index
+    # counted on a plain sort, cheaper than an argsort: most columns of a
+    # surface are all distinct and need no index
     ordered = np.sort(bits, axis=None)
-    if 2 * (ordered[:1].size + np.count_nonzero(ordered[1:] != ordered[:-1])) >= n_rows:
+    first = np.empty(ordered.size, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) >= n_rows:
         return None
+    values = ordered[first]
     del ordered
-    values, inverse = np.unique(bits, return_inverse=True)
-    inverse = inverse.reshape(col.shape).astype(np.min_scalar_type(values.size))
-    return values.view(np.float64), inverse
+    # any sorting permutation orders the bits as the sort did; cell
+    # perm[i] is then of distinct value cumsum(first)[i] - 1
+    narrow = np.min_scalar_type(values.size)
+    inverse = np.empty(col.shape, narrow)
+    rank = np.cumsum(first, dtype=narrow)
+    rank -= 1
+    inverse.reshape(-1)[np.argsort(bits, axis=None)] = rank
+    return values, inverse
 
 
 def _write_csv(path: Path, header: list[str], *parts) -> None:
@@ -298,8 +308,12 @@ def _write_rows(fh, cols: list, shape: tuple[int, ...]) -> None:
     column whose own array has fewer distinct bit patterns than half the
     rows (level, node, ``t``, ``x``, a zero or constant field) has each
     distinct value formatted once, into a pool of slots, and keeps its
-    inverse index in the narrowest integer type; the other columns are
-    formatted a block at a time, after the pool.  A block is a run of the
+    inverse index in the narrowest integer type; a pooled column with the
+    same distinct bit patterns as an earlier one shares its slots (the
+    ``theta_hat`` of a unit payoff slope is its ``upsilon``).  The other
+    columns are formatted a block at a time, after the pool.  Besides the
+    pool and the inverses, a write holds one sort of one column at a time
+    and the index, slots and bytes of one block.  A block is a run of the
     leading axis of at most ``_CSV_BLOCK_CELLS`` cells (never less than one
     index of that axis).  One take of the pool puts a block in table order;
     it then gets its separators and is written without its NUL padding.
@@ -321,20 +335,21 @@ def _write_rows(fh, cols: list, shape: tuple[int, ...]) -> None:
         found = _repeated_bits(col, n_rows)
         if found is None:
             direct[j] = np.broadcast_to(col, shape)
-        else:
-            values, inverse = found
-            pooled[j] = (size, np.broadcast_to(inverse, shape))
-            distinct.append(values)
+            continue
+        values, inverse = found
+        # the first pool of the same bit patterns, else a new one
+        offset = next((at for at, seen in distinct if np.array_equal(seen, values)), size)
+        if offset == size:
+            distinct.append((size, values))
             size += values.size
+        pooled[j] = (offset, np.broadcast_to(inverse, shape))
     n_block = min(lead, shape[0]) * inner
     pool = np.empty(size + n_block * len(direct), slot)
-    if distinct:
-        values = np.concatenate(distinct)
-        del distinct
-        for start in range(0, size, _CSV_BLOCK_CELLS):
-            part = slice(start, min(start + _CSV_BLOCK_CELLS, size))
-            pool[part] = g17_slots(values[part]).view(slot).ravel()
-        del values
+    for offset, values in distinct:
+        values = values.view(np.float64)
+        for start in range(0, values.size, _CSV_BLOCK_CELLS):
+            part = values[start : start + _CSV_BLOCK_CELLS]
+            pool[offset + start : offset + start + part.size] = g17_slots(part).view(slot).ravel()
     direct_at = size + np.arange(n_block * len(direct)).reshape(n_block, len(direct))
     ends = np.full(n_cols, ord(","), np.uint8)
     ends[-1] = ord("\n")
@@ -577,10 +592,21 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     control = ControlSpec(kind=kind, z_lo=cfg.z_lo, z_hi=cfg.z_hi, z_scale=payoff_slope)
     surface, policy = dp_value(tgrid, xgrid, driver, utility, control)
     resid = bspde_residual(surface, driver)
-    lattice = _build_lattice(cfg)
-    bridge = fbsde_from_surface(surface, policy, lattice, utility, cfg.x0, driver)
-
+    bridge = fbsde_from_surface(surface, policy, _build_lattice(cfg), utility, cfg.x0, driver)
+    # the bridge's figures are taken and its lattice buffers let go before
+    # the table is written, whose scratch then reuses their memory; the
+    # report still gets them only once the table is written
     x = xgrid.x
+    i0 = int(np.argmin(np.abs(x - cfg.x0)))
+    results = {
+        "value_at_x0": surface.v[0, i0],
+        "bspde_residual": resid.max_residual,
+        "bridge_zeta0": bridge.zeta.root,
+        "bridge_m_sup": bridge.m.sup_abs(),
+    }
+    residuals = _report_residuals(bridge.residuals)
+    del bridge
+
     n_t = tgrid.n_steps
     # one row per slice k < n_t and interior wealth point, slice by slice:
     # the columns are views that broadcast to (n_t, interior points)
@@ -589,16 +615,8 @@ def _cmd_value(cfg, out_dir: Path, report: RunReport) -> None:
     columns = ((np.arange(n_t) * tgrid.dt)[:, None], x[xgrid.interior], *(a[cells] for a in fields))
     header = ["t", "x", "V", "Vx", "Vxx", "upsilon", "theta_hat", "residual"]
     _emit(cfg, out_dir, report, "value.csv", header, columns)
-    i0 = int(np.argmin(np.abs(x - cfg.x0)))
-    report.results.update(
-        {
-            "value_at_x0": surface.v[0, i0],
-            "bspde_residual": resid.max_residual,
-            "bridge_zeta0": bridge.zeta.root,
-            "bridge_m_sup": bridge.m.sup_abs(),
-        }
-    )
-    report.residuals.update(_report_residuals(bridge.residuals))
+    report.results.update(results)
+    report.residuals.update(residuals)
 
 
 def _cmd_verify(cfg, out_dir: Path, report: RunReport) -> None:

@@ -24,6 +24,10 @@ from .errors import (
 from .lattice import ControlSpec, Lattice, NodeProcess, TimeGrid, WealthGrid, _forward_wealth
 from .optimizer import FbsdeSolution, UtilitySpec, _decreasing_root, verify_optimality
 
+# surface slices per block of a whole-surface pass: bounds the scratch of
+# the shape check and of the bridge's reads
+_ROW_BLOCK = 16
+
 
 @dataclass
 class ValueSurface:
@@ -52,24 +56,31 @@ class ValueSurface:
             self.v_xx = _central_second(self.v, self.xgrid.dx)
         if self.v_t is None:
             self.v_t = np.zeros_like(self.v)
-            self.v_t[1:-1] = (self.v[2:] - self.v[:-2]) / (2.0 * self.tgrid.dt)
+            inner = self.v_t[1:-1]
+            np.subtract(self.v[2:], self.v[:-2], out=inner)
+            inner /= 2.0 * self.tgrid.dt
 
     def check_shape_in_wealth(self) -> None:
-        """Interior monotonicity and strict concavity in x, with slack 1e-10."""
-        rows = self.v[:, self.xgrid.interior]
-        falls = np.any(np.diff(rows) <= -1e-10, axis=1)
-        bends = np.any(np.diff(rows, n=2) >= 1e-10, axis=1)
-        bad = np.flatnonzero(falls | bends)
-        if bad.size:
-            k = bad[0]
-            shape = "increasing in wealth" if falls[k] else "strictly concave"
-            raise ConcavityViolation(f"surface not {shape} at slice {k}")
+        """Interior monotonicity and strict concavity in x, with slack 1e-10,
+        checked ``_ROW_BLOCK`` slices at a time."""
+        interior = self.xgrid.interior
+        for k0 in range(0, self.v.shape[0], _ROW_BLOCK):
+            rows = self.v[k0 : k0 + _ROW_BLOCK, interior]
+            falls = np.any(np.diff(rows) <= -1e-10, axis=1)
+            bends = np.any(np.diff(rows, n=2) >= 1e-10, axis=1)
+            bad = np.flatnonzero(falls | bends)
+            if bad.size:
+                k = bad[0]
+                shape = "increasing in wealth" if falls[k] else "strictly concave"
+                raise ConcavityViolation(f"surface not {shape} at slice {k0 + k}")
 
 
 def _central_first(v: np.ndarray, dx: float) -> np.ndarray:
     """Central first difference along the last (wealth) axis, one-sided at the ends."""
     out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
+    inner = out[..., 1:-1]  # worked in place: no scratch the size of v
+    np.subtract(v[..., 2:], v[..., :-2], out=inner)
+    inner /= 2.0 * dx
     out[..., 0] = (v[..., 1] - v[..., 0]) / dx
     out[..., -1] = (v[..., -1] - v[..., -2]) / dx
     return out
@@ -78,7 +89,11 @@ def _central_first(v: np.ndarray, dx: float) -> np.ndarray:
 def _central_second(v: np.ndarray, dx: float) -> np.ndarray:
     """Central second difference along the last axis, copied out to the ends."""
     out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (dx * dx)
+    inner = out[..., 1:-1]  # (v[2:] - 2 v[1:-1] + v[:-2]) / dx^2, in place
+    np.multiply(v[..., 1:-1], 2.0, out=inner)
+    np.subtract(v[..., 2:], inner, out=inner)
+    inner += v[..., :-2]
+    inner /= dx * dx
     out[..., 0] = out[..., 1]
     out[..., -1] = out[..., -2]
     return out
@@ -148,7 +163,12 @@ def _pchip(
 
 @dataclass
 class PolicySlice:
-    """Maximizing integrand and holdings per (t, x) grid point."""
+    """Maximizing integrand and holdings per (t, x) grid point.
+
+    The holdings are the integrand over ``z_scale``; at a unit ``z_scale``
+    they are the integrand bit for bit, and ``dp_value`` returns one array
+    as both.
+    """
 
     upsilon: np.ndarray  # shape (n_t, n_x)
     theta_hat: np.ndarray  # shape (n_t, n_x)
@@ -232,6 +252,13 @@ def dp_value(
     layer stays outside the requested surface: the computational grid is
     widened by 15 percent of the range on each side.  A slice (U first)
     whose values or stencils leave float range there is refused by name.
+
+    Only the padded slice being stepped from is held: each new slice, its
+    integrand and its holdings go straight into the unpadded
+    ``(n_t + 1, n_x)`` surface and ``(n_t, n_x)`` policy arrays returned
+    (one policy array at a unit ``z_scale``), so the scratch of the sweep
+    is a few padded rows; the surface's derivatives are then built in
+    place and its shape checked ``_ROW_BLOCK`` slices at a time.
     """
     pad = 0.15 * (xgrid.x_max - xgrid.x_min)
     n_pad = int(np.ceil(pad / xgrid.dx))
@@ -246,34 +273,29 @@ def dp_value(
     sq = tgrid.sqrt_dt
     x = wide.x
 
-    v = np.empty((n_t + 1, wide.n_x))
+    keep = slice(n_pad, n_pad + xgrid.n_x)
+    v = np.empty((n_t + 1, xgrid.n_x))
+    upsilon = np.empty((n_t, xgrid.n_x))
+    theta_hat = upsilon if control.z_scale == 1.0 else np.empty((n_t, xgrid.n_x))
     with np.errstate(over="ignore"):  # refused by name at the first slice
-        v[n_t] = np.asarray(utility.u(x), dtype=float)
-    upsilon = np.empty((n_t, wide.n_x))
-    theta_hat = np.empty((n_t, wide.n_x))
+        row = np.asarray(utility.u(x), dtype=float)
+    v[n_t] = row[keep]
 
     for k in range(n_t - 1, -1, -1):
         t = tgrid.t(k)
-        row_next = v[k + 1]
-        vx, vxx = _stencils(row_next, wide.dx, "U" if k == n_t - 1 else "V", x)
+        vx, vxx = _stencils(row, wide.dx, "U" if k == n_t - 1 else "V", x)
         ups, th = _maximizer_row(driver, control, t, vx, vxx)
         g_vals = np.asarray(driver.g(t, ups), dtype=float)
         base = x - g_vals * dt
-        up, down = _pchip(x, row_next, np.stack((base + ups * sq, base - ups * sq)))
-        v[k] = 0.5 * (up + down)
-        upsilon[k] = ups
-        theta_hat[k] = th
+        up, down = _pchip(x, row, np.stack((base + ups * sq, base - ups * sq)))
+        row = 0.5 * (up + down)
+        v[k] = row[keep]
+        upsilon[k] = ups[keep]
+        theta_hat[k] = th[keep]
 
-    keep = slice(n_pad, n_pad + xgrid.n_x) if n_pad else slice(None)
-    surface = ValueSurface(
-        tgrid=tgrid, xgrid=xgrid, v=np.ascontiguousarray(v[:, keep]), control=control
-    )
+    surface = ValueSurface(tgrid=tgrid, xgrid=xgrid, v=v, control=control)
     surface.check_shape_in_wealth()
-    policy = PolicySlice(
-        upsilon=np.ascontiguousarray(upsilon[:, keep]),
-        theta_hat=np.ascontiguousarray(theta_hat[:, keep]),
-    )
-    return surface, policy
+    return surface, PolicySlice(upsilon=upsilon, theta_hat=theta_hat)
 
 
 def _locate(tgrid: TimeGrid, xgrid: WealthGrid, t: float, x: float) -> tuple[int, int]:
@@ -342,6 +364,26 @@ def bspde_residual(surface: ValueSurface, driver: Driver) -> BspdeResidualReport
     return BspdeResidualReport(max_residual=worst, rows=rows)
 
 
+def _read_levels(
+    lattice: Lattice, x_axis: np.ndarray, field: np.ndarray, xq: np.ndarray
+) -> np.ndarray:
+    """``_pchip`` of each lattice level's wealth in ``xq`` (flat layout) on
+    the slice of ``field`` of its level, one row per level.
+
+    A level's nodes are contiguous in the flat layout, so each block of
+    ``_ROW_BLOCK`` slices is read by one call on a contiguous run of
+    queries.  PCHIP fits each interval from its neighbours only, so this
+    gives the bits of one call on the whole field.
+    """
+    offsets, level = lattice.offsets, lattice.level_index
+    out = np.empty_like(xq)
+    for k0 in range(0, field.shape[0], _ROW_BLOCK):
+        k1 = min(k0 + _ROW_BLOCK, field.shape[0])
+        nodes = slice(offsets[k0], offsets[k1])
+        out[nodes] = _pchip(x_axis, field[k0:k1], xq[nodes], rows=level[nodes] - k0)
+    return out
+
+
 def fbsde_from_surface(
     surface: ValueSurface,
     policy: PolicySlice,
@@ -358,6 +400,10 @@ def fbsde_from_surface(
     must lie in its stencil-safe interior: a level whose lattice wealth
     leaves it raises ``ExtrapolationRefused``.  The holdings are left to
     ``recover_theta``: ``theta`` is None.
+
+    Besides the triple it returns, the bridge holds only per-node arrays
+    and the scratch of one ``_ROW_BLOCK``-slice read of ``v_x`` or
+    ``v_xx`` (``_read_levels``), never a coefficient array of the surface.
     """
     tgrid, xgrid = surface.tgrid, surface.xgrid
     if lattice.n_steps != tgrid.n_steps or abs(lattice.grid.horizon - tgrid.horizon) > 1e-12:
@@ -386,12 +432,11 @@ def fbsde_from_surface(
     # smooth off-grid reads: linear interpolation of the stencil fields
     # leaves cell-scale noise that the marginal utility amplifies.  Each
     # node reads the surface slice of its own level.
-    level = lattice.level_index
     inner = lattice.offsets[-2]  # the nodes of levels 0 .. n-1
-    vx = _pchip(x_axis, surface.v_x, x.flat, rows=level)
+    vx = _read_levels(lattice, x_axis, surface.v_x, x.flat)
     if np.any(vx <= 0):
         raise InverseDomainError("V_x must be positive to invert the marginal utility")
-    vxx = _pchip(x_axis, surface.v_xx[:n], x.flat[:inner], rows=level[:inner])
+    vxx = _read_levels(lattice, x_axis, surface.v_xx[:n], x.flat[:inner])
     zeta = NodeProcess.from_flat(
         lattice, np.asarray(utility.inverse_marginal(vx), dtype=float) - x.flat
     )

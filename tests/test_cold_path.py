@@ -25,6 +25,7 @@ from impact_hedger import (
     build_binomial,
     cli,
     drifted_quadratic_driver,
+    g17,
     market,
     recover_theta,
     solve_fbsde_cara,
@@ -275,6 +276,40 @@ def test_write_csv_from_broadcast_columns_matches_the_per_cell_format(case):
         path = Path(tmp) / "t.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == _old_csv(header, rows.tolist()).encode()
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, cli._CSV_BLOCK_CELLS])
+def test_pooled_columns_of_the_same_bit_patterns_share_one_pool(block):
+    # b and e hold the values of a and c in other orders, so they take the
+    # pool slots of a and c; c is a with 0.0 for each -0.0, the same count
+    # of distinct values that differs only in the sign of zero, so it has
+    # a pool of its own (no other value is negative, so its sorted values
+    # compare equal to a's as floats).  Six values of a and six of c are
+    # formatted.
+    rng = np.random.default_rng(29)
+    values = np.array([-0.0, 0.1, 1.5, 2.0, 5e-324, 1e300])
+    a = rng.choice(values, size=(12, 10))
+    a.flat[:6] = values
+    b = rng.permutation(a.ravel()).reshape(a.shape)
+    c = np.where(np.signbit(a) & (a == 0.0), 0.0, a)
+    e = c[::-1, ::-1]
+    t = np.arange(12.0)[:, None]  # broadcast: its own pool of 12 values
+    columns = [t, a, b, c, e]
+    header = ["t", "a", "b", "c", "e"]
+    rows = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+    formatted = []
+    g17_slots = g17.g17_slots
+
+    def counted(cells):
+        formatted.append(np.size(cells))
+        return g17_slots(cells)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CSV_BLOCK_CELLS", block):
+        path = Path(tmp) / "t.csv"
+        with mock.patch.object(g17, "g17_slots", counted):
+            _write_csv(path, header, columns)
+        assert path.read_bytes() == _old_csv(header, rows.tolist()).encode()
+    assert sum(formatted) == 12 + 6 + 6
 
 
 @st.composite

@@ -16,6 +16,7 @@ from impact_hedger import (
     WealthGrid,
     bspde_residual,
     build_binomial,
+    build_full_binary,
     cara_closed_form_surface,
     cara_utility,
     custom_driver,
@@ -33,6 +34,7 @@ from impact_hedger.errors import (
     ControlBracketExhausted,
     InvalidArgument,
     InverseDomainError,
+    NumericOverflow,
     UnsupportedOperation,
 )
 
@@ -183,16 +185,20 @@ def test_surface_derivatives_equal_the_per_slice_stencils():
 
 
 def test_a_built_surface_is_read_not_refitted(monkeypatch):
-    # the bridge fits v_x and v_xx in one batched call each, and neither
-    # the residual nor the bridge takes the surface's stencils again
+    # the bridge reads v_x and v_xx a block of levels per call, every call
+    # batched by ``rows``, each level of each field once; neither the
+    # residual nor the bridge takes the surface's stencils again
     tg, xg = desk_grids(n_t=30, n_x=201)
     surf, pol = dp_value(tg, xg, DRIVER, UTILITY, INTERVAL)
     pchip = valuegrid._pchip
-    calls = []
+    read = {"v_x": [], "v_xx": []}
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("rows") is not None)
-        return pchip(*args, **kwargs)
+    def counted(x, y, xq, rows=None):
+        assert rows is not None, "an unbatched read of the surface"
+        (name,) = (n for n in read if np.shares_memory(y, getattr(surf, n)))
+        first = (y.ctypes.data - getattr(surf, name).ctypes.data) // y.strides[0]
+        read[name].extend(first + np.unique(rows))
+        return pchip(x, y, xq, rows=rows)
 
     def refused(*args):
         raise AssertionError("a surface stencil was computed again")
@@ -202,7 +208,54 @@ def test_a_built_surface_is_read_not_refitted(monkeypatch):
     monkeypatch.setattr(valuegrid, "_central_second", refused)
     bspde_residual(surf, DRIVER)
     fbsde_from_surface(surf, pol, build_binomial(1.0, 30), UTILITY, 0.0, DRIVER)
-    assert calls == [True, True]
+    assert read == {"v_x": list(range(31)), "v_xx": list(range(30))}
+
+
+def _whole_and_blocked_reads(lattice, field, xq):
+    x_axis = np.linspace(-3.0, 3.0, field.shape[1])
+    whole = valuegrid._pchip(x_axis, field, xq, rows=lattice.level_index[: xq.size])
+    return whole, valuegrid._read_levels(lattice, x_axis, field, xq)
+
+
+@pytest.mark.parametrize("block", [1, 5, 16])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("topology", ["recombining", "full_binary"])
+def test_a_blocked_bridge_read_is_one_whole_surface_read(monkeypatch, block, seed, topology):
+    # random rows (flat runs and sign changes included) on 37 levels, not a
+    # multiple of any block but 1; queries on grid nodes, at the ends,
+    # inside and past the hull
+    monkeypatch.setattr(valuegrid, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    n, n_x = (37, 41) if topology == "recombining" else (9, 41)
+    lattice = build_binomial(1.0, n) if topology == "recombining" else build_full_binary(1.0, n)
+    field = rng.normal(size=(n + 1, n_x))
+    field[:, 10:14] = field[:, 10:11]
+    field[rng.random(field.shape) < 0.1] *= -1.0
+    x_axis = np.linspace(-3.0, 3.0, n_x)
+    pick = [x_axis, [-3.0, 3.0, -4.5, 4.5, -1e6, 1e6], rng.uniform(-3.5, 3.5, 64)]
+    xq = rng.choice(np.concatenate(pick), size=lattice.offsets[-1])
+    for rows in (n + 1, n):  # v_x on every level, v_xx on levels 0 .. n-1
+        cells = lattice.offsets[rows]
+        whole, blocked = _whole_and_blocked_reads(lattice, field[:rows], xq[:cells])
+        assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 5, 16])
+def test_a_non_finite_value_in_a_late_row_is_refused(monkeypatch, block):
+    monkeypatch.setattr(valuegrid, "_ROW_BLOCK", block)
+    lattice = build_binomial(1.0, 37)
+    field = np.tile(np.linspace(1.0, 2.0, 41), (38, 1))
+    x_axis, xq = np.linspace(-3.0, 3.0, 41), np.zeros(lattice.offsets[-1])
+    for bad in (np.inf, np.nan):
+        field[-1, 7] = bad
+        with pytest.raises(NumericOverflow, match="non-finite value surface row"):
+            valuegrid._read_levels(lattice, x_axis, field, xq)
+    # through the bridge: a non-finite V_xx on the last level it reads
+    tg, xg = desk_grids(n_t=30, n_x=201)
+    surf, pol = dp_value(tg, xg, DRIVER, UTILITY, INTERVAL)
+    surf.v_xx[29, 100] = np.nan
+    with pytest.raises(NumericOverflow, match="non-finite value surface row"):
+        fbsde_from_surface(surf, pol, build_binomial(1.0, 30), UTILITY, 0.0, DRIVER)
 
 
 def test_dp_zero_driver_keeps_terminal_utility():
@@ -394,6 +447,22 @@ def test_a_convex_surface_is_refused_by_the_shape_check_and_the_operator():
     falling = ValueSurface(tg, xg, np.tile(-np.exp(xg.x), (11, 1)), INTERVAL)
     with pytest.raises(ConcavityViolation, match="not increasing in wealth at slice 0"):
         falling.check_shape_in_wealth()
+
+
+@pytest.mark.parametrize("block", [1, 4, 16, 64])
+def test_the_shape_check_names_the_first_failing_slice_in_any_block(monkeypatch, block):
+    # slice 33 falls and bends, slice 37 bends: 33 is named, and falling
+    # comes before bending, whatever the blocks the check reads
+    monkeypatch.setattr(valuegrid, "_ROW_BLOCK", block)
+    tg, xg = desk_grids(n_t=40, n_x=101)
+    v = np.tile(-np.exp(-xg.x), (41, 1))
+    v[37] = np.exp(xg.x)
+    v[33, 50:] = v[33, 50] - 1.0
+    with pytest.raises(ConcavityViolation, match="not increasing in wealth at slice 33$"):
+        ValueSurface(tg, xg, v, INTERVAL).check_shape_in_wealth()
+    v[33] = v[32]
+    with pytest.raises(ConcavityViolation, match="not strictly concave at slice 37$"):
+        ValueSurface(tg, xg, v, INTERVAL).check_shape_in_wealth()
 
 
 def test_the_bridge_refuses_a_surface_that_falls_at_the_start():
