@@ -310,9 +310,10 @@ def _write_rows(fh, cols: list, shape: tuple[int, ...]) -> None:
     distinct value formatted once, into a pool of slots, and keeps its
     inverse index in the narrowest integer type; a pooled column with the
     same distinct bit patterns as an earlier one shares its slots (the
-    ``theta_hat`` of a unit payoff slope is its ``upsilon``).  The other
-    columns are formatted a block at a time, after the pool.  Besides the
-    pool and the inverses, a write holds one sort of one column at a time
+    ``theta_hat`` of a unit payoff slope is its ``upsilon``), and a column
+    that views the very memory of an earlier one reuses its count.  The
+    other columns are formatted a block at a time, after the pool.  Besides
+    the pool and the inverses, a write holds one sort of one column at a time
     and the index, slots and bytes of one block.  A block is a run of the
     leading axis of at most ``_CSV_BLOCK_CELLS`` cells (never less than one
     index of that axis).  One take of the pool puts a block in table order;
@@ -331,8 +332,12 @@ def _write_rows(fh, cols: list, shape: tuple[int, ...]) -> None:
     slot = np.dtype((np.void, SLOT))
     distinct, pooled, direct = [], {}, {}
     size = 0
+    counted = {}  # a column's memory (address, shape, strides) -> its _repeated_bits
     for j, col in enumerate(cols):
-        found = _repeated_bits(col, n_rows)
+        view = (col.__array_interface__["data"][0], col.shape, col.strides)
+        if view not in counted:
+            counted[view] = _repeated_bits(col, n_rows)
+        found = counted[view]
         if found is None:
             direct[j] = np.broadcast_to(col, shape)
             continue
@@ -473,6 +478,8 @@ def _solve_routes(cfg, lattice, driver, s):
     the unit integrands.  That cone, the position curve of a homogeneous
     driver, is built once here and returned for the other routes'
     recovery; it is None for a driver whose curve needs the y-grid.
+    Picard starts at the CARA route's wealth, its fixed point under CARA
+    utility, so it converges in one pass.
     """
     from .gexpect import PositionCurve
     from .optimizer import cara_utility, solve_fbsde_cara, solve_fbsde_picard
@@ -491,6 +498,7 @@ def _solve_routes(cfg, lattice, driver, s):
         s_terminal=s if driver.kinked else None,
         theta_plus=cfg.mode == "theta_plus",
         curve=curve,
+        x_start=cara.x.flat,
     )
     return cara, picard, curve
 

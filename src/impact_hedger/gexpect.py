@@ -63,8 +63,8 @@ def _sweep_levels(
     """The backward recursion, one level at a time: yields ``(k, Pi_k, Z_k)``
     for k = n-1 down to 0.  ``step(k, z, cond)`` gets the level, Z_k and the
     level mean ``cond`` = E_k[Pi_{k+1}], and returns the driver ``g`` at the
-    level's nodes and ``slope``, a bound on |dg/dz| per node: the step-size
-    guard refuses a level where slope * sqrt(dt) is not below 1.
+    level's nodes and ``slope``, an array bounding |dg/dz| per node: the
+    step-size guard refuses a level where slope * sqrt(dt) is not below 1.
 
     ``terminal`` is one buffer of shape ``(level_size(n),)`` or a batch of
     them, shape ``(rows, level_size(n))``; each level keeps the leading row
@@ -79,16 +79,17 @@ def _sweep_levels(
     n = lattice.n_steps
     dt = lattice.grid.dt
     sq = lattice.grid.sqrt_dt
+    two_sq = 2.0 * sq
     pi = terminal
     for k in range(n - 1, -1, -1):
         down, up = lattice.split_children(pi)
         with np.errstate(all="ignore"):  # refused just below
-            z = -(up - down) / (2.0 * sq)
+            z = -(up - down) / two_sq
             cond = 0.5 * (down + up)
             g, slope = step(k, z, cond)
             pi = cond - np.asarray(g, dtype=float) * dt
-            worst = float(np.max(slope)) * sq if z.size else 0.0
-        if not np.all(np.isfinite(pi)):
+            worst = float(slope.max()) * sq if z.size else 0.0
+        if not np.isfinite(pi).all():
             raise NumericOverflow(
                 f"non-finite evaluation during backward sweep at level {k}", level=k
             )
@@ -462,63 +463,69 @@ def _checked_y_grid(y_grid) -> np.ndarray:
     return yg
 
 
-def _invert_level(k: int, z: np.ndarray, y_grid: np.ndarray, targets: np.ndarray) -> list:
+def _invert_level(k: int, z: np.ndarray, y_grid: np.ndarray, targets: np.ndarray) -> tuple:
     """Positions y with Z^y = t at the nodes of level k, for each row t of
-    ``targets``, ``(n_targets, k + 1)``.
+    ``targets``, ``(n_targets, k + 1)``: ``(y, errors)``, ``y`` of the shape
+    of ``targets``, and ``errors`` None if every target inverted, else the
+    error of each target, None for one that inverted.
 
     ``z`` holds the level's grid solutions, ``(n_y, k + 1)``.  The level
     must be strictly monotone in y, all its columns the same way, and a
-    target must lie in the level's attainable image up to 1e-12.  For each
-    target comes back its positions or its error; a level that is not
-    monotone fails every target.
+    target must lie in the level's attainable image up to 1e-12.  A failed
+    target's row of ``y`` means nothing; a level that is not monotone fails
+    every target and has no ``y``.
     """
     # a strictly monotone level runs every column the way of its first
     dec = bool(z[-1, 0] < z[0, 0])
-    if not np.all(z[1:] < z[:-1] if dec else z[1:] > z[:-1]):
+    if not (z[1:] < z[:-1] if dec else z[1:] > z[:-1]).all():
         err = InversionUnavailable(f"position curve is not monotone in y at level {k}")
-        return [err] * len(targets)
+        return None, [err] * len(targets)
     # so each column has its extremes in its first and last rows
     lo, hi = (z[-1], z[0]) if dec else (z[0], z[-1])
-    outside = np.any((targets < lo - 1e-12) | (targets > hi + 1e-12), axis=1)
+    outside = ((targets < lo - 1e-12) | (targets > hi + 1e-12)).any(axis=1)
     # a decreasing level is inverted as the increasing -Z against -t
     y = _interp_columns(-targets if dec else targets, z, y_grid, dec)
-    return [
-        ImageViolation("integrand target outside the attainable image") if bad else row
-        for bad, row in zip(outside, y)
-    ]
+    if not outside.any():
+        return y, None
+    err = ImageViolation("integrand target outside the attainable image")
+    return y, [err if bad else None for bad in outside]
 
 
 def _invert_streamed(
     lattice: Lattice, driver: Driver, s_terminal, y_grid, targets: list[np.ndarray]
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Positions y with Z^y = t for each flat target t over levels 0..n-1,
     on the piecewise-linear curve of ``PositionCurve(lattice, driver,
-    s_terminal, y_grid)``, without that curve's ``(n_y, nodes)`` buffer.
+    s_terminal, y_grid)``, without that curve's ``(n_y, nodes)`` buffer:
+    one row per target.
 
-    Each level of the batched y-grid sweep, top first, is inverted for
-    every target as the sweep yields it, straight from the sweep's own
-    ``(n_y, k + 1)`` array; no level is copied.  The sweep's own errors
-    raise as it meets them.  After it, the first target that failed raises
-    the error of its lowest failing level.
+    The targets are stacked once into one block, and each level of the
+    batched y-grid sweep, top first, is inverted for every target as the
+    sweep yields it, straight from the sweep's own ``(n_y, k + 1)`` array
+    and the block's view of the level, whose positions then overwrite its
+    targets.  The sweep's own errors raise as it meets them.  After it,
+    the first target that failed raises the error of its lowest failing
+    level.
     """
     yg = _checked_y_grid(y_grid)
     off = lattice.offsets
     flats = [np.asarray(t, dtype=float) for t in targets]
     if any(t.shape != (off[lattice.n_steps],) for t in flats):
         raise InvalidArgument("a holdings target needs one value per node of levels 0..n-1")
-    outs = [np.empty_like(t) for t in flats]
+    block = np.stack(flats)
     errors = [None] * len(flats)
     for k, _, z in _driver_levels(lattice, driver, _position_terminals(lattice, s_terminal, yg)):
         a, b = off[k], off[k + 1]
-        for i, got in enumerate(_invert_level(k, z, yg, np.stack([t[a:b] for t in flats]))):
-            if isinstance(got, Exception):
-                errors[i] = got  # the sweep goes down the levels: the last error is the lowest
-            else:
-                outs[i][a:b] = got
+        y, failed = _invert_level(k, z, yg, block[:, a:b])
+        if y is not None:
+            block[:, a:b] = y
+        if failed is not None:
+            # the sweep goes down the levels: the last error is the lowest
+            errors = [old if new is None else new for new, old in zip(failed, errors)]
     for err in errors:
         if err is not None:
             raise err
-    return outs
+    return block
 
 
 def _interp_columns(
@@ -538,16 +545,19 @@ def _interp_columns(
     leading run, so the bracket is found by counting them.
     """
     n_y, n_cols = xp.shape
-    sign = -1.0 if decreasing else 1.0
     row = x[..., None, :]
     below = (xp >= -row if decreasing else xp <= row).view(np.uint8)
     # counted in the narrowest type that holds n_y, then indexed in intp
     run = np.add.reduce(below, axis=-2, dtype=np.min_scalar_type(n_y))
-    i = np.clip(run.astype(np.intp) - 1, 0, n_y - 2)
+    i = np.maximum(run.astype(np.intp) - 1, 0)
+    np.minimum(i, n_y - 2, out=i)
     cols = np.arange(n_cols)
-    x0, x1 = sign * xp[i, cols], sign * xp[i + 1, cols]
+    x0, x1 = xp[i, cols], xp[i + 1, cols]
+    first, last = xp[0], xp[-1]
+    if decreasing:
+        x0, x1, first, last = -x0, -x1, -first, -last
     f0 = fp[i]
     slope = (fp[i + 1] - f0) / (x1 - x0)
     out = np.where(x == x0, f0, slope * (x - x0) + f0)
-    out = np.where(x < sign * xp[0], fp[0], out)
-    return np.where(x >= sign * xp[-1], fp[-1], out)
+    out = np.where(x < first, fp[0], out)
+    return np.where(x >= last, fp[-1], out)

@@ -467,6 +467,7 @@ def solve_fbsde_picard(
     s_terminal=None,
     theta_plus: bool = True,
     curve: PositionCurve | None = None,
+    x_start=None,
 ) -> FbsdeSolution:
     """Anderson-accelerated Picard iteration on the coupled system.
 
@@ -483,6 +484,13 @@ def solve_fbsde_picard(
     wealth, the one the returned integrand generates, converged or not, so
     a decoupled system is reproduced exactly.  ``residual_history`` and
     ``step_history`` of the solution record every pass.
+
+    The first iterate is ``x_start``, one finite wealth per node of all
+    levels in the flat layout, else the constant ``x0``.  Under CARA
+    utility a pass's image does not depend on the iterate but through the
+    rounding of psi1 and psi2, so started at the wealth of
+    ``solve_fbsde_cara`` it converges in one pass; any other start still
+    iterates.
 
     Kinked homogeneous drivers require the traded payoff (for the unit
     integrands) and default to the long-only mode, where the kinked
@@ -513,7 +521,17 @@ def solve_fbsde_picard(
             "s_terminal is read only by a kinked driver; recover the holdings with recover_theta"
         )
 
-    x_iter = np.full(lattice.offsets[-1], float(x0))
+    if x_start is None:
+        x_iter = np.full(lattice.offsets[-1], float(x0))
+    else:
+        x_iter = np.asarray(x_start, dtype=float)
+        if x_iter.shape != (lattice.offsets[-1],):
+            raise InvalidArgument(
+                f"x_start has shape {x_iter.shape}, expected ({lattice.offsets[-1]},): "
+                "one wealth per node of all levels"
+            )
+        if not np.isfinite(x_iter).all():
+            raise InvalidArgument("x_start must be finite")
     converged = False
     residual_history: list[float] = []
     step_history: list[str] = []
@@ -732,8 +750,8 @@ def recover_theta(
     if not hs:
         return []
     if not driver.is_homogeneous:
-        flats = _invert_streamed(lattice, driver, s_terminal, y_grid, [h.flat for h in hs])
-        return [NodeProcess.from_flat(lattice, flat) for flat in flats]
+        block = _invert_streamed(lattice, driver, s_terminal, y_grid, [h.flat for h in hs])
+        return [NodeProcess.from_flat(lattice, flat) for flat in block]
     if curve is None:
         curve = PositionCurve(lattice, driver, s_terminal)
     return [curve.invert(h) for h in hs]

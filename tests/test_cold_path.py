@@ -312,6 +312,31 @@ def test_pooled_columns_of_the_same_bit_patterns_share_one_pool(block):
     assert sum(formatted) == 12 + 6 + 6
 
 
+def test_a_column_viewing_an_earlier_ones_memory_is_counted_once():
+    # a[...] and d[:] view the memory of a and d, as theta_hat views upsilon
+    # at a unit payoff slope; a.T starts at a's address with a's shape but
+    # other strides, and a.copy() has a's values in other memory
+    rng = np.random.default_rng(30)
+    a = rng.choice([-0.0, 0.5, 2.0], size=(10, 10))
+    d = rng.normal(size=(10, 10))  # all distinct: formatted, never pooled
+    columns = [a, a[...], a.T, a.copy(), d, d[:]]
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = np.stack(columns, axis=-1).reshape(-1, len(columns))
+    counted = []
+    repeated_bits = cli._repeated_bits
+
+    def counting(col, n_rows):
+        counted.append(col)
+        return repeated_bits(col, n_rows)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_repeated_bits", counting):
+        path = Path(tmp) / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == _old_csv(header, rows.tolist()).encode()
+    assert len(counted) == 4
+    assert [c.strides for c in counted] == [a.strides, a.T.strides, a.strides, d.strides]
+
+
 @st.composite
 def split_tables(draw):
     """A table whose columns repeat values (signed zeros among them), cut

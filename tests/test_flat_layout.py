@@ -244,10 +244,11 @@ def test_flat_children_are_the_split_of_the_next_level(lat):
 
 def _level_outcome(k, z, y_grid, targets):
     """``_invert_level`` on one target, its error as ``_outcome`` gives it."""
-    (got,) = _invert_level(k, z, y_grid, targets[None, :])
-    if isinstance(got, Exception):
-        return (type(got), str(got), getattr(got, "level", None))
-    return got
+    y, errors = _invert_level(k, z, y_grid, targets[None, :])
+    if errors is not None:
+        (err,) = errors
+        return (type(err), str(err), getattr(err, "level", None))
+    return y[0]
 
 
 @st.composite

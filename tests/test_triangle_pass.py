@@ -308,3 +308,90 @@ def test_closed_form_holdings_from_the_scenario_curve_are_bit_identical():
     (shared,) = ih.recover_theta(lat, scenario_driver, s, [triple.h], y_grid=y_grid)
     for k in range(40):
         assert _bits(shared.values(k)) == _bits(own.values(k))
+
+
+# -- Picard's start iterate -------------------------------------------------
+
+# gamma_a a power of two makes U'/U'' and U'''/U'' exact, so a pass's image
+# does not depend on the iterate at all; otherwise it moves by rounding
+powers_of_two = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gamma=st.floats(0.1, 3.0),
+    eta=st.floats(-0.5, 0.5),
+    gamma_a=st.one_of(powers_of_two, st.floats(0.2, 8.0)),
+    horizon=st.floats(0.1, 2.0),
+    x0=st.floats(-5.0, 5.0),
+    n=st.integers(1, 200),
+)
+def test_picard_started_at_the_cara_wealth_converges_in_one_pass(gamma, eta, gamma_a, horizon, x0, n):
+    lat = ih.build_binomial(horizon, n)
+    drv = ih.drifted_quadratic_driver(gamma, eta)
+    utility = ih.cara_utility(gamma_a)
+    cara = ih.solve_fbsde_cara(lat, drv, gamma_a, x0)
+    cold = ih.solve_fbsde_picard(lat, drv, utility, x0)
+    warm = ih.solve_fbsde_picard(lat, drv, utility, x0, x_start=cara.x.flat)
+    assert warm.converged and warm.iterations == 1
+    assert len(warm.residual_history) == 1 and warm.step_history == []
+    exact = gamma_a in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    for name in ("x", "zeta", "m", "h"):
+        got, want = getattr(warm, name).flat, getattr(cold, name).flat
+        if exact:
+            assert _bits(got) == _bits(want), name
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14, name
+
+
+def test_a_start_off_the_fixed_point_still_iterates():
+    lat = ih.build_binomial(1.0, 60)
+    drv = ih.drifted_quadratic_driver(1.0, 0.3)
+    utility = ih.cara_utility(1.7)
+    tol = 1e-10
+    cara = ih.solve_fbsde_cara(lat, drv, 1.7, 0.0)
+    cold = ih.solve_fbsde_picard(lat, drv, utility, 0.0, tol=tol)
+    off = ih.solve_fbsde_picard(lat, drv, utility, 0.0, tol=tol, x_start=cara.x.flat + 1e-3)
+    assert off.converged and off.iterations > 1
+    assert off.residual_history[0] == pytest.approx(1e-3, rel=1e-9)
+    for name in ("x", "zeta", "m", "h"):
+        assert getattr(off, name).sup_diff(getattr(cold, name)) <= tol, name
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        np.zeros(10),  # levels 0..n-1 only: the terminal level is missing
+        np.zeros(16),  # one node too many
+        np.zeros((1, 15)),
+        np.zeros(()),
+        np.where(np.arange(15) == 7, np.nan, 0.0),
+        np.where(np.arange(15) == 14, -np.inf, 0.0),
+    ],
+    ids=["short", "long", "2d", "scalar", "nan", "inf"],
+)
+def test_a_bad_start_is_refused(start):
+    lat = ih.build_binomial(1.0, 4)  # 15 nodes over levels 0..4
+    drv = ih.drifted_quadratic_driver(1.0, 0.3)
+    with pytest.raises(InvalidArgument, match="x_start"):
+        ih.solve_fbsde_picard(lat, drv, ih.cara_utility(2.0), 0.0, x_start=start)
+
+
+@pytest.mark.parametrize("scenario", sorted(p.stem for p in (ROOT / "scenarios").glob("*.ini")))
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_the_shipped_desks_take_one_picard_pass(tmp_path, monkeypatch, scenario, command):
+    # band.ini's kinked driver takes the theta_plus mode, the others theta
+    runs = []
+    solve = optimizer.solve_fbsde_picard
+
+    def recorded(*args, **kwargs):
+        runs.append(solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(optimizer, "solve_fbsde_picard", recorded)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(ROOT / "scenarios" / f"{scenario}.ini"), "--out", str(out)]) == 0
+    assert [(sol.iterations, sol.converged) for sol in runs] == [(1, True)]
+    if command == "solve":
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["iterations"] == 1 and results["picard_steps"] == []
